@@ -1,0 +1,11 @@
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent
+for path in (BENCH.parent / "src", BENCH, BENCH / "tests"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
+
+
+def pytest_configure(config):
+    config.addinivalue_line("filterwarnings", "ignore:poset enumeration beyond")
