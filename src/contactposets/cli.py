@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fr.set_defaults(handler=cmd_fraisse)
 
     p_en = sub.add_parser("enumerate", help="catalog structures up to isomorphism")
-    p_en.add_argument("--size", type=int, required=True)
+    p_en.add_argument("--size", type=_positive_int, required=True)
     p_en.add_argument("--kind", choices=(POSET, SEMILATTICE), default=POSET)
     p_en.add_argument("--out", help="directory for one catalog file per size")
     p_en.set_defaults(handler=cmd_enumerate)
@@ -96,6 +96,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_dot.set_defaults(handler=cmd_export_dot)
 
     return parser
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 # ---------------------------------------------------------------------------

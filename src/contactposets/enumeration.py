@@ -2,8 +2,14 @@
 isomorphism, canonical forms, and the age catalog used as the oracle
 backbone of the test suite.
 
-Everything here is desk scale: brute-force permutation search with
-invariant pruning is deliberate, correctness beats cleverness at n <= 6.
+Contact structures are generated isomorph-free.  The carriers are
+canonical, pairwise non-isomorphic posets with the bottom at index 0, so
+an isomorphism between two structures on the same carrier is a
+bottom-fixing automorphism of that carrier, and structures on different
+carriers are never isomorphic.  Valid tables are overlap plus an up-set
+of free pairs, automorphisms permute the free pairs, and so the
+isomorphism classes on a carrier are exactly the orbits of those up-sets;
+only the least mask of each orbit is built and canonicalised.
 """
 
 from __future__ import annotations
@@ -12,9 +18,11 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations
+from operator import or_
 from typing import Iterator, Sequence
 
 from .core import (
+    KINDS,
     POSET,
     SEMILATTICE,
     ContactStructure,
@@ -25,6 +33,7 @@ from .core import (
     meet_index,
     overlap_relation,
 )
+from .errors import AxiomViolation
 
 CanonicalKey = tuple
 
@@ -36,22 +45,37 @@ CanonicalKey = tuple
 def _refine_colors(
     n: int, relations: Sequence[Sequence[int]], colors: Sequence[int]
 ) -> tuple[int, ...]:
-    """Iterated neighbourhood refinement of an initial colouring."""
+    """Iterated neighbourhood refinement of an initial colouring.
+
+    A round ranks, for every i, its colour together with the sorted
+    profile of (colour of j, out-bits i -> j, in-bits j -> i) over all j.
+    The relation bits of each pair are packed once into one int, in the
+    order the bit tuples would compare, so a profile entry is the plain
+    int ``colour << width | pattern`` and sorts exactly like the tuple;
+    profiles all have length n, so flattening one into the signature
+    keeps the order of signatures too.
+    """
+    width = 2 * len(relations)
+    patterns = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            packed = 0
+            for rel in relations:
+                packed = packed << 1 | rel[i] >> j & 1
+            for rel in relations:
+                packed = packed << 1 | rel[j] >> i & 1
+            row.append(packed)
+        patterns.append(row)
     current = tuple(colors)
     while True:
-        signatures = []
-        for i in range(n):
-            profile = sorted(
-                (
-                    current[j],
-                    tuple(rel[i] >> j & 1 for rel in relations),
-                    tuple(rel[j] >> i & 1 for rel in relations),
-                )
-                for j in range(n)
-            )
-            signatures.append((current[i], tuple(profile)))
+        shifted = [c << width for c in current]
+        signatures = [
+            (c, *sorted(map(or_, shifted, row)))
+            for c, row in zip(current, patterns)
+        ]
         ranked = {sig: rank for rank, sig in enumerate(sorted(set(signatures)))}
-        refreshed = tuple(ranked[sig] for sig in signatures)
+        refreshed = tuple([ranked[sig] for sig in signatures])
         if refreshed == current:
             return refreshed
         current = refreshed
@@ -164,13 +188,7 @@ def isomorphic(s: ContactStructure, t: ContactStructure) -> bool:
 
 def automorphisms(s: ContactStructure) -> list[tuple[int, ...]]:
     """All bottom-fixing self-isomorphisms, as index permutations."""
-    out = []
-    colors = tuple(0 if i == s.bottom else 1 for i in range(s.n))
-    refined = _refine_colors(s.n, (s.up, s.contact), colors)
-    for perm in _admissible_perms(refined):
-        if _is_isomorphism_perm(s, s, perm):
-            out.append(perm)
-    return out
+    return list(isomorphisms(s, s))
 
 
 def _is_isomorphism_perm(
@@ -302,9 +320,8 @@ def enumerate_posets_with_bottom(n: int) -> tuple[tuple[int, ...], ...]:
 # contact relations over a fixed carrier
 
 
-def _free_pairs(s: ContactStructure) -> list[tuple[int, int]]:
+def _free_pairs(s: ContactStructure, overlap: Sequence[int]) -> list[tuple[int, int]]:
     """Unordered nonzero pairs not already forced into contact."""
-    overlap = overlap_relation(s)
     out = []
     for i in range(s.n):
         if i == s.bottom:
@@ -326,6 +343,37 @@ def _pair_leq(s: ContactStructure, p: tuple[int, int], q: tuple[int, int]) -> bo
     )
 
 
+def _free_pair_upsets(
+    s: ContactStructure, overlap: Sequence[int]
+) -> tuple[list[tuple[int, int]], list[int]]:
+    """The free pairs of s and every up-set of their order, as ascending
+    bit masks over the free-pair list."""
+    free = _free_pairs(s, overlap)
+    m = len(free)
+    succ = [0] * m
+    for a in range(m):
+        for b in range(m):
+            if a != b and _pair_leq(s, free[a], free[b]):
+                succ[a] |= 1 << b
+    upsets = [
+        chosen
+        for chosen in range(1 << m)
+        if not any(succ[a] & ~chosen for a in bits(chosen))
+    ]
+    return free, upsets
+
+
+def _contact_table(
+    overlap: Sequence[int], free: Sequence[tuple[int, int]], chosen: int
+) -> tuple[int, ...]:
+    rows = list(overlap)
+    for a in bits(chosen):
+        i, j = free[a]
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    return tuple(rows)
+
+
 def all_contact_tables(s: ContactStructure) -> list[tuple[int, ...]]:
     """Every valid contact table on the carrier of s (labelled, all of
     them, not up to isomorphism).
@@ -333,25 +381,39 @@ def all_contact_tables(s: ContactStructure) -> list[tuple[int, ...]]:
     Valid tables are exactly overlap plus an upward-closed set of free
     pairs, so they are enumerated as up-sets of the free-pair order.
     """
-    free = _free_pairs(s)
-    m = len(free)
-    succ = [0] * m
-    for a in range(m):
-        for b in range(m):
-            if a != b and _pair_leq(s, free[a], free[b]):
-                succ[a] |= 1 << b
     overlap = overlap_relation(s)
-    tables = []
-    for chosen in range(1 << m):
-        if any(succ[a] & ~chosen for a in bits(chosen)):
-            continue
-        rows = list(overlap)
-        for a in bits(chosen):
-            i, j = free[a]
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-        tables.append(tuple(rows))
-    return tables
+    free, upsets = _free_pair_upsets(s, overlap)
+    return [_contact_table(overlap, free, chosen) for chosen in upsets]
+
+
+def _orbit_least_upsets(
+    s: ContactStructure, free: Sequence[tuple[int, int]], upsets: Sequence[int]
+) -> list[int]:
+    """The up-sets that are the least mask of their orbit under the
+    bottom-fixing automorphisms of s.
+
+    An automorphism preserves overlap, so it permutes the free pairs;
+    target[a] is the bit of the free pair it sends pair a to.
+    """
+    where = {pair: a for a, pair in enumerate(free)}
+    identity = tuple(range(s.n))
+    targets = [
+        [1 << where[min(perm[i], perm[j]), max(perm[i], perm[j])] for i, j in free]
+        for perm in automorphisms(s)
+        if perm != identity
+    ]
+    out = []
+    for chosen in upsets:
+        members = list(bits(chosen))
+        for target in targets:
+            image = 0
+            for a in members:
+                image |= target[a]
+            if image < chosen:
+                break
+        else:
+            out.append(chosen)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +532,8 @@ class AgeCatalog:
 def enumerate_contact_structures(n: int, kind: str = POSET) -> tuple[ContactStructure, ...]:
     """All contact structures of size n up to isomorphism, canonical and
     deterministically ordered."""
+    if kind not in KINDS:
+        raise AxiomViolation(f"unknown kind {kind!r}")
     found: dict[CanonicalKey, ContactStructure] = {}
     for up in enumerate_posets_with_bottom(n):
         carrier = ContactStructure(
@@ -477,13 +541,14 @@ def enumerate_contact_structures(n: int, kind: str = POSET) -> tuple[ContactStru
             0,
             up,
             tuple([0] * n),
-            POSET,
+            kind,
         )
         if kind == SEMILATTICE and not is_semilattice_order(carrier):
             continue
-        tagged = ContactStructure(carrier.names, 0, up, carrier.contact, kind)
-        for table in all_contact_tables(tagged):
-            candidate = tagged.with_contact(table)
+        overlap = overlap_relation(carrier)
+        free, upsets = _free_pair_upsets(carrier, overlap)
+        for chosen in _orbit_least_upsets(carrier, free, upsets):
+            candidate = carrier.with_contact(_contact_table(overlap, free, chosen))
             key = canonical_key(candidate)
             if key not in found:
                 item = canonicalize(candidate)

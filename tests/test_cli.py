@@ -180,6 +180,15 @@ class TestEnumerateCommand:
         docs = json.loads((out / "catalog-poset-3.json").read_text())
         assert len(docs) == 3
 
+    @pytest.mark.parametrize("size", ["0", "-2"])
+    def test_size_below_one_is_a_parse_error(self, size, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["enumerate", "--size", size])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "must be at least 1" in err
+        assert "Traceback" not in err
+
 
 class TestFraisseCommand:
     def test_cap_one_fixpoint(self, tmp_path, capsys):

@@ -1,18 +1,23 @@
 import random
+from collections import Counter
 
 import pytest
 
+from contactposets import enumeration
 from contactposets.core import (
     POSET,
     SEMILATTICE,
     ContactStructure,
+    bits,
     check_contact_axioms,
     overlap_relation,
 )
 from contactposets.enumeration import (
     AgeCatalog,
     all_contact_tables,
+    automorphisms,
     canonical_key,
+    canonical_table_key,
     canonicalize,
     enumerate_contact_structures,
     enumerate_distributive_lattices,
@@ -24,7 +29,53 @@ from contactposets.enumeration import (
     is_semilattice,
     isomorphic,
 )
+from contactposets.errors import AxiomViolation
 from contactposets.gallery import m3
+
+
+def _carriers(n, kind):
+    """The canonical carriers of size n for kind, tagged with kind."""
+    for up in enumerate_posets_with_bottom(n):
+        carrier = ContactStructure(
+            tuple("0" if i == 0 else f"e{i}" for i in range(n)),
+            0, up, tuple([0] * n), kind,
+        )
+        if kind == POSET or is_semilattice(carrier):
+            yield carrier
+
+
+def _bare_key(s):
+    return canonical_key(s.with_contact(tuple([0] * s.n)))
+
+
+def _moved_table(perm, table):
+    moved = [0] * len(table)
+    for i, row in enumerate(table):
+        for j in bits(row):
+            moved[perm[i]] |= 1 << perm[j]
+    return tuple(moved)
+
+
+def _reference_refine_colors(n, relations, colors):
+    """The tuple-signature refinement the packed kernel must reproduce."""
+    current = tuple(colors)
+    while True:
+        signatures = []
+        for i in range(n):
+            profile = sorted(
+                (
+                    current[j],
+                    tuple(rel[i] >> j & 1 for rel in relations),
+                    tuple(rel[j] >> i & 1 for rel in relations),
+                )
+                for j in range(n)
+            )
+            signatures.append((current[i], tuple(profile)))
+        ranked = {sig: rank for rank, sig in enumerate(sorted(set(signatures)))}
+        refreshed = tuple(ranked[sig] for sig in signatures)
+        if refreshed == current:
+            return refreshed
+        current = refreshed
 
 
 class TestPosetCounts:
@@ -93,6 +144,84 @@ class TestContactEnumeration:
     def test_semilattice_carriers_have_joins(self, semilattice_catalog_4):
         for item in semilattice_catalog_4.items:
             assert is_semilattice(item)
+
+
+class TestOrbitEnumeration:
+    @pytest.mark.parametrize(
+        "kind, counts",
+        [(POSET, [1, 1, 3, 11, 63, 518]), (SEMILATTICE, [1, 1, 1, 3, 11, 61, 480])],
+    )
+    @pytest.mark.filterwarnings("ignore:poset enumeration beyond")
+    def test_burnside_counts_per_carrier(self, kind, counts):
+        # orbits of labelled tables = mean number of tables fixed by Aut;
+        # the enumeration must keep exactly one up-set per orbit
+        for n, expected in enumerate(counts, start=1):
+            per_carrier = Counter(
+                _bare_key(item) for item in enumerate_contact_structures(n, kind)
+            )
+            total = 0
+            for carrier in _carriers(n, kind):
+                tables = all_contact_tables(carrier)
+                group = automorphisms(carrier)
+                fixed = sum(
+                    _moved_table(perm, table) == table
+                    for perm in group
+                    for table in tables
+                )
+                assert fixed % len(group) == 0
+                orbits = fixed // len(group)
+                assert orbits == per_carrier[canonical_key(carrier)]
+                free, upsets = enumeration._free_pair_upsets(
+                    carrier, overlap_relation(carrier)
+                )
+                kept = enumeration._orbit_least_upsets(carrier, free, upsets)
+                assert len(kept) == orbits
+                total += orbits
+            assert total == expected == len(enumerate_contact_structures(n, kind))
+
+    @pytest.mark.parametrize("kind", [POSET, SEMILATTICE])
+    def test_matches_canonicalising_every_labelled_table(self, kind):
+        for n in range(1, 7):
+            found = {}
+            for carrier in _carriers(n, kind):
+                for table in all_contact_tables(carrier):
+                    item = canonicalize(carrier.with_contact(table))
+                    found.setdefault(canonical_key(item), item)
+            brute = tuple(found[key] for key in sorted(found))
+            assert enumerate_contact_structures(n, kind) == brute
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(AxiomViolation, match="unknown kind"):
+            enumerate_contact_structures(3, "bogus")
+
+
+class TestRefinementKernel:
+    def test_matches_tuple_signatures(self):
+        rng = random.Random(3)
+        for _ in range(3000):
+            n = rng.randint(1, 9)
+            relations = [
+                tuple(rng.getrandbits(n) for _ in range(n))
+                for _ in range(rng.randint(1, 3))
+            ]
+            colors = tuple(rng.randint(0, 3) for _ in range(n))
+            assert enumeration._refine_colors(
+                n, relations, colors
+            ) == _reference_refine_colors(n, relations, colors)
+
+    def test_keys_and_perms_unchanged(self, monkeypatch):
+        rng = random.Random(11)
+        inputs = []
+        for n in range(1, 6):
+            for item in enumerate_contact_structures(n, POSET):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                moved = item.relabel(tuple(perm))
+                colors = tuple(0 if i == moved.bottom else 1 for i in range(n))
+                inputs.append((n, (moved.up, moved.contact), colors))
+        packed = [canonical_table_key(*args) for args in inputs]
+        monkeypatch.setattr(enumeration, "_refine_colors", _reference_refine_colors)
+        assert packed == [canonical_table_key(*args) for args in inputs]
 
 
 class TestCanonicalForms:
