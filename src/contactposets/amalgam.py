@@ -19,8 +19,10 @@ from .core import (
     StructureMap,
     bits,
     check_contact_axioms,
+    index_map,
     induced_substructure,
-    join_index,
+    join_table,
+    lookup,
     verify_map,
 )
 from .errors import AxiomViolation, JoinNotPreserved, PreconditionViolation
@@ -306,17 +308,22 @@ def _side_map(
 
 
 def _assert_joins_survive(inst: AmalgamInstance, d: ContactStructure) -> None:
-    """Joins of A and of B must stay least upper bounds in the amalgam."""
+    """Joins of A and of B must stay least upper bounds in the amalgam.
+
+    Joins are looked up in join tables (see core.join_table); both
+    lookups are symmetric, so the pairs i <= j are all there is to check.
+    """
+    at = index_map(d.names)
+    d_joins = join_table(d)
     for side in (inst.a, inst.b):
+        side_joins = join_table(side)
+        in_d = [lookup(at, name) for name in side.names]
         for i in range(side.n):
-            for j in range(side.n):
-                join = join_index(side, i, j)
+            for j in range(i, side.n):
+                join = side_joins.get(side.up[i] & side.up[j])
                 if join is None:
                     raise JoinNotPreserved("side structure is missing a join")
-                di = d.index(side.names[i])
-                dj = d.index(side.names[j])
-                got = join_index(d, di, dj)
-                if got != d.index(side.names[join]):
+                if d_joins.get(d.up[in_d[i]] & d.up[in_d[j]]) != in_d[join]:
                     raise JoinNotPreserved(
                         f"join of {side.names[i]!r} and {side.names[j]!r} moved"
                     )

@@ -41,9 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Finite contact posets: axiom checks, representation "
         "embeddings, superamalgamation, limit stages and the gallery.",
     )
-    parser.add_argument(
-        "--seed", type=int, default=2024, help="seed for randomized suites"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", help="validate a structure file")

@@ -284,6 +284,23 @@ def join_index(s: ContactStructure, i: int, j: int) -> int | None:
     return _least_of(s, s.up[i] & s.up[j])
 
 
+def join_table(s: ContactStructure) -> dict[int, int]:
+    """Map each element's up-row to the element: {up[k]: k}.
+
+    The common upper bounds of i and j form the up-set up[i] & up[j].
+    It is the principal up-set up[k] exactly when k is their join: k is
+    then an upper bound below every upper bound, and conversely the
+    least upper bound k lies in the set and everything above k bounds
+    both.  So join(i, j) == table.get(up[i] & up[j]), None when the join
+    is missing.  On a duplicate row the lowest index is kept, matching
+    _least_of.
+    """
+    table: dict[int, int] = {}
+    for k, row in enumerate(s.up):
+        table.setdefault(row, k)
+    return table
+
+
 def meet_index(s: ContactStructure, i: int, j: int) -> int | None:
     down = s.down_masks()
     common = down[i] & down[j]
@@ -622,6 +639,45 @@ class StructureMap:
         return self.target.names[self.mapping[self.source.index(name)]]
 
 
+def index_map(names: Sequence[str]) -> dict[str, int]:
+    """Name -> position of a carrier, built once by the caller that needs
+    many lookups.  On a duplicate name the first position wins, as with
+    ``tuple.index``."""
+    n = len(names)
+    return dict(zip(reversed(names), range(n - 1, -1, -1)))
+
+
+def lookup(positions: Mapping[str, int], name: str) -> int:
+    """Position of name in an index_map; UnknownElement if it is absent."""
+    try:
+        return positions[name]
+    except KeyError:
+        raise UnknownElement(f"unknown element {name!r}") from None
+
+
+def _runs(f: Sequence[int]) -> list[tuple[int, int, int]]:
+    """Cut a map into maximal runs of consecutive source indices sent to
+    consecutive target indices: (source start, target start, width mask).
+    An inclusion that keeps the carrier order is a single run."""
+    runs = []
+    start = 0
+    n = len(f)
+    for j in range(1, n + 1):
+        if j == n or f[j] != f[j - 1] + 1:
+            runs.append((start, f[start], (1 << (j - start)) - 1))
+            start = j
+    return runs
+
+
+def _pull_back(row: int, runs: Sequence[tuple[int, int, int]]) -> int:
+    """Source mask of a target row: bit j is set iff row holds f[j].
+    One shift per run; exact for every map, injective or not."""
+    out = 0
+    for source_start, target_start, width in runs:
+        out |= (row >> target_start & width) << source_start
+    return out
+
+
 def verify_map(
     source: ContactStructure,
     target: ContactStructure,
@@ -633,39 +689,44 @@ def verify_map(
     order-preserving and contact-preserving and -reflecting, plus
     join-preserving when both sides are semilattices.  Order reflection
     is reported separately.
+
+    Each flag is read off bitmask rows.  The target row of f[i] is
+    pulled back through f: its bit j says whether the target relates
+    f[i] to f[j].  So the map preserves a relation iff each source row
+    lies inside its pulled-back row, and reflects it iff the reverse
+    inclusion holds.  This decides every pair (i, j) as the pairwise
+    definition does, for every map, injective or not.  Joins are looked
+    up in the join tables of both sides (see join_table); both lookups
+    are symmetric in i and j, so the pairs i <= j decide preservation.
     """
-    f = tuple(target.index(mapping[name]) for name in source.names)
+    at = index_map(target.names)
+    f = tuple(lookup(at, mapping[name]) for name in source.names)
     n = source.n
     injective = len(set(f)) == n
     bottom = f[source.bottom] == target.bottom
+    runs = _runs(f)
     order_p = order_r = True
     contact_p = contact_r = True
     for i in range(n):
-        for j in range(n):
-            s_leq = bool(source.up[i] >> j & 1)
-            t_leq = bool(target.up[f[i]] >> f[j] & 1)
-            if s_leq and not t_leq:
-                order_p = False
-            if t_leq and not s_leq:
-                order_r = False
-            s_con = bool(source.contact[i] >> j & 1)
-            t_con = bool(target.contact[f[i]] >> f[j] & 1)
-            if s_con and not t_con:
-                contact_p = False
-            if t_con and not s_con:
-                contact_r = False
+        row = source.up[i]
+        back = _pull_back(target.up[f[i]], runs)
+        order_p = order_p and not row & ~back
+        order_r = order_r and not back & ~row
+        row = source.contact[i]
+        back = _pull_back(target.contact[f[i]], runs)
+        contact_p = contact_p and not row & ~back
+        contact_r = contact_r and not back & ~row
     join_p: bool | None = None
     if source.kind == SEMILATTICE and target.kind == SEMILATTICE:
-        join_p = True
-        for i in range(n):
-            for j in range(n):
-                sj = join_index(source, i, j)
-                tj = join_index(target, f[i], f[j])
-                if sj is None or tj is None or f[sj] != tj:
-                    join_p = False
-                    break
-            if not join_p:
-                break
+        source_joins = join_table(source)
+        target_joins = join_table(target)
+        s_up, t_up = source.up, target.up
+        join_p = all(
+            (sj := source_joins.get(s_up[i] & s_up[j])) is not None
+            and f[sj] == target_joins.get(t_up[f[i]] & t_up[f[j]])
+            for i in range(n)
+            for j in range(i, n)
+        )
     report = MapReport(
         injective, bottom, order_p, order_r, contact_p, contact_r, join_p
     )

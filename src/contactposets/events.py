@@ -64,7 +64,6 @@ class EventStructure:
             return cls((), (), ())
         if RESERVED_BOTTOM in events:
             raise UnknownElement(f"{RESERVED_BOTTOM!r} is reserved, not an event name")
-        anchor = events[0]
         padded = normalize_order(order, (RESERVED_BOTTOM,) + tuple(events), RESERVED_BOTTOM)
         up = tuple(row >> 1 for row in padded[1:])
         idx = {name: i for i, name in enumerate(events)}
@@ -75,7 +74,6 @@ class EventStructure:
                 raise UnknownElement(f"unknown event {missing!r} in conflict pair")
             rows[idx[x]] |= 1 << idx[y]
             rows[idx[y]] |= 1 << idx[x]
-        del anchor
         out = cls(tuple(events), up, tuple(rows))
         report = check_event_structure(out)
         if not report.ok:

@@ -22,7 +22,9 @@ from .core import (
     POSET,
     SEMILATTICE,
     ContactStructure,
+    bits,
     induced_substructure,
+    join_table,
     verify_map,
 )
 from .enumeration import (
@@ -79,17 +81,92 @@ def embeds_extension(
     t: ContactStructure,
     into: dict[str, str],
 ) -> bool:
-    """Does the embedding f of the common part extend to all of t?"""
+    """Does the embedding f of the common part extend to all of t?
+
+    True iff some stage point c outside the image of f makes the map
+    t -> stage (anchored points as f says, t's one other point x to c)
+    an order-reflecting embedding, as verify_map judges it.
+
+    Checked once per call, on the anchored points: injectivity, the
+    bottom, order and contact in both directions, and joins.  A join of
+    two anchored points that is x is deferred: it fixes the up-row the
+    candidate must have.  Only the pairs with x are left per candidate.
+    x's column (a <= x, a touches x, for anchored a) is folded into one
+    candidate mask before the loop; its row, its diagonal, its joins
+    with the anchored points and the deferred up-row are checked per
+    candidate.  k is the join of i and j iff up[k] == up[i] & up[j] (see
+    core.join_table; up-rows are distinct in a partial order), and a
+    diagonal pair joins to itself on both sides, so it is skipped.
+    """
     anchored = {into[s_name]: f[s_name] for s_name in into}
     free = [name for name in t.names if name not in anchored]
-    new_point = free[0]
-    for candidate in stage.names:
-        if candidate in anchored.values():
+    x = t.index(free[0])
+    rest = [i for i in range(t.n) if i != x]
+    g = [0] * t.n
+    image = 0
+    for i in rest:
+        g[i] = stage.index(anchored[t.names[i]])
+        image |= 1 << g[i]
+    if image.bit_count() != len(rest):
+        return False
+    up, contact = stage.up, stage.contact
+
+    def pushed(row: int) -> int:
+        out = 0
+        for i in rest:
+            if row >> i & 1:
+                out |= 1 << g[i]
+        return out
+
+    candidates = stage.full_mask & ~image
+    if t.bottom == x:
+        candidates &= 1 << stage.bottom
+    elif g[t.bottom] != stage.bottom:
+        return False
+    for i in rest:
+        if up[g[i]] & image != pushed(t.up[i]):
+            return False
+        if contact[g[i]] & image != pushed(t.contact[i]):
+            return False
+        candidates &= up[g[i]] if t.up[i] >> x & 1 else ~up[g[i]]
+        candidates &= contact[g[i]] if t.contact[i] >> x & 1 else ~contact[g[i]]
+    row_up, row_contact = pushed(t.up[x]), pushed(t.contact[x])
+    self_up, self_contact = t.up[x] >> x & 1, t.contact[x] >> x & 1
+
+    required = None
+    joins_with_x = []
+    if t.kind == SEMILATTICE and stage.kind == SEMILATTICE:
+        t_joins = join_table(t)
+        for pos, i in enumerate(rest):
+            for j in rest[pos + 1:]:
+                k = t_joins.get(t.up[i] & t.up[j])
+                bounds = up[g[i]] & up[g[j]]
+                if k is None:
+                    return False
+                if k == x:
+                    if required is not None and required != bounds:
+                        return False
+                    required = bounds
+                elif up[g[k]] != bounds:
+                    return False
+        for j in rest:
+            k = t_joins.get(t.up[x] & t.up[j])
+            if k is None:
+                return False
+            joins_with_x.append((g[j], None if k == x else g[k]))
+    for c in bits(candidates):
+        row = up[c]
+        if (
+            row & image != row_up
+            or contact[c] & image != row_contact
+            or (row >> c & 1) != self_up
+            or (contact[c] >> c & 1) != self_contact
+            or required is not None and row != required
+        ):
             continue
-        attempt = dict(anchored)
-        attempt[new_point] = candidate
-        checked = verify_map(t, stage, attempt)
-        if checked.report.is_embedding and checked.report.order_reflecting:
+        if all(
+            up[c if k is None else k] == row & up[j] for j, k in joins_with_x
+        ):
             return True
     return False
 

@@ -83,6 +83,15 @@ class TestCheckCommand:
     def test_kind_mismatch(self, m3_overlap_file):
         assert main(["check", m3_overlap_file, "--kind", "event"]) == 1
 
+    def test_removed_seed_flag_is_a_parse_error(self, m3_overlap_file, capsys):
+        # the global --seed flag was read by nothing and is gone
+        with pytest.raises(SystemExit) as info:
+            main(["--seed", "1", "check", m3_overlap_file])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "Traceback" not in err
+
 
 class TestEmbedCommand:
     def test_prop2_on_v_contact(self, tmp_path, v_contact, capsys):

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 
@@ -207,3 +208,65 @@ class TestGluingHelpers:
         e = EventStructure.build(["x", "y", "z"])
         gluings = list(iter_event_gluings(e, e))
         assert len(gluings) == 4  # shared part of size 0, 1, 2, 3
+
+
+def _brute_automorphisms(e):
+    return [
+        p for p in permutations(range(e.n))
+        if all(
+            (e.up[i] >> j & 1) == (e.up[p[i]] >> p[j] & 1)
+            and (e.conflict[i] >> j & 1) == (e.conflict[p[i]] >> p[j] & 1)
+            for i in range(e.n)
+            for j in range(e.n)
+        )
+    ]
+
+
+def _brute_gluings(a, b):
+    """Every partial isomorphism from an induced piece of a onto an
+    induced piece of b, as a set of (a index, b index) pairs."""
+    out = []
+    for mask in range(1 << a.n):
+        chosen = [i for i in range(a.n) if mask >> i & 1]
+        for image in permutations(range(b.n), len(chosen)):
+            if all(
+                (a.up[i] >> j & 1) == (b.up[image[x]] >> image[y] & 1)
+                and (a.conflict[i] >> j & 1)
+                == (b.conflict[image[x]] >> image[y] & 1)
+                for x, i in enumerate(chosen)
+                for y, j in enumerate(chosen)
+            ):
+                out.append(frozenset(zip(chosen, image)))
+    return out
+
+
+@pytest.mark.parametrize("max_events,classes", [(2, 53), (3, 1385)])
+def test_gluing_dedup_is_one_per_instance_class(max_events, classes):
+    # two gluings are the same instance when automorphisms of a and b
+    # carry one onto the other; the orbits are found by brute force
+    total = 0
+    for a in enumerate_event_structures(max_events):
+        for b in enumerate_event_structures(max_events):
+            auts_a, auts_b = _brute_automorphisms(a), _brute_automorphisms(b)
+
+            def orbit_key(pairs):
+                return min(
+                    tuple(sorted((alpha[i], beta[j]) for i, j in pairs))
+                    for alpha in auts_a
+                    for beta in auts_b
+                )
+
+            expected = {orbit_key(g) for g in _brute_gluings(a, b)}
+            got = []
+            for a2, b2, c in iter_event_gluings(a, b):
+                assert (a2.up, a2.conflict) == (a.up, a.conflict)
+                assert (b2.up, b2.conflict) == (b.up, b.conflict)
+                assert set(a2.events) & set(b2.events) == set(c.events)
+                got.append(orbit_key([
+                    (a2.events.index(name), b2.events.index(name))
+                    for name in c.events
+                ]))
+            assert len(got) == len(set(got))
+            assert set(got) == expected
+            total += len(expected)
+    assert total == classes

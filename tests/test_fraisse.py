@@ -45,6 +45,20 @@ class TestOnePointExtensions:
 
 
 class TestStageBuilding:
+    @pytest.mark.parametrize(
+        "kind,max_elements,expected",
+        [(POSET, 128, (128, True, 509, 425)), (SEMILATTICE, 64, (64, True, 127, 125))],
+    )
+    def test_pinned_stage_outputs(self, kind, max_elements, expected):
+        # sizes, flags and pair counts of the stages the benchmark grows,
+        # measured before the incremental extension check replaced the
+        # per-candidate map check; neither kernel may move them
+        catalog = AgeCatalog.build(3, kind)
+        stage = build_limit_stage(kind, 2, 64, catalog=catalog, max_elements=max_elements)
+        report = check_extension_property(stage, 2, catalog)
+        got = (stage.structure.n, stage.budget_exceeded, report.total, report.realized)
+        assert got == expected
+
     def test_zero_sweeps_is_trivial(self, poset_catalog_3):
         stage = build_limit_stage(POSET, 1, 0, catalog=poset_catalog_3)
         assert stage.structure.n == 1
