@@ -17,12 +17,14 @@ from .core import (
     SEMILATTICE,
     ContactStructure,
     StructureMap,
-    bits,
+    _pull_back,
+    _runs,
     check_contact_axioms,
     index_map,
     induced_substructure,
     join_table,
     lookup,
+    restrict,
     verify_map,
 )
 from .errors import AxiomViolation, JoinNotPreserved, PreconditionViolation
@@ -42,7 +44,11 @@ class AmalgamInstance:
         b: ContactStructure,
         c: ContactStructure,
     ) -> "AmalgamInstance":
-        """Validate the shared-name convention before amalgamating."""
+        """Validate the shared-name convention before amalgamating.
+
+        C's carrier is restricted out of each side (induced_substructure
+        checks the piece), and the piece's rows are then compared with
+        C's through the position of each C element in the piece."""
         shared = set(a.names) & set(b.names)
         if shared != set(c.names):
             raise PreconditionViolation(
@@ -52,8 +58,8 @@ class AmalgamInstance:
             raise PreconditionViolation("bottoms must coincide on C")
         for host in (a, b):
             piece = induced_substructure(host, c.names)
-            aligned = _align(piece, c.names)
-            if aligned.up != c.up or aligned.contact != c.contact:
+            f = [piece.index(name) for name in c.names]
+            if restrict(f, piece.up, piece.contact) != [c.up, c.contact]:
                 raise PreconditionViolation(
                     "C is not an induced substructure of both sides"
                 )
@@ -85,19 +91,32 @@ class AmalgamInstance:
         return cls.from_parts(a.rename(fresh_a), b.rename(fresh_b), c)
 
 
-def _align(piece: ContactStructure, names: Sequence[str]) -> ContactStructure:
-    """Reorder a structure's carrier to match the given name sequence."""
-    perm = [list(names).index(name) for name in piece.names]
-    return piece.relabel(perm)
-
-
 # ---------------------------------------------------------------------------
 # the order amalgam
+
+
+def _lift(rows: Sequence[int], f: Sequence[int], n: int) -> list[int]:
+    """A side's rows moved into union positions: row i lands at f[i] and
+    its bit j becomes bit f[j].  One shift per run of f; f is injective.
+    Positions outside the side hold 0."""
+    runs = _runs(f)
+    out = [0] * n
+    for i, row in enumerate(rows):
+        lifted = 0
+        for source_start, target_start, width in runs:
+            lifted |= (row >> source_start & width) << target_start
+        out[f[i]] = lifted
+    return out
 
 
 def order_amalgam(inst: AmalgamInstance) -> tuple[tuple[str, ...], tuple[int, ...]]:
     """Smallest order on the union extending both sides and their
     compositions through C.
+
+    Each side's rows are lifted once into union positions.  x <= y
+    through C when some c in C sits above x on one side and below y on
+    the other, so x's row gains the other side's rows at the C bits of
+    its own side's row.
 
     The result is asserted, not repaired: antisymmetry or transitivity
     failures would contradict the construction and raise immediately.
@@ -107,35 +126,28 @@ def order_amalgam(inst: AmalgamInstance) -> tuple[tuple[str, ...], tuple[int, ..
     names = list(a.names) + [name for name in b.names if name not in set(c.names)]
     pos = {name: i for i, name in enumerate(names)}
     n = len(names)
-    up = [1 << i for i in range(n)]
-
-    def load(side: ContactStructure) -> None:
-        for i in range(side.n):
-            for j in bits(side.up[i]):
-                up[pos[side.names[i]]] |= 1 << pos[side.names[j]]
-
-    load(a)
-    load(b)
-    for side_one, side_two in ((a, b), (b, a)):
-        shared = set(c.names)
-        for i in range(side_one.n):
-            for mid in bits(side_one.up[i]):
-                mid_name = side_one.names[mid]
-                if mid_name not in shared:
-                    continue
-                k = side_two.index(mid_name)
-                for j in bits(side_two.up[k]):
-                    up[pos[side_one.names[i]]] |= 1 << pos[side_two.names[j]]
+    into_a = [pos[name] for name in a.names]
+    into_b = [pos[name] for name in b.names]
+    rows_a, rows_b = _lift(a.up, into_a, n), _lift(b.up, into_b, n)
+    c_mask = 0
+    for name in c.names:
+        c_mask |= 1 << pos[name]
+    up = []
+    for x in range(n):
+        row = 1 << x | rows_a[x] | rows_b[x]
+        for mine, theirs in ((rows_a, rows_b), (rows_b, rows_a)):
+            mids = mine[x] & c_mask
+            while mids:
+                low = mids & -mids
+                row |= theirs[low.bit_length() - 1]
+                mids ^= low
+        up.append(row)
 
     _assert_partial_order(up, names)
-    for side in (a, b):
-        side_set = set(side.names)
-        for i in range(side.n):
-            restricted = 0
-            for j in bits(up[pos[side.names[i]]]):
-                if names[j] in side_set:
-                    restricted |= 1 << side.index(names[j])
-            if restricted != side.up[i]:
+    for side, into in ((a, into_a), (b, into_b)):
+        (rows,) = restrict(into, up)
+        for i, row in enumerate(rows):
+            if row != side.up[i]:
                 raise AxiomViolation(
                     f"order amalgam disturbed the side at {side.names[i]!r}"
                 )
@@ -143,17 +155,20 @@ def order_amalgam(inst: AmalgamInstance) -> tuple[tuple[str, ...], tuple[int, ..
 
 
 def _assert_partial_order(up: Sequence[int], names: Sequence[str]) -> None:
-    n = len(up)
-    for i in range(n):
-        for j in bits(up[i]):
+    for i, row in enumerate(up):
+        above = row
+        while above:
+            low = above & -above
+            j = low.bit_length() - 1
             if j != i and up[j] >> i & 1:
                 raise AxiomViolation(
                     f"amalgam order not antisymmetric at {names[i]!r}, {names[j]!r}"
                 )
-            if up[i] | up[j] != up[i]:
+            if row | up[j] != row:
                 raise AxiomViolation(
                     f"amalgam order not transitive at {names[i]!r}, {names[j]!r}"
                 )
+            above ^= low
 
 
 # ---------------------------------------------------------------------------
@@ -164,33 +179,38 @@ def contact_amalgam(inst: AmalgamInstance) -> ContactStructure:
     """Amalgamated contact structure on the union carrier.
 
     Two elements touch iff some pair below them touches on one side.
+    reach[d] collects the union positions touching some side element
+    below d; d then touches everything above a member of its reach, so
+    its row is the OR of up[r] over r in reach[d].
     The inclusions of A and B are verified as embeddings, which is the
     restriction property of the construction.
     """
     names, up = order_amalgam(inst)
     pos = {name: i for i, name in enumerate(names)}
     n = len(names)
-    down = [0] * n
-    for i in range(n):
-        for j in bits(up[i]):
-            down[j] |= 1 << i
-
-    reach = [0] * n
+    touch = [0] * n
     for side in (inst.a, inst.b):
-        side_positions = [pos[name] for name in side.names]
-        for d in range(n):
-            row = 0
-            for i in range(side.n):
-                if down[d] >> side_positions[i] & 1:
-                    row |= side.contact[i]
-            for j in bits(row):
-                reach[d] |= 1 << side_positions[j]
-
-    contact = [0] * n
+        lifted = _lift(side.contact, [pos[name] for name in side.names], n)
+        for u in range(n):
+            touch[u] |= lifted[u]
+    reach = [0] * n
+    for u in range(n):
+        row = touch[u]
+        if row:
+            above = up[u]
+            while above:
+                low = above & -above
+                reach[low.bit_length() - 1] |= row
+                above ^= low
+    contact = []
     for d in range(n):
-        for e in range(n):
-            if reach[d] & down[e]:
-                contact[d] |= 1 << e
+        row = 0
+        rest = reach[d]
+        while rest:
+            low = rest & -rest
+            row |= up[low.bit_length() - 1]
+            rest ^= low
+        contact.append(row)
     result = ContactStructure(tuple(names), pos[inst.c.names[inst.c.bottom]],
                               tuple(up), tuple(contact), POSET)
     report = check_contact_axioms(result)
@@ -245,19 +265,54 @@ def verify_superamalgamation(
     c in C with a <=_A c <=_B b is exhibited, and symmetrically; a
     missing witness is a construction bug, reported rather than raised.
     """
+    return _cross_witnesses(
+        inst,
+        amalgam.up,
+        [amalgam.index(name) for name in inst.a.names],
+        [amalgam.index(name) for name in inst.b.names],
+    )
+
+
+def _cross_witnesses(
+    inst: AmalgamInstance,
+    up: Sequence[int],
+    into_a: Sequence[int],
+    into_b: Sequence[int],
+) -> SuperamalgamationReport:
+    """Witnesses of the cross comparabilities of a target order up, with
+    side x's element i at position into_x[i].
+
+    Pairs come low side A then B, lows in carrier order, highs in carrier
+    order.  The highs above a low are its target row pulled back through
+    the high side's positions.  The witness is the first C element, in
+    C's carrier order, that is above the low on its side and below the
+    high on the other: the lowest bit of (C above low) & (C below high).
+    """
     a, b, c = inst.a, inst.b, inst.c
     witnesses = []
-    for low_side, high_side in ((a, b), (b, a)):
-        for low in low_side.names:
-            for high in high_side.names:
-                if not amalgam.leq(low, high):
-                    continue
-                found = None
-                for mid in c.names:
-                    if low_side.leq(low, mid) and high_side.leq(mid, high):
-                        found = mid
-                        break
-                witnesses.append(CrossWitness(low, high, found))
+    for low_side, high_side, into_low, into_high in (
+        (a, b, into_a, into_b),
+        (b, a, into_b, into_a),
+    ):
+        c_low = _runs([low_side.index(name) for name in c.names])
+        below = [0] * high_side.n
+        for k, name in enumerate(c.names):
+            above = high_side.up[high_side.index(name)]
+            while above:
+                low = above & -above
+                below[low.bit_length() - 1] |= 1 << k
+                above ^= low
+        high_runs = _runs(into_high)
+        for i, low_name in enumerate(low_side.names):
+            over = _pull_back(low_side.up[i], c_low)
+            highs = _pull_back(up[into_low[i]], high_runs)
+            while highs:
+                low = highs & -highs
+                j = low.bit_length() - 1
+                mids = over & below[j]
+                found = c.names[(mids & -mids).bit_length() - 1] if mids else None
+                witnesses.append(CrossWitness(low_name, high_side.names[j], found))
+                highs ^= low
     return SuperamalgamationReport(tuple(witnesses))
 
 
@@ -296,7 +351,9 @@ def semilattice_amalgam(
             raise JoinNotPreserved(
                 f"side {tag} does not embed into the semilattice amalgam"
             )
-    report = _super_through_maps(inst, family.structure, from_a, from_b)
+    report = _cross_witnesses(
+        inst, family.structure.up, from_a.mapping, from_b.mapping
+    )
     return SemilatticeAmalgam(inst, d, family, into, from_a, from_b, report)
 
 
@@ -327,31 +384,6 @@ def _assert_joins_survive(inst: AmalgamInstance, d: ContactStructure) -> None:
                     raise JoinNotPreserved(
                         f"join of {side.names[i]!r} and {side.names[j]!r} moved"
                     )
-
-
-def _super_through_maps(
-    inst: AmalgamInstance,
-    target: ContactStructure,
-    from_a: StructureMap,
-    from_b: StructureMap,
-) -> SuperamalgamationReport:
-    witnesses = []
-    pairs = (
-        (inst.a, inst.b, from_a, from_b),
-        (inst.b, inst.a, from_b, from_a),
-    )
-    for low_side, high_side, low_map, high_map in pairs:
-        for low in low_side.names:
-            for high in high_side.names:
-                if not target.leq(low_map.apply(low), high_map.apply(high)):
-                    continue
-                found = None
-                for mid in inst.c.names:
-                    if low_side.leq(low, mid) and high_side.leq(mid, high):
-                        found = mid
-                        break
-                witnesses.append(CrossWitness(low, high, found))
-    return SuperamalgamationReport(tuple(witnesses))
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from .core import (
     check_contact_axioms,
     is_semilattice_order,
     join_index,
+    join_table,
     meet_index,
     overlap_relation,
 )
@@ -637,6 +638,8 @@ def carrier_subsets(
     requested kind (default: t's own) is semilattice."""
     kind = t.kind if kind is None else kind
     others = [i for i in range(t.n) if i != t.bottom]
+    if kind == SEMILATTICE:
+        joins, up = join_table(t), t.up
     for rest in combinations(others, size - 1):
         chosen = (t.bottom,) + rest
         if kind == SEMILATTICE:
@@ -644,7 +647,7 @@ def carrier_subsets(
             for i in chosen:
                 mask |= 1 << i
             if any(
-                join_index(t, a, b) is None or not mask >> join_index(t, a, b) & 1
+                (j := joins.get(up[a] & up[b])) is None or not mask >> j & 1
                 for a in chosen
                 for b in chosen
             ):

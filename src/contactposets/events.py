@@ -22,6 +22,7 @@ from .core import (
     check_bottomless_axioms,
     drop_bottom,
     normalize_order,
+    restrict,
 )
 from .errors import AxiomViolation, PreconditionViolation, UnknownElement
 
@@ -206,26 +207,37 @@ def amalgamate_events(
 
 
 def _require_common_part(host: EventStructure, c: EventStructure) -> None:
-    for x in c.events:
-        for y in c.events:
-            if host.leq(x, y) != c.leq(x, y):
-                raise PreconditionViolation(
-                    f"order disagrees with C at ({x!r}, {y!r})"
-                )
-            if host.in_conflict(x, y) != c.in_conflict(x, y):
-                raise PreconditionViolation(
-                    f"conflict disagrees with C at ({x!r}, {y!r})"
-                )
+    if _restricts_exactly(host, c):
+        return
+    what, x, y = _first_disagreement(host, c)
+    raise PreconditionViolation(f"{what} disagrees with C at ({x!r}, {y!r})")
 
 
-def _restricts_exactly(d: EventStructure, side: EventStructure) -> bool:
-    for x in side.events:
-        for y in side.events:
-            if d.leq(x, y) != side.leq(x, y):
-                return False
-            if d.in_conflict(x, y) != side.in_conflict(x, y):
-                return False
-    return True
+def _restricts_exactly(host: EventStructure, part: EventStructure) -> bool:
+    """Do host's order and conflict restrict exactly to part's?
+
+    host's rows at the part's events, pulled back through their
+    positions (core.restrict), are compared with part's rows.  leq and
+    in_conflict read the same bits, so unequal rows mean some pair
+    disagrees; _first_disagreement names it.
+    """
+    f = [host.index(x) for x in part.events]
+    return restrict(f, host.up, host.conflict) == [part.up, part.conflict]
+
+
+def _first_disagreement(
+    host: EventStructure, part: EventStructure
+) -> tuple[str, str, str]:
+    """First pair of part's events, in carrier order, on which host and
+    part disagree: ("order" | "conflict", x, y).  Called only once the
+    row compare has found that some pair does."""
+    for x in part.events:
+        for y in part.events:
+            if host.leq(x, y) != part.leq(x, y):
+                return ("order", x, y)
+            if host.in_conflict(x, y) != part.in_conflict(x, y):
+                return ("conflict", x, y)
+    raise AssertionError("rows differ but every pair agrees")
 
 
 # ---------------------------------------------------------------------------
@@ -246,20 +258,8 @@ def enumerate_event_structures(max_events: int) -> tuple[EventStructure, ...]:
 
 def sub_event(e: EventStructure, chosen: Sequence[int]) -> EventStructure:
     """Induced event substructure on the chosen indices (any subset)."""
-    pos = {i: k for k, i in enumerate(chosen)}
-
-    def shrink(row: int) -> int:
-        out = 0
-        for j in bits(row):
-            if j in pos:
-                out |= 1 << pos[j]
-        return out
-
-    return EventStructure(
-        tuple(e.events[i] for i in chosen),
-        tuple(shrink(e.up[i]) for i in chosen),
-        tuple(shrink(e.conflict[i]) for i in chosen),
-    )
+    up, conflict = restrict(chosen, e.up, e.conflict)
+    return EventStructure(tuple(e.events[i] for i in chosen), up, conflict)
 
 
 def event_isomorphisms(a: EventStructure, b: EventStructure) -> list[tuple[int, ...]]:

@@ -19,6 +19,7 @@ from .core import (
     bits,
     check_contact_axioms,
     compose_maps,
+    join_table,
     overlap_relation,
     subset_join,
     verify_map,
@@ -242,18 +243,33 @@ def _union_closed_embedding(
 def existing_join_misses(
     s: ContactStructure, family: SetFamilyStructure, total: StructureMap
 ) -> list[tuple[str, ...]]:
-    """Subsets whose existing join is not mapped to the union of images."""
+    """Subsets whose existing join is not mapped to the union of images.
+
+    Subsets are walked depth-first, deciding elements from the highest
+    index down with "left out" before "taken", so they come in
+    increasing mask order as a plain count would give them.  Each step
+    carries the common upper bounds and the union of images so far.  A
+    subset's join is the element whose up-row equals its upper bounds
+    (core.join_table).  A subtree with no upper bound left holds no
+    join and is skipped.  The stack holds O(n) entries.
+    """
     phi = _nonbelow_masks(s)
+    joins = join_table(s)
+    up, names = s.up, s.names
     missed = []
-    for subset in range(1 << s.n):
-        j = subset_join(s, subset)
-        if j is None:
+    stack = [(s.n, 0, s.full_mask, 0)]
+    while stack:
+        k, subset, bounds, union = stack.pop()
+        if k == 0:
+            j = joins.get(bounds)
+            if j is not None and union != phi[j]:
+                missed.append(tuple(names[a] for a in bits(subset)))
             continue
-        union = 0
-        for a in bits(subset):
-            union |= phi[a]
-        if union != phi[j]:
-            missed.append(tuple(s.names[a] for a in bits(subset)))
+        k -= 1
+        taken = bounds & up[k]
+        if taken:
+            stack.append((k, subset | 1 << k, taken, union | phi[k]))
+        stack.append((k, subset, bounds, union))
     return missed
 
 
