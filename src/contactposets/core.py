@@ -301,13 +301,21 @@ def join_table(s: ContactStructure) -> dict[int, int]:
     return table
 
 
-def meet_index(s: ContactStructure, i: int, j: int) -> int | None:
-    down = s.down_masks()
-    common = down[i] & down[j]
-    for k in bits(common):
-        if common & ~down[k] == 0:
-            return k
-    return None
+def meet_table(s: ContactStructure) -> dict[int, int]:
+    """Map each element's down-row to the element: {down[k]: k}.
+
+    The dual of join_table.  The common lower bounds of i and j form the
+    down-set down[i] & down[j].  It is the principal down-set down[k]
+    exactly when k is their meet: k is then a lower bound above every
+    lower bound, and conversely the greatest lower bound k lies in the
+    set and everything below k bounds both.  So meet(i, j) ==
+    table.get(down[i] & down[j]), None when the meet is missing.  On a
+    duplicate row the lowest index is kept.
+    """
+    table: dict[int, int] = {}
+    for k, row in enumerate(s.down_masks()):
+        table.setdefault(row, k)
+    return table
 
 
 def subset_join(s: ContactStructure, mask: int) -> int | None:

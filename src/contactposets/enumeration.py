@@ -29,9 +29,8 @@ from .core import (
     bits,
     check_contact_axioms,
     is_semilattice_order,
-    join_index,
     join_table,
-    meet_index,
+    meet_table,
     overlap_relation,
 )
 from .errors import AxiomViolation
@@ -421,12 +420,23 @@ def _orbit_least_upsets(
 # lattice predicates
 
 
+def lattice_operations(
+    s: ContactStructure,
+) -> tuple[list[list[int]], list[list[int]]] | None:
+    """The join and meet of every pair as two n x n tables, read off one
+    join table and one meet table (core.join_table, core.meet_table);
+    None when some pair lacks its join or its meet."""
+    joins, meets = join_table(s), meet_table(s)
+    down = s.down_masks()
+    join = [[joins.get(u & v) for v in s.up] for u in s.up]
+    meet = [[meets.get(d & e) for e in down] for d in down]
+    if any(None in row for row in join) or any(None in row for row in meet):
+        return None
+    return join, meet
+
+
 def is_lattice(s: ContactStructure) -> bool:
-    return all(
-        join_index(s, i, j) is not None and meet_index(s, i, j) is not None
-        for i in range(s.n)
-        for j in range(i + 1, s.n)
-    )
+    return lattice_operations(s) is not None
 
 
 def is_semilattice(s: ContactStructure) -> bool:
@@ -435,14 +445,15 @@ def is_semilattice(s: ContactStructure) -> bool:
 
 def is_distributive(s: ContactStructure) -> bool:
     """Distributivity via the triple law; requires a lattice."""
-    if not is_lattice(s):
+    operations = lattice_operations(s)
+    if operations is None:
         return False
+    join, meet = operations
     for a in range(s.n):
+        meet_a = meet[a]
         for b in range(s.n):
             for c in range(s.n):
-                left = meet_index(s, a, join_index(s, b, c))
-                right = join_index(s, meet_index(s, a, b), meet_index(s, a, c))
-                if left != right:
+                if meet_a[join[b][c]] != join[meet_a[b]][meet_a[c]]:
                     return False
     return True
 
@@ -453,11 +464,13 @@ def is_distributive_by_sublattices(s: ContactStructure) -> bool:
     Cross-checked against the triple law in the tests; a sublattice here
     is any subset closed under the ambient joins and meets.
     """
-    if not is_lattice(s):
+    operations = lattice_operations(s)
+    if operations is None:
         return False
+    join, meet = operations
     for quint in combinations(range(s.n), 5):
         closed = all(
-            join_index(s, a, b) in quint and meet_index(s, a, b) in quint
+            join[a][b] in quint and meet[a][b] in quint
             for a in quint
             for b in quint
         )

@@ -524,15 +524,14 @@ def generated_subsemilattice(
     s: ContactStructure, generators: Iterable[str]
 ) -> tuple[str, ...]:
     """Closure of the generators plus bottom under binary joins."""
-    from .core import join_index
-
+    joins, up = join_table(s), s.up
     closed = {s.index(name) for name in generators}
     closed.add(s.bottom)
     while True:
         fresh = set()
         for i in closed:
             for j in closed:
-                join = join_index(s, i, j)
+                join = joins.get(up[i] & up[j])
                 if join is not None and join not in closed:
                     fresh.add(join)
         if not fresh:

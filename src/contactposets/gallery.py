@@ -18,8 +18,8 @@ from .core import (
     ContactStructure,
     check_contact_axioms,
     close_contact,
-    join_index,
-    meet_index,
+    join_table,
+    meet_table,
     overlap_relation,
 )
 from .enumeration import (
@@ -27,6 +27,8 @@ from .enumeration import (
     all_contact_tables,
     canonical_key,
     enumerate_distributive_lattices,
+    induced_embeddings,
+    lattice_operations,
 )
 from .errors import NotSemilattice
 
@@ -63,10 +65,11 @@ def find_additivity_failure(s: ContactStructure) -> tuple[str, str, str] | None:
     """A triple (x, y, z) with x touching y + z but neither y nor z."""
     if s.kind != SEMILATTICE:
         raise NotSemilattice("additivity needs joins")
+    joins, up = join_table(s), s.up
     for x in range(s.n):
         for y in range(s.n):
             for z in range(s.n):
-                join = join_index(s, y, z)
+                join = joins.get(up[y] & up[z])
                 if (
                     s.contact[x] >> join & 1
                     and not s.contact[x] >> y & 1
@@ -109,10 +112,12 @@ def complements(s: ContactStructure, x: int) -> list[int]:
     top = next((i for i in range(s.n) if _is_top(s, i)), None)
     if top is None:
         return []
+    joins, meets, up, down = join_table(s), meet_table(s), s.up, s.down_masks()
     return [
         y
         for y in range(s.n)
-        if join_index(s, x, y) == top and meet_index(s, x, y) == s.bottom
+        if joins.get(up[x] & up[y]) == top
+        and meets.get(down[x] & down[y]) == s.bottom
     ]
 
 
@@ -206,32 +211,40 @@ class FailureReport:
 def _lattice_zero_embeddings(
     a: ContactStructure, d: ContactStructure
 ) -> Iterator[tuple[int, ...]]:
-    """Injections preserving bottom, binary joins and meets."""
+    """Injections preserving bottom, binary joins and meets, in the
+    order itertools.permutations gives the non-bottom targets.
+
+    Injectivity and the bottom hold by construction.  The joins and
+    meets of a, and the join and meet tables of d (core.join_table,
+    core.meet_table), are built once, so a candidate costs two lookups
+    per pair i < j: the diagonal holds in any order, and both operations
+    are symmetric.  A source that is not a lattice has no such map.
+    """
     from itertools import permutations
 
+    operations = lattice_operations(a)
+    if operations is None:
+        return
+    a_join, a_meet = operations
+    d_joins, d_meets = join_table(d), meet_table(d)
+    d_up, d_down = d.up, d.down_masks()
+    pairs = [
+        (i, j, a_join[i][j], a_meet[i][j])
+        for i in range(a.n)
+        for j in range(i + 1, a.n)
+    ]
     slots = [i for i in range(a.n) if i != a.bottom]
     others = [i for i in range(d.n) if i != d.bottom]
     for image in permutations(others, len(slots)):
-        assignment = [d.bottom] * a.n
+        f = [d.bottom] * a.n
         for slot, target in zip(slots, image):
-            assignment[slot] = target
-        if _full_lattice_check(a, d, assignment):
-            yield tuple(assignment)
-
-
-def _full_lattice_check(
-    a: ContactStructure, d: ContactStructure, assignment: Sequence[int]
-) -> bool:
-    for i in range(a.n):
-        for j in range(a.n):
-            ja, ma = join_index(a, i, j), meet_index(a, i, j)
-            if ja is None or ma is None:
-                return False
-            if join_index(d, assignment[i], assignment[j]) != assignment[ja]:
-                return False
-            if meet_index(d, assignment[i], assignment[j]) != assignment[ma]:
-                return False
-    return len(set(assignment)) == a.n and assignment[a.bottom] == d.bottom
+            f[slot] = target
+        if all(
+            d_joins.get(d_up[f[i]] & d_up[f[j]]) == f[join]
+            and d_meets.get(d_down[f[i]] & d_down[f[j]]) == f[meet]
+            for i, j, join, meet in pairs
+        ):
+            yield tuple(f)
 
 
 def check_distributive_amalgam_failure(bound: int) -> FailureReport:
@@ -349,17 +362,13 @@ def search_additive_overlap_embeddings(
 
 
 def _search_embedding(source: ContactStructure, target: ContactStructure) -> bool:
-    from itertools import permutations
-
-    from .core import verify_map
-
-    for image in permutations(range(target.n), source.n):
-        mapping = {
-            source.names[i]: target.names[image[i]] for i in range(source.n)
-        }
-        if verify_map(source, target, mapping).report.is_embedding:
-            return True
-    return False
+    """Whether some embedding source -> target exists (verify_map's
+    is_embedding).  Between semilattices an injective join-preserving
+    map reflects the order (f(x) <= f(y) gives f(x v y) = f(y), so
+    x v y = y), so the embeddings are exactly the isomorphisms onto
+    join-closed induced substructures that contain the bottom, which
+    enumeration.induced_embeddings walks."""
+    return next(induced_embeddings(source, target), None) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ from .core import (
     check_contact_axioms,
     compose_maps,
     join_table,
+    meet_table,
     overlap_relation,
-    subset_join,
     verify_map,
 )
 from .errors import AxiomViolation, NotSemilattice
@@ -355,7 +355,10 @@ def macneille_completion(
     Cuts are realized as the intersections of principal down-sets plus
     the full carrier; the resulting lattice carries the overlap contact
     of its own order, and the canonical map preserves every meet and
-    join that exists in the source (checked exhaustively).
+    join that exists in the source: for every subset of the carrier,
+    both the join and the meet of its images are looked up in the
+    target lattice and compared with the image of the source's join
+    and meet (_check_cut_bounds).
     """
     down = s.down_masks()
     cuts = {s.full_mask} | {down[a] for a in range(s.n)}
@@ -411,40 +414,47 @@ def _cut_family(
 def _check_cut_bounds(
     s: ContactStructure, family: SetFamilyStructure, down: Sequence[int]
 ) -> None:
-    """Exhaustive meet/join preservation over all carrier subsets."""
+    """Exhaustive meet/join preservation over all carrier subsets: where
+    a subset has a join (a meet, for a nonempty subset) in s, the target
+    takes the images to the image of that join (meet).
+
+    Subsets are walked depth-first as in existing_join_misses, so they
+    come in increasing mask order and the first failure reported is the
+    one a plain count would find.  Each step carries the upper and lower
+    bounds of the subset in s and of its images in the target, so a
+    subset costs four lookups in join and meet tables (core.join_table,
+    core.meet_table).  Both halves read the target.
+    """
     target = family.structure
     pos = {mask: i for i, mask in enumerate(family.sets)}
-
-    def subset_meet(subset: int) -> int | None:
-        lb = s.full_mask
-        for i in bits(subset):
-            lb &= down[i]
-        for i in bits(lb):
-            if lb & ~down[i] == 0:
-                return i
-        return None
-
-    for subset in range(1 << s.n):
-        chosen = list(bits(subset))
-        join = subset_join(s, subset)
-        if join is not None:
-            images = 0
-            for a in chosen:
-                images |= 1 << pos[down[a]]
-            got = subset_join(target, images)
-            if got != pos[down[join]]:
-                raise AxiomViolation(
-                    f"completion lost the join of {[s.names[a] for a in chosen]}"
-                )
-        meet = subset_meet(subset)
-        if meet is not None and chosen:
-            acc = s.full_mask
-            for a in chosen:
-                acc &= down[a]
-            if acc != down[meet]:
-                raise AxiomViolation(
-                    f"completion lost the meet of {[s.names[a] for a in chosen]}"
-                )
+    image = [pos[row] for row in down]
+    s_joins, s_meets = join_table(s), meet_table(s)
+    t_joins, t_meets = join_table(target), meet_table(target)
+    t_down = target.down_masks()
+    s_up, t_up = s.up, target.up
+    every, t_every = s.full_mask, target.full_mask
+    stack = [(s.n, 0, every, every, t_every, t_every)]
+    while stack:
+        k, subset, ub, lb, t_ub, t_lb = stack.pop()
+        if k:
+            k -= 1
+            i = image[k]
+            stack.append(
+                (k, subset | 1 << k, ub & s_up[k], lb & down[k],
+                 t_ub & t_up[i], t_lb & t_down[i])
+            )
+            stack.append((k, subset, ub, lb, t_ub, t_lb))
+            continue
+        join = s_joins.get(ub)
+        if join is not None and t_joins.get(t_ub) != image[join]:
+            raise AxiomViolation(
+                f"completion lost the join of {[s.names[a] for a in bits(subset)]}"
+            )
+        meet = s_meets.get(lb)
+        if meet is not None and subset and t_meets.get(t_lb) != image[meet]:
+            raise AxiomViolation(
+                f"completion lost the meet of {[s.names[a] for a in bits(subset)]}"
+            )
 
 
 def complete_lattice_embedding(
