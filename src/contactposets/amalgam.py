@@ -24,11 +24,12 @@ from .core import (
     induced_substructure,
     join_table,
     lookup,
+    order_failure,
     restrict,
     verify_map,
 )
 from .errors import AxiomViolation, JoinNotPreserved, PreconditionViolation
-from .represent import SetFamilyStructure, join_preserving_embedding
+from .represent import SetFamilyStructure, _join_preserving_family
 
 
 @dataclass(frozen=True)
@@ -155,20 +156,10 @@ def order_amalgam(inst: AmalgamInstance) -> tuple[tuple[str, ...], tuple[int, ..
 
 
 def _assert_partial_order(up: Sequence[int], names: Sequence[str]) -> None:
-    for i, row in enumerate(up):
-        above = row
-        while above:
-            low = above & -above
-            j = low.bit_length() - 1
-            if j != i and up[j] >> i & 1:
-                raise AxiomViolation(
-                    f"amalgam order not antisymmetric at {names[i]!r}, {names[j]!r}"
-                )
-            if row | up[j] != row:
-                raise AxiomViolation(
-                    f"amalgam order not transitive at {names[i]!r}, {names[j]!r}"
-                )
-            above ^= low
+    failure = order_failure(up)
+    if failure is not None:
+        i, j, law = failure
+        raise AxiomViolation(f"amalgam order not {law} at {names[i]!r}, {names[j]!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -337,13 +328,17 @@ def semilattice_amalgam(
     """Amalgamate semilattices: the poset amalgam need not have joins,
     so it is pushed join-preservingly into a union-closed overlap family
     where both sides land as semilattice embeddings.
+
+    This is join_preserving_embedding without its input check:
+    contact_amalgam has just validated d, so d goes straight to the
+    family builder.  exhaustive_joins is its check_subsets.
     """
     for side in (inst.a, inst.b, inst.c):
         if side.kind != SEMILATTICE:
             raise PreconditionViolation("all three structures must be semilattices")
     d = contact_amalgam(inst)
     _assert_joins_survive(inst, d)
-    family, into = join_preserving_embedding(d, check_subsets=exhaustive_joins)
+    family, into = _join_preserving_family(d, exhaustive_joins)
     from_a = _side_map(inst.a, d, into)
     from_b = _side_map(inst.b, d, into)
     for tag, side_map in (("A", from_a), ("B", from_b)):
@@ -360,7 +355,9 @@ def semilattice_amalgam(
 def _side_map(
     side: ContactStructure, d: ContactStructure, into: StructureMap
 ) -> StructureMap:
-    mapping = {name: into.apply(name) for name in side.names}
+    at = {name: k for k, name in enumerate(d.names)}
+    names = into.target.names
+    mapping = {name: names[into.mapping[at[name]]] for name in side.names}
     return verify_map(side, into.target, mapping)
 
 

@@ -277,6 +277,7 @@ def cmd_fraisse(args: argparse.Namespace) -> int:
             "fraction": report.fraction,
             "total": report.total,
             "misses": len(report.misses),
+            "misses_by_cause": report.misses_by_cause(),
         },
     }
     _emit(bundle, args.out)

@@ -120,18 +120,40 @@ def normalize_order(
     return tuple(up)
 
 
-def _check_order_tables(up: Sequence[int], bottom: int) -> None:
-    n = len(up)
-    full = (1 << n) - 1
-    for i in range(n):
-        if not up[i] >> i & 1:
-            raise AxiomViolation(f"order not reflexive at index {i}")
-        for j in bits(up[i]):
+def order_failure(up: Sequence[int]) -> tuple[int, int, str] | None:
+    """First place where a table of up-rows fails to be a partial order,
+    or None when it is one.
+
+    Rows are read in order; in row i reflexivity comes first, as
+    (i, i, "reflexive"), then each j in up[i], lowest first, with
+    (i, j, "antisymmetric") before (i, j, "transitive").  Callers raise
+    their own errors from the triple.
+    """
+    for i, row in enumerate(up):
+        if not row >> i & 1:
+            return i, i, "reflexive"
+        above = row
+        while above:
+            low = above & -above
+            j = low.bit_length() - 1
             if j != i and up[j] >> i & 1:
-                raise CycleError(f"antisymmetry violated at indices {i}, {j}")
-            if up[i] | up[j] != up[i]:
-                raise AxiomViolation(f"order not transitive at indices {i}, {j}")
-    if up[bottom] != full:
+                return i, j, "antisymmetric"
+            if row | up[j] != row:
+                return i, j, "transitive"
+            above ^= low
+    return None
+
+
+def _check_order_tables(up: Sequence[int], bottom: int) -> None:
+    failure = order_failure(up)
+    if failure is not None:
+        i, j, law = failure
+        if law == "reflexive":
+            raise AxiomViolation(f"order not reflexive at index {i}")
+        if law == "antisymmetric":
+            raise CycleError(f"antisymmetry violated at indices {i}, {j}")
+        raise AxiomViolation(f"order not transitive at indices {i}, {j}")
+    if up[bottom] != (1 << len(up)) - 1:
         raise AxiomViolation("bottom is not below every element")
 
 
@@ -327,11 +349,10 @@ def subset_join(s: ContactStructure, mask: int) -> int | None:
 
 
 def is_semilattice_order(s: ContactStructure) -> bool:
-    return all(
-        join_index(s, i, j) is not None
-        for i in range(s.n)
-        for j in range(i + 1, s.n)
-    )
+    """Does every pair have a join?  One join_table lookup per pair; the
+    table agrees with join_index on every reflexive, transitive table."""
+    joins, up, n = join_table(s), s.up, s.n
+    return all(up[i] & up[j] in joins for i in range(n) for j in range(i + 1, n))
 
 
 # ---------------------------------------------------------------------------
@@ -339,27 +360,44 @@ def is_semilattice_order(s: ContactStructure) -> bool:
 
 
 def _rows_valid(up: Sequence[int], contact: Sequence[int], bottom: int | None) -> bool:
-    """One fused row pass: do Sym, Emp, Ext (both halves), Ref and Inh
-    all hold?  bottom is None for a bottomless structure, where Ref is
-    Ref* (every element touches itself) and there is no Emp.
+    """One fused row pass: do Sym, Emp, Ext, Ref and Inh all hold?
+    bottom is None for a bottomless structure, where Ref is Ref* (every
+    element touches itself) and there is no Emp.
+
+    Sym walks half the contact bits.  Row i's bits above the diagonal
+    are mirrored into per-column masks: bit i of mirror[j] says i touches
+    j, for i < j.  When the pass reaches row j every row above it has
+    been mirrored, so Sym holds iff each row's part below the diagonal
+    equals its mirror: both say, for each i < j, whether the pair (i, j)
+    is related in the other direction.
+
+    Ext has two halves: contact rows grow along the order (contact[i]
+    lies inside contact[a1] for every a1 >= i), and every contact row is
+    an up-set (up[j] lies inside contact[i] for every j touching i).
+    Given Sym the second follows from the first: if j touches i and
+    a1 >= j, then i is in contact[j], hence in contact[a1], and by Sym
+    a1 is in contact[i].  So only the first half is walked, in one loop
+    over up[i] shared with Inh at m = i (up[i] lies inside contact[a1]
+    for every a1 >= i).  The pass still says yes exactly when every law
+    holds.
 
     Emp is contact[bottom] == 0 plus an empty bottom column; Sym covers
     the column, since a row holding the bottom needs the bottom's row to
-    hold it back.  Per element i, the first half of Ext (contact[i] lies
-    inside contact[a1] for every a1 >= i) and Inh at m = i (up[i] lies
-    inside contact[a1] for every a1 >= i) share one loop over up[i]; Sym
-    and the second half of Ext (up[j] inside contact[i] for every j
-    touching i) share one loop over contact[i].  Inh is folded in for
-    every element off the bottom, bottomless ones included: it follows
-    from Ref and Ext, so it turns no structure away that passes them.
-    Bits are walked inline, lowest first, without a generator.
+    hold it back.  Inh is folded in for every element off the bottom,
+    bottomless ones included: it follows from Ref and Ext, so it turns
+    no structure away that passes them.  Bits are walked inline, lowest
+    first, without a generator.
     """
     if bottom is not None and contact[bottom]:
         return False
+    mirror = [0] * len(contact)
     for i, row in enumerate(contact):
+        bit = 1 << i
+        if row & (bit - 1) != mirror[i]:
+            return False
         if i == bottom:
             continue
-        if not row >> i & 1:
+        if not row & bit:
             return False
         need = row | up[i]
         above = up[i]
@@ -368,13 +406,11 @@ def _rows_valid(up: Sequence[int], contact: Sequence[int], bottom: int | None) -
             if need & ~contact[low.bit_length() - 1]:
                 return False
             above ^= low
-        touching = row
-        while touching:
-            low = touching & -touching
-            j = low.bit_length() - 1
-            if not contact[j] >> i & 1 or up[j] & ~row:
-                return False
-            touching ^= low
+        later = row >> i + 1
+        while later:
+            low = later & -later
+            mirror[i + low.bit_length()] |= bit
+            later ^= low
     return True
 
 

@@ -195,11 +195,30 @@ class LimitStage:
     budget_exceeded: bool = False
 
 
+ABOVE_MAXIMAL = "above-maximal"
+UNREALIZED_AT_BUDGET = "unrealized-at-budget"
+MISS_CAUSES = (ABOVE_MAXIMAL, UNREALIZED_AT_BUDGET)
+
+
 @dataclass(frozen=True)
 class ExtensionMiss:
+    """A (copy, extension) pair the stage does not realize.
+
+    image lists the stage points of the copy of sub, in sub's carrier
+    order; into is the extension's copy of sub as (sub name, extension
+    name) pairs in the same order.  cause is ABOVE_MAXIMAL when the
+    extension's fresh point lies strictly above an anchored point whose
+    stage image is maximal: no point of this stage can stand in for it,
+    so every finite stage has such misses.  Otherwise it is
+    UNREALIZED_AT_BUDGET: the stage stopped growing before it realized
+    the pair.
+    """
+
     sub: ContactStructure
     image: tuple[str, ...]
     extension: ContactStructure
+    into: tuple[tuple[str, str], ...]
+    cause: str
 
 
 @dataclass(frozen=True)
@@ -211,6 +230,13 @@ class ExtensionReport:
     @property
     def fraction(self) -> float:
         return 1.0 if self.total == 0 else self.realized / self.total
+
+    def misses_by_cause(self) -> dict[str, int]:
+        """The number of misses of each cause, every cause listed."""
+        counts = dict.fromkeys(MISS_CAUSES, 0)
+        for miss in self.misses:
+            counts[miss.cause] += 1
+        return counts
 
 
 def trivial_stage(kind: str) -> LimitStage:
@@ -308,17 +334,18 @@ def _amalgamate_extension(
     family_structure = result.family.structure
     if family_structure.n > max_elements:
         return structure, fresh, True
+    names = family_structure.names
     renames = {}
     used = set()
-    for name in structure.names:
-        renames[result.from_a.apply(name)] = name
+    for name, position in zip(structure.names, result.from_a.mapping):
+        renames[names[position]] = name
         used.add(name)
-    fresh_image = result.from_b.apply(fresh)
+    fresh_image = names[result.from_b.mapping[b_side.index(fresh)]]
     if fresh_image not in renames:
         renames[fresh_image] = fresh
         used.add(fresh)
     counter = 0
-    for name in family_structure.names:
+    for name in names:
         if name not in renames:
             counter += 1
             while f"q{counter}" in used:
@@ -339,30 +366,47 @@ def check_extension_property(
     most cap into the stage structure and every one-point extension of
     that item; a finite stage cannot realize extensions above its
     maximal elements, so fractions below 1.0 are expected and reported
-    honestly.
+    honestly.  Each miss records its copy and its cause (ExtensionMiss).
     """
     if catalog is None:
         catalog = AgeCatalog.build(cap + 1, stage.kind)
+    s = stage.structure
+    maximal = {s.names[i] for i in range(s.n) if s.up[i] == 1 << i}
     total = realized = 0
     misses = []
     for sub in catalog.items:
         if sub.n > cap:
             continue
-        extensions = one_point_extensions(sub, catalog)
-        for f in induced_embeddings(sub, stage.structure):
-            for t, into in extensions:
+        extensions = [
+            (t, into, tuple((name, into[name]) for name in sub.names),
+             _below_fresh(t, into))
+            for t, into in one_point_extensions(sub, catalog)
+        ]
+        for f in induced_embeddings(sub, s):
+            for t, into, pairs, below in extensions:
                 total += 1
-                if embeds_extension(stage.structure, f, t, into):
+                if embeds_extension(s, f, t, into):
                     realized += 1
-                else:
-                    misses.append(
-                        ExtensionMiss(
-                            sub,
-                            tuple(f[name] for name in sub.names),
-                            t,
-                        )
+                    continue
+                forced = any(f[name] in maximal for name in below)
+                misses.append(
+                    ExtensionMiss(
+                        sub,
+                        tuple(f[name] for name in sub.names),
+                        t,
+                        pairs,
+                        ABOVE_MAXIMAL if forced else UNREALIZED_AT_BUDGET,
                     )
+                )
     return ExtensionReport(total, realized, tuple(misses))
+
+
+def _below_fresh(t: ContactStructure, into: dict[str, str]) -> tuple[str, ...]:
+    """The points of the copy, by their names in the copied structure,
+    that lie strictly below the extension's fresh point.  A miss is
+    ABOVE_MAXIMAL when one of them sits on a maximal stage point."""
+    (fresh,) = set(t.names) - set(into.values())
+    return tuple(name for name, t_name in into.items() if t.leq(t_name, fresh))
 
 
 def stage_embeds_previous(previous: LimitStage, current: LimitStage) -> bool:

@@ -9,7 +9,7 @@ embedding maps come back fully verified.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .core import (
     POSET,
@@ -59,23 +59,55 @@ def _set_name(universe: Sequence[str], mask: int) -> str:
     return "{" + ",".join(universe[i] for i in bits(mask)) + "}"
 
 
+def _holders(sets: Sequence[int]) -> Callable[[int], int]:
+    """Holder masks over a family: holders(q) has bit i set iff sets[i]
+    contains q.  It is the AND of one column mask per member of q, the
+    column of universe bit b holding the sets that contain b; the empty
+    set is held by every set."""
+    full = (1 << len(sets)) - 1
+    columns = [0] * max((mask.bit_length() for mask in sets), default=0)
+    for i, mask in enumerate(sets):
+        bit = 1 << i
+        while mask:
+            low = mask & -mask
+            columns[low.bit_length() - 1] |= bit
+            mask ^= low
+
+    def holders(q: int) -> int:
+        out = full
+        while q:
+            low = q & -q
+            out &= columns[low.bit_length() - 1]
+            q ^= low
+        return out
+
+    return holders
+
+
 def overlap_of_family(sets: Sequence[int]) -> list[int]:
     """Overlap table of an inclusion-ordered family, recomputed from the
     family membership alone: x and y touch iff some nonempty member sits
     inside both.
 
-    Small families get the direct witness scan; large ones a subset-sum
-    sweep over the universe masks.
+    Small families are read off their inclusion-minimal nonempty
+    members: a nonempty member inside both x and y contains a minimal
+    one, so x and y touch iff they both hold some minimal q, and each q
+    ORs its holder mask into the rows of its holders.  A member is
+    minimal when no smaller one found so far lies inside it; members are
+    visited by size, and only a smaller distinct member can lie strictly
+    inside.  Large ones get a subset-sum sweep over the universe masks.
     """
     m = len(sets)
     if m <= 64:
+        holders = _holders(sets)
         rows = [0] * m
-        for i in range(m):
-            for j in range(i, m):
-                both = sets[i] & sets[j]
-                if both and any(q and q & ~both == 0 for q in sets):
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
+        minimal: list[int] = []
+        for q in sorted({q for q in sets if q}, key=int.bit_count):
+            if all(p & ~q for p in minimal):
+                minimal.append(q)
+                held = holders(q)
+                for x in bits(held):
+                    rows[x] |= held
         return rows
     width = max(mask.bit_length() for mask in sets)
     has_witness = bytearray(1 << width)
@@ -105,17 +137,14 @@ def family_structure(
     """Assemble the inclusion order plus overlap contact over the masks.
 
     Masks are sorted by size then bit pattern, which makes every family
-    deterministic; the empty set must be present as the bottom.
+    deterministic; the empty set must be present as the bottom.  Row i
+    of the inclusion order is the holder mask of set i (_holders).
     """
     ordered = sorted(set(masks), key=lambda m: (bin(m).count("1"), m))
     if ordered[0] != 0:
         raise AxiomViolation("set family is missing its empty bottom")
-    m = len(ordered)
-    up = [0] * m
-    for i, small in enumerate(ordered):
-        for j, big in enumerate(ordered):
-            if small & ~big == 0:
-                up[i] |= 1 << j
+    holders = _holders(ordered)
+    up = [holders(mask) for mask in ordered]
     contact = overlap_of_family(ordered)
     names = tuple(_set_name(universe, mask) for mask in ordered)
     structure = ContactStructure(names, 0, tuple(up), tuple(contact), kind)
@@ -219,6 +248,14 @@ def join_preserving_embedding(
     may skip the sweep, the identity holds by construction).
     """
     _require_valid(s)
+    return _join_preserving_family(s, check_subsets)
+
+
+def _join_preserving_family(
+    s: ContactStructure, check_subsets: bool
+) -> tuple[SetFamilyStructure, StructureMap]:
+    """join_preserving_embedding on a structure the caller has already
+    validated."""
     family, total = _union_closed_embedding(s, SEMILATTICE)
     if check_subsets:
         missed = existing_join_misses(s, family, total)
@@ -389,11 +426,8 @@ def _cut_family(
     if ordered[0] != bottom_cut:
         raise AxiomViolation("least cut is not the bottom's down-set")
     m = len(ordered)
-    up = [0] * m
-    for i, small in enumerate(ordered):
-        for j, big in enumerate(ordered):
-            if small & ~big == 0:
-                up[i] |= 1 << j
+    holders = _holders(ordered)
+    up = [holders(mask) for mask in ordered]
     names = tuple(_set_name(s.names, mask) for mask in ordered)
     skeleton = ContactStructure(names, 0, tuple(up), tuple([0] * m), SEMILATTICE)
     contact = overlap_relation(skeleton)

@@ -217,6 +217,16 @@ class TestFraisseCommand:
         bundle = json.loads(out_path.read_text())
         assert bundle["budget_exceeded"] is True
 
+    def test_misses_counted_by_cause(self, tmp_path, capsys):
+        out_path = tmp_path / "stage.json"
+        code = main(["fraisse", "--cap", "2", "--budget", "3", "--out", str(out_path)])
+        assert code == 0
+        report = json.loads(out_path.read_text())["extension_property"]
+        by_cause = report["misses_by_cause"]
+        assert set(by_cause) == {"above-maximal", "unrealized-at-budget"}
+        assert by_cause["above-maximal"] > 0
+        assert sum(by_cause.values()) == report["misses"] > 0
+
 
 class TestGalleryCommand:
     def test_small_bounds(self, capsys):

@@ -1,8 +1,11 @@
 import pytest
 
-from contactposets.core import POSET, SEMILATTICE, ContactStructure
+from contactposets.core import POSET, SEMILATTICE, ContactStructure, verify_map
 from contactposets.enumeration import AgeCatalog, canonical_key
 from contactposets.fraisse import (
+    ABOVE_MAXIMAL,
+    MISS_CAUSES,
+    UNREALIZED_AT_BUDGET,
     build_limit_stage,
     check_class_properties,
     check_extension_property,
@@ -130,6 +133,27 @@ class TestExtensionProperty:
         stage = build_limit_stage(POSET, 2, 20, catalog=poset_catalog_3, max_elements=40)
         report = check_extension_property(stage, 2, poset_catalog_3)
         assert report.fraction < 1.0
+
+    @pytest.mark.parametrize("kind, counts", [(POSET, (17, 28)), (SEMILATTICE, (1, 1))])
+    def test_miss_causes_at_criterion_7_settings(self, kind, counts):
+        catalog = AgeCatalog.build(3, kind)
+        stage = build_limit_stage(kind, 2, 50, catalog=catalog, max_elements=64)
+        report = check_extension_property(stage, 2, catalog)
+        assert report.misses_by_cause() == dict(zip(MISS_CAUSES, counts))
+        s = stage.structure
+        maximal = {s.names[i] for i in range(s.n) if s.up[i] == 1 << i}
+        for miss in report.misses:
+            into = dict(miss.into)
+            assert tuple(into) == miss.sub.names
+            copy = verify_map(miss.sub, miss.extension, into)
+            assert copy.report.is_embedding and copy.report.order_reflecting
+            (fresh,) = set(miss.extension.names) - set(into.values())
+            image = dict(zip(miss.sub.names, miss.image))
+            forced = any(
+                miss.extension.leq(into[name], fresh) and image[name] in maximal
+                for name in miss.sub.names
+            )
+            assert miss.cause == (ABOVE_MAXIMAL if forced else UNREALIZED_AT_BUDGET)
 
 
 class TestLocalFiniteness:
