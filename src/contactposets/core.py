@@ -294,18 +294,6 @@ class ContactStructure:
 # joins and meets
 
 
-def _least_of(s: ContactStructure, mask: int) -> int | None:
-    """Least element of the subset mask, or None."""
-    for i in bits(mask):
-        if mask & ~s.up[i] == 0:
-            return i
-    return None
-
-
-def join_index(s: ContactStructure, i: int, j: int) -> int | None:
-    return _least_of(s, s.up[i] & s.up[j])
-
-
 def join_table(s: ContactStructure) -> dict[int, int]:
     """Map each element's up-row to the element: {up[k]: k}.
 
@@ -314,8 +302,7 @@ def join_table(s: ContactStructure) -> dict[int, int]:
     then an upper bound below every upper bound, and conversely the
     least upper bound k lies in the set and everything above k bounds
     both.  So join(i, j) == table.get(up[i] & up[j]), None when the join
-    is missing.  On a duplicate row the lowest index is kept, matching
-    _least_of.
+    is missing.  On a duplicate row the lowest index is kept.
     """
     table: dict[int, int] = {}
     for k, row in enumerate(s.up):
@@ -340,17 +327,9 @@ def meet_table(s: ContactStructure) -> dict[int, int]:
     return table
 
 
-def subset_join(s: ContactStructure, mask: int) -> int | None:
-    """Least upper bound of a subset mask, if it exists (empty -> bottom)."""
-    ub = s.full_mask
-    for i in bits(mask):
-        ub &= s.up[i]
-    return _least_of(s, ub)
-
-
 def is_semilattice_order(s: ContactStructure) -> bool:
     """Does every pair have a join?  One join_table lookup per pair; the
-    table agrees with join_index on every reflexive, transitive table."""
+    table answers every join of a reflexive, transitive table."""
     joins, up, n = join_table(s), s.up, s.n
     return all(up[i] & up[j] in joins for i in range(n) for j in range(i + 1, n))
 
@@ -510,10 +489,10 @@ def _contact_witnesses(s: ContactStructure) -> list[AxiomCheck]:
 
 def _additivity_check(s: ContactStructure) -> AxiomCheck:
     """Add: a touching b v c touches b or c.  Joins come from one
-    join_table, which agrees with join_index on a partial order.
-    Triples run in (a, b, c) order, so the first witness, and the
-    NotSemilattice raised at a missing join met before any witness, are
-    the ones the per-triple join_index loop found."""
+    join_table, which gives every join of a partial order.  Triples run
+    in (a, b, c) order, so the first witness, and the NotSemilattice
+    raised at a missing join met before any witness, are the ones a
+    per-triple join scan finds (the tests keep one as the reference)."""
     n, names, up, contact = s.n, s.names, s.up, s.contact
     joins = join_table(s)
     for a in range(n):
@@ -665,17 +644,7 @@ def induced_substructure(s: ContactStructure, subset: Iterable[str]) -> ContactS
     if s.bottom not in chosen:
         raise MissingBottom("substructure carrier must contain the bottom")
     if s.kind == SEMILATTICE:
-        mask = 0
-        for i in chosen:
-            mask |= 1 << i
-        joins, up = join_table(s), s.up
-        for a in chosen:
-            for b in chosen:
-                j = joins.get(up[a] & up[b])
-                if j is None or not mask >> j & 1:
-                    raise NotJoinClosed(
-                        f"join of {s.names[a]!r} and {s.names[b]!r} escapes the subset"
-                    )
+        _require_join_closed(s, chosen)
     up, contact = restrict(chosen, s.up, s.contact)
     out = ContactStructure(
         tuple(s.names[i] for i in chosen),
@@ -688,6 +657,23 @@ def induced_substructure(s: ContactStructure, subset: Iterable[str]) -> ContactS
     if not report.ok:
         raise AxiomViolation("induced substructure failed self-check", report)
     return out
+
+
+def _require_join_closed(s: ContactStructure, chosen: Sequence[int]) -> None:
+    """NotJoinClosed unless the join in s of every pair of the chosen
+    positions (ascending) exists and is chosen; the message names the
+    first pair that escapes."""
+    mask = 0
+    for i in chosen:
+        mask |= 1 << i
+    joins, up = join_table(s), s.up
+    for a in chosen:
+        for b in chosen:
+            j = joins.get(up[a] & up[b])
+            if j is None or not mask >> j & 1:
+                raise NotJoinClosed(
+                    f"join of {s.names[a]!r} and {s.names[b]!r} escapes the subset"
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -931,6 +917,13 @@ def adjoin_bottom(
     if not report.ok:
         bad = ", ".join(f"{c.axiom}{c.witness or ''}" for c in report.failures())
         raise AxiomViolation(f"bottomless axioms fail: {bad}", report)
+    return _adjoin_checked_bottom(b, bottom_name, kind)
+
+
+def _adjoin_checked_bottom(
+    b: BottomlessContact, bottom_name: str, kind: str = POSET
+) -> ContactStructure:
+    """adjoin_bottom for a b whose bottomless axioms have been checked."""
     if bottom_name in b.names:
         raise UnknownElement(f"bottom name {bottom_name!r} collides with an element")
     n = b.n

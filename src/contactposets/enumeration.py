@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 from operator import or_
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .core import (
     KINDS,
@@ -32,6 +32,7 @@ from .core import (
     join_table,
     meet_table,
     overlap_relation,
+    restrict,
 )
 from .errors import AxiomViolation
 
@@ -191,9 +192,7 @@ def automorphisms(s: ContactStructure) -> list[tuple[int, ...]]:
     return list(isomorphisms(s, s))
 
 
-def _is_isomorphism_perm(
-    s: ContactStructure, t: ContactStructure, perm: Sequence[int]
-) -> bool:
+def _is_isomorphism_perm(s, t, perm: Sequence[int]) -> bool:
     for i in range(s.n):
         for j in range(s.n):
             if (s.up[i] >> j & 1) != (t.up[perm[i]] >> perm[j] & 1):
@@ -203,16 +202,29 @@ def _is_isomorphism_perm(
     return perm[s.bottom] == t.bottom
 
 
-def isomorphisms(s: ContactStructure, t: ContactStructure) -> Iterator[tuple[int, ...]]:
-    """All bottom-preserving isomorphisms s -> t as index maps."""
+def _bottom_colors(s) -> tuple[int, ...]:
+    """The refined colouring of s from the bottom-pinned start, the one
+    isomorphisms matches colour classes by."""
+    start = tuple(0 if i == s.bottom else 1 for i in range(s.n))
+    return _refine_colors(s.n, (s.up, s.contact), start)
+
+
+def isomorphisms(
+    s: ContactStructure,
+    t: ContactStructure,
+    s_colors: Sequence[int] | None = None,
+) -> Iterator[tuple[int, ...]]:
+    """All bottom-preserving isomorphisms s -> t as index maps.
+
+    s_colors are s's refined colours (_bottom_colors(s)); a caller that
+    matches one source against many targets computes them once.  Only
+    n, kind, bottom and the rows of s and t are read.
+    """
     if s.n != t.n or s.kind != t.kind:
         return
-    s_colors = _refine_colors(
-        s.n, (s.up, s.contact), tuple(0 if i == s.bottom else 1 for i in range(s.n))
-    )
-    t_colors = _refine_colors(
-        t.n, (t.up, t.contact), tuple(0 if i == t.bottom else 1 for i in range(t.n))
-    )
+    if s_colors is None:
+        s_colors = _bottom_colors(s)
+    t_colors = _bottom_colors(t)
     if sorted(s_colors) != sorted(t_colors):
         return
     slots: dict[int, list[int]] = {}
@@ -650,6 +662,13 @@ def carrier_subsets(
     """Subsets of the carrier containing the bottom, join-closed when the
     requested kind (default: t's own) is semilattice."""
     kind = t.kind if kind is None else kind
+    for chosen in _carrier_positions(t, size, kind):
+        yield tuple(t.names[i] for i in chosen)
+
+
+def _carrier_positions(t, size: int, kind: str) -> Iterator[tuple[int, ...]]:
+    """carrier_subsets as ascending index tuples; reads t's bottom and
+    up-rows only."""
     others = [i for i in range(t.n) if i != t.bottom]
     if kind == SEMILATTICE:
         joins, up = join_table(t), t.up
@@ -665,28 +684,79 @@ def carrier_subsets(
                 for b in chosen
             ):
                 continue
-        yield tuple(t.names[i] for i in sorted(chosen))
+        yield tuple(sorted(chosen))
+
+
+class _Rows(NamedTuple):
+    """The name-free part of a structure, all that its embeddings depend
+    on: the memo key of induced_embeddings.  It reads like a structure
+    to isomorphisms and join_table."""
+
+    bottom: int
+    up: tuple[int, ...]
+    contact: tuple[int, ...]
+    kind: str
+
+    @property
+    def n(self) -> int:
+        return len(self.up)
+
+
+def _degree_profile(up: Sequence[int], contact: Sequence[int]) -> list[int]:
+    """Sorted (up-degree, contact-degree) pairs, packed one int each.
+    An isomorphism keeps each element's pair, so tables whose profiles
+    differ have none; a packing collision could only hide a difference."""
+    return sorted([u.bit_count() << 16 | c.bit_count() for u, c in zip(up, contact)])
+
+
+def _embedding_search(s: _Rows, t: _Rows) -> Iterator[tuple[int, ...]]:
+    """Embeddings of s onto induced substructures of t as index maps
+    (entry i is t's position of s's element i), subset by
+    subset in carrier_subsets order and, within a subset, in the order
+    isomorphisms finds them.
+
+    s's colours and degree profile are computed once.  A piece is t's
+    rows restricted to the subset (core.restrict) and not re-validated:
+    the axioms are universal, so they hold on every restriction of a
+    valid structure that keeps its bottom, and carrier_subsets keeps
+    only join-closed subsets for semilattices.  A piece whose degree
+    profile differs from s's has no isomorphism from s and is skipped.
+    """
+    if s.n > t.n:
+        return
+    colors = _bottom_colors(s)
+    profile = _degree_profile(s.up, s.contact)
+    for chosen in _carrier_positions(t, s.n, s.kind):
+        up, contact = restrict(chosen, t.up, t.contact)
+        if _degree_profile(up, contact) != profile:
+            continue
+        piece = _Rows(chosen.index(t.bottom), up, contact, s.kind)
+        for perm in isomorphisms(s, piece, colors):
+            yield tuple([chosen[p] for p in perm])
+
+
+@lru_cache(maxsize=4096)
+def _embedding_table(s: _Rows, t: _Rows) -> tuple[tuple[int, ...], ...]:
+    """Every map _embedding_search yields, memoised by rows: renamed
+    copies of the same pair share one entry.  Bounded, module-level and
+    cleared with the other caches."""
+    return tuple(_embedding_search(s, t))
 
 
 def induced_embeddings(
-    s: ContactStructure, t: ContactStructure
+    s: ContactStructure, t: ContactStructure, memo: bool = True
 ) -> Iterator[dict[str, str]]:
     """All embeddings of s onto induced substructures of t, as name maps.
 
     For semilattices only join-closed images count, which makes these
-    exactly the signature embeddings.
+    exactly the signature embeddings.  The maps are read off the
+    memoised index maps of the pair; with memo=False the search runs
+    lazily instead, for a caller that stops at the first map.  The order
+    is the same either way.
     """
-    from .core import induced_substructure
-
-    if s.n > t.n:
-        return
-    neutral = ContactStructure(t.names, t.bottom, t.up, t.contact, POSET)
-    for subset in carrier_subsets(t, s.n, kind=s.kind):
-        piece = induced_substructure(neutral, subset)
-        piece = ContactStructure(
-            piece.names, piece.bottom, piece.up, piece.contact, s.kind
-        )
-        for perm in isomorphisms(s, piece):
-            yield {
-                s.names[i]: piece.names[perm[i]] for i in range(s.n)
-            }
+    s_rows = _Rows(s.bottom, tuple(s.up), tuple(s.contact), s.kind)
+    t_rows = _Rows(t.bottom, tuple(t.up), tuple(t.contact), s.kind)
+    found = _embedding_table(s_rows, t_rows) if memo else _embedding_search(s_rows, t_rows)
+    s_names, t_names = s.names, t.names
+    for f in found:
+        yield {name: t_names[j] for name, j in zip(s_names, f)}

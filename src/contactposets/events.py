@@ -17,7 +17,7 @@ from .core import (
     AxiomReport,
     BottomlessContact,
     ContactStructure,
-    adjoin_bottom,
+    _adjoin_checked_bottom,
     bits,
     check_bottomless_axioms,
     drop_bottom,
@@ -124,9 +124,9 @@ def event_to_contact(
 ) -> BottomlessContact | ContactStructure:
     """Dualize the causal order and complement conflict.
 
-    The result always satisfies the bottomless contact axioms (asserted);
-    with_bottom adjoins the reserved bottom and returns a full contact
-    structure.
+    The result always satisfies the bottomless contact axioms (asserted
+    once, here); with_bottom adjoins the reserved bottom and returns a
+    full contact structure.
     """
     n = e.n
     down = [0] * n
@@ -140,7 +140,7 @@ def event_to_contact(
     if not report.ok:
         raise AxiomViolation("dual of a valid event structure failed", report)
     if with_bottom:
-        return adjoin_bottom(dual, RESERVED_BOTTOM)
+        return _adjoin_checked_bottom(dual, RESERVED_BOTTOM)
     return dual
 
 

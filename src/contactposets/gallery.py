@@ -214,37 +214,54 @@ def _lattice_zero_embeddings(
     """Injections preserving bottom, binary joins and meets, in the
     order itertools.permutations gives the non-bottom targets.
 
-    Injectivity and the bottom hold by construction.  The joins and
-    meets of a, and the join and meet tables of d (core.join_table,
-    core.meet_table), are built once, so a candidate costs two lookups
-    per pair i < j: the diagonal holds in any order, and both operations
-    are symmetric.  A source that is not a lattice has no such map.
+    The non-bottom points of a take their images one at a time, each
+    trying the unused targets in order, which is that order.  The joins
+    and meets of a, and the join and meet tables of d (core.join_table,
+    core.meet_table), are built once.  Each law (i v j, i ^ j for a pair
+    i < j: the diagonal holds in any order, and both operations are
+    symmetric) is checked as soon as its three points have images, so a
+    partial map that breaks one is never extended; a full map passes
+    every law.  A source that is not a lattice has no such map.
     """
-    from itertools import permutations
-
     operations = lattice_operations(a)
     if operations is None:
         return
     a_join, a_meet = operations
     d_joins, d_meets = join_table(d), meet_table(d)
     d_up, d_down = d.up, d.down_masks()
-    pairs = [
-        (i, j, a_join[i][j], a_meet[i][j])
-        for i in range(a.n)
-        for j in range(i + 1, a.n)
-    ]
     slots = [i for i in range(a.n) if i != a.bottom]
     others = [i for i in range(d.n) if i != d.bottom]
-    for image in permutations(others, len(slots)):
-        f = [d.bottom] * a.n
-        for slot, target in zip(slots, image):
-            f[slot] = target
-        if all(
-            d_joins.get(d_up[f[i]] & d_up[f[j]]) == f[join]
-            and d_meets.get(d_down[f[i]] & d_down[f[j]]) == f[meet]
-            for i, j, join, meet in pairs
-        ):
+    depth_of = {slot: depth for depth, slot in enumerate(slots)}
+    depth_of[a.bottom] = 0
+    laws: list[list[tuple[int, int, int, bool]]] = [[] for _ in slots]
+    for i in range(a.n):
+        for j in range(i + 1, a.n):
+            for k, is_join in ((a_join[i][j], True), (a_meet[i][j], False)):
+                last = max(depth_of[i], depth_of[j], depth_of[k])
+                laws[last].append((i, j, k, is_join))
+    f = [d.bottom] * a.n
+    used = [False] * d.n
+
+    def holds(i: int, j: int, k: int, is_join: bool) -> bool:
+        if is_join:
+            return d_joins.get(d_up[f[i]] & d_up[f[j]]) == f[k]
+        return d_meets.get(d_down[f[i]] & d_down[f[j]]) == f[k]
+
+    def extend(depth: int) -> Iterator[tuple[int, ...]]:
+        if depth == len(slots):
             yield tuple(f)
+            return
+        slot = slots[depth]
+        for target in others:
+            if used[target]:
+                continue
+            f[slot] = target
+            if all(holds(*law) for law in laws[depth]):
+                used[target] = True
+                yield from extend(depth + 1)
+                used[target] = False
+
+    yield from extend(0)
 
 
 def check_distributive_amalgam_failure(bound: int) -> FailureReport:
@@ -367,8 +384,8 @@ def _search_embedding(source: ContactStructure, target: ContactStructure) -> boo
     map reflects the order (f(x) <= f(y) gives f(x v y) = f(y), so
     x v y = y), so the embeddings are exactly the isomorphisms onto
     join-closed induced substructures that contain the bottom, which
-    enumeration.induced_embeddings walks."""
-    return next(induced_embeddings(source, target), None) is not None
+    enumeration.induced_embeddings walks, lazily, up to the first."""
+    return next(induced_embeddings(source, target, memo=False), None) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from contactposets.core import (
     bits,
     check_contact_axioms,
     overlap_relation,
-    subset_join,
 )
 from contactposets.enumeration import (
     AgeCatalog,
@@ -58,6 +57,7 @@ from contactposets.represent import (
     overlap_semilattice_embedding,
     powerset_embedding,
 )
+from join_scans import subset_join
 
 
 def _verdict(number: int, title: str, ok: bool, detail: str = "") -> None:

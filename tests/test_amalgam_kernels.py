@@ -4,6 +4,9 @@ The axiom checks run a fused row pass before their per-law loops, the
 order and contact amalgams lift rows into union positions, the
 superamalgamation witness is a lowest bit, ``existing_join_misses``
 walks subsets depth-first and the event bridge compares pulled-back
+rows.  The instance boundary checks each gluing once: ``from_parts``
+compares C's rows with each side's, ``from_embeddings`` leaves the
+embedding test to it, and ``contact_amalgam`` reads its inclusions off
 rows.  Each is
 compared here with the loop it replaced, kept below as the reference.
 """
@@ -33,10 +36,10 @@ from contactposets.core import (
     check_contact_axioms,
     drop_bottom,
     induced_substructure,
-    join_index,
-    subset_join,
+    restrict,
+    verify_map,
 )
-from contactposets.enumeration import AgeCatalog
+from contactposets.enumeration import AgeCatalog, carrier_subsets
 from contactposets.errors import (
     AddOnPoset,
     AxiomViolation,
@@ -44,6 +47,7 @@ from contactposets.errors import (
     MissingBottom,
     NotJoinClosed,
     NotSemilattice,
+    PreconditionViolation,
 )
 from contactposets.events import (
     amalgamate_events,
@@ -51,6 +55,8 @@ from contactposets.events import (
     iter_event_gluings,
 )
 from contactposets.fraisse import iter_gluings, random_instance
+from join_scans import join_index, subset_join
+from test_embedding_search import reference_induced_embeddings
 
 
 # ---------------------------------------------------------------------------
@@ -588,3 +594,258 @@ def test_event_row_compare_matches_reference():
                     message = f"{what} disagrees with C at ({x!r}, {y!r})"
                     assert got[2] == message
     assert disagreements > 100
+
+
+# ---------------------------------------------------------------------------
+# the instance boundary
+
+
+def reference_from_parts(a, b, c):
+    """from_parts as it was: a validated induced substructure of each
+    side, compared with C through C's positions in it."""
+    shared = set(a.names) & set(b.names)
+    if shared != set(c.names):
+        raise PreconditionViolation("carriers of A and B must intersect exactly in C")
+    if a.names[a.bottom] != c.names[c.bottom] or b.names[b.bottom] != c.names[c.bottom]:
+        raise PreconditionViolation("bottoms must coincide on C")
+    for host in (a, b):
+        piece = induced_substructure(host, c.names)
+        f = [piece.index(name) for name in c.names]
+        if restrict(f, piece.up, piece.contact) != [c.up, c.contact]:
+            raise PreconditionViolation("C is not an induced substructure of both sides")
+    return AmalgamInstance(a, b, c)
+
+
+def reference_from_embeddings(a, b, c, into_a, into_b):
+    """from_embeddings as it was: both maps verified first."""
+    for host, emb in ((a, into_a), (b, into_b)):
+        checked = verify_map(c, host, emb)
+        if not (checked.report.is_embedding and checked.report.order_reflecting):
+            raise PreconditionViolation("the given maps are not embeddings")
+    rename_a = {image: name for name, image in into_a.items()}
+    rename_b = {image: name for name, image in into_b.items()}
+    fresh_a = {name: rename_a.get(name, f"a:{name}") for name in a.names}
+    fresh_b = {name: rename_b.get(name, f"b:{name}") for name in b.names}
+    return reference_from_parts(a.rename(fresh_a), b.rename(fresh_b), c)
+
+
+def reference_checked_amalgam(inst):
+    """contact_amalgam's checks as they were, on the n^2-scan amalgam:
+    the axioms, then each inclusion through verify_map.  The order half
+    runs first, so its failures read as the library's."""
+    order_amalgam(inst)
+    d = reference_contact_amalgam(inst)
+    report = check_contact_axioms(d)
+    if not report.ok:
+        raise AxiomViolation("amalgamated contact failed the axioms", report)
+    for side in (inst.a, inst.b):
+        inclusion = verify_map(
+            replace(side, kind=POSET), d, {name: name for name in side.names}
+        )
+        if not (inclusion.report.is_embedding and inclusion.report.order_reflecting):
+            raise AxiomViolation("inclusion into the amalgam is not an embedding")
+    return d
+
+
+def _any_outcome(call, *args):
+    """A call's result, or the type and message of whatever it raised."""
+    try:
+        return ("ok", call(*args))
+    except Exception as exc:
+        return ("raised", type(exc), str(exc))
+
+
+def _same_gluing(a, b, c, into_a, into_b):
+    """The old and new path agree on the instance and on the amalgam;
+    returns the instance outcome."""
+    expected = _any_outcome(reference_from_embeddings, a, b, c, into_a, into_b)
+    got = _any_outcome(AmalgamInstance.from_embeddings, a, b, c, into_a, into_b)
+    assert got == expected, (a, b, c, into_a, into_b)
+    if got[0] == "ok":
+        _same_parts(got[1].a, got[1].b, c)
+        _same_amalgam(got[1])
+    return got
+
+
+def _same_parts(a, b, c):
+    expected = _any_outcome(reference_from_parts, a, b, c)
+    assert _any_outcome(AmalgamInstance.from_parts, a, b, c) == expected, (a, b, c)
+    return expected
+
+
+def _same_amalgam(inst):
+    expected = _any_outcome(reference_checked_amalgam, inst)
+    assert _any_outcome(contact_amalgam, inst) == expected, inst
+    return expected
+
+
+def _raw_gluings(a, b):
+    """iter_gluings's inputs: (C, the embedding of C into b)."""
+    for size in range(1, min(a.n, b.n) + 1):
+        for subset in carrier_subsets(a, size, kind=a.kind):
+            try:
+                c = induced_substructure(a, subset)
+            except NotJoinClosed:
+                continue
+            for emb in reference_induced_embeddings(c, b):
+                yield c, emb
+
+
+def _draw(catalog, rng, max_tries=50):
+    """random_instance's draws, kept step for step: (a, b, c, emb)."""
+    for _ in range(max_tries):
+        a = rng.choice(catalog.items)
+        b = rng.choice(catalog.items)
+        size = rng.randint(1, min(a.n, b.n))
+        subsets = list(carrier_subsets(a, size, kind=a.kind))
+        if not subsets:
+            continue
+        subset = rng.choice(subsets)
+        try:
+            c = induced_substructure(a, subset)
+        except NotJoinClosed:
+            continue
+        embeddings = list(reference_induced_embeddings(c, b))
+        if not embeddings:
+            continue
+        return a, b, c, rng.choice(embeddings)
+    return None
+
+
+@pytest.mark.parametrize("kind", [POSET, SEMILATTICE])
+def test_instance_boundary_matches_reference_on_small_gluings(kind):
+    items = AgeCatalog.build(4, kind).items
+    glued = 0
+    for a in items:
+        for b in items:
+            for c, emb in _raw_gluings(a, b):
+                identity = {name: name for name in c.names}
+                assert _same_gluing(a, b, c, identity, emb)[0] == "ok"
+                glued += 1
+            assert [
+                (inst.a, inst.b, inst.c) for inst in iter_gluings(a, b)
+            ] == [
+                (i.a, i.b, i.c)
+                for c, emb in _raw_gluings(a, b)
+                for i in [reference_from_embeddings(
+                    a, b, c, {name: name for name in c.names}, emb
+                )]
+            ]
+    assert glued > 200
+
+
+def test_instance_boundary_matches_reference_on_random_draws(catalogs_6):
+    """2,000 seeded draws, 1,000 per kind; random_instance must draw the
+    same gluing as the old steps from the same seed."""
+    drawn = 0
+    for kind in (POSET, SEMILATTICE):
+        catalog = catalogs_6[kind]
+        rng_new, rng_old = random.Random(4421), random.Random(4421)
+        for _ in range(1000):
+            inst = random_instance(catalog, rng_new)
+            raw = _draw(catalog, rng_old)
+            assert (inst is None) is (raw is None)
+            if raw is None:
+                continue
+            a, b, c, emb = raw
+            got = _same_gluing(a, b, c, {name: name for name in c.names}, emb)
+            assert got == ("ok", inst)
+            drawn += 1
+    assert drawn > 1900
+
+
+def _flipped(rows, i, j):
+    rows = list(rows)
+    rows[i] ^= 1 << j
+    return tuple(rows)
+
+
+def test_instance_boundary_matches_reference_on_rejected_inputs(small_gluings):
+    """Mutated C rows, C not join-closed in a semilattice side, bottoms
+    that do not coincide, maps that are not injective or not embeddings,
+    and sides that disagree on C handed straight to contact_amalgam."""
+    rng = random.Random(4423)
+    seen = {}
+
+    def tally(outcome):
+        key = outcome[1].__name__ if outcome[0] == "raised" else "ok"
+        seen[key] = seen.get(key, 0) + 1
+
+    for kind, inst in small_gluings[::5]:
+        a, b, c = inst.a, inst.b, inst.c
+        identity = {name: name for name in c.names}
+        # C's rows mutated: for from_parts and for both maps
+        for field in ("up", "contact"):
+            i, j = rng.randrange(c.n), rng.randrange(c.n)
+            mutant = replace(c, **{field: _flipped(getattr(c, field), i, j)})
+            tally(_same_parts(a, b, mutant))
+            tally(_same_gluing(a, b, mutant, identity, identity))
+        # the bottoms apart: a side relabelled so its bottom moves
+        if c.n >= 2:
+            other = c.names[(c.bottom + 1) % c.n]
+            swap = {c.names[c.bottom]: other, other: c.names[c.bottom]}
+            moved = {name: swap.get(name, name) for name in c.names}
+            tally(_same_gluing(a, b, c, moved, identity))
+            tally(_same_parts(a.rename(swap), b, c))
+            tally(_same_amalgam(AmalgamInstance(a.rename(swap), b, c)))
+        # maps that collapse two points, or miss the host
+        if c.n >= 2:
+            collapsed = dict(identity)
+            collapsed[c.names[-1]] = c.names[0]
+            tally(_same_gluing(a, b, c, identity, collapsed))
+            tally(_same_gluing(a, b, c, {**identity, c.names[-1]: "nowhere"}, identity))
+        tally(_same_gluing(a, b, c, {}, identity))
+        # a side that disagrees with C on contact, past from_parts
+        for side in ("a", "b"):
+            host = getattr(inst, side)
+            k = host.index(c.names[rng.randrange(c.n)])
+            m = host.index(c.names[rng.randrange(c.n)])
+            if host.bottom in (k, m) or k == m:
+                continue
+            broken = replace(host, contact=_flipped(_flipped(host.contact, k, m), m, k))
+            tally(_same_amalgam(replace(inst, **{side: broken})))
+            # the same side handed to from_parts, the other side agreeing
+            parts = {"a": inst.a, "b": inst.b, side: broken}
+            tally(_same_parts(parts["a"], parts["b"], c))
+        # a map into b that is injective but not an embedding
+        if c.n >= 2 and b.n > c.n:
+            shuffled = dict(zip(c.names, rng.sample(list(b.names), c.n)))
+            tally(_same_gluing(a, b, c, identity, shuffled))
+    # C's carrier not join-closed in a semilattice side
+    for a in AgeCatalog.build(5, SEMILATTICE).items:
+        for size in range(2, a.n):
+            for subset in carrier_subsets(a, size, kind=POSET):
+                piece = induced_substructure(replace(a, kind=POSET), subset)
+                c = replace(piece, kind=SEMILATTICE)
+                identity = {name: name for name in c.names}
+                apart = {name: f"b:{name}" for name in a.names if name not in identity}
+                tally(_same_gluing(a, a, c, identity, identity))
+                tally(_same_parts(a, a.rename(apart), c))
+                # C's carrier order reversed, so that the escaping pair
+                # named is the host's first, not C's
+                order = [c.bottom] + [i for i in reversed(range(c.n)) if i != c.bottom]
+                backwards = c.relabel([order.index(i) for i in range(c.n)])
+                tally(_same_parts(a, a.rename(apart), backwards))
+    # a C name that renaming apart also gives a host element: "a:x" is
+    # C's, and x is not an image, so the renamed host holds "a:x" at x
+    # (and "b:x" likewise on side b)
+    vee = ContactStructure.build(["0", "x", "y"], "0", [("0", "x"), ("0", "y")],
+                                 [("x", "x"), ("y", "y")])
+    for tag in ("a", "b"):
+        c = ContactStructure(("0", f"{tag}:x"), 0, (0b11, 0b10), (0, 0b10), POSET)
+        good = {"0": "0", f"{tag}:x": "y"}
+        for bad in ({"0": "0", f"{tag}:x": "nowhere"}, {"0": "0", f"{tag}:x": "0"}):
+            maps = (bad, good) if tag == "a" else (good, bad)
+            assert _same_gluing(vee, vee, c, *maps)[0] == "raised"
+    # a side whose bottom s is not C's, where the amalgam passes the axioms
+    side = ContactStructure(("s", "0"), 0, (0b01, 0b10), (0b01, 0), POSET)
+    pair = ContactStructure(("0", "t"), 0, (0b11, 0b10), (0, 0b10), POSET)
+    point = ContactStructure(("0",), 0, (1,), (0,), POSET)
+    outcome = _same_amalgam(AmalgamInstance(side, pair, point))
+    assert outcome[1:] == (AxiomViolation, "inclusion into the amalgam is not an embedding")
+    assert seen.get("PreconditionViolation", 0) > 300
+    assert seen.get("NotJoinClosed", 0) > 10
+    assert seen.get("AxiomViolation", 0) > 50
+    assert seen.get("KeyError", 0) > 50
+    assert seen.get("UnknownElement", 0) > 50
+    assert seen.get("ok", 0) > 100

@@ -3,7 +3,7 @@ from itertools import permutations
 
 import pytest
 
-from contactposets.core import BottomlessContact, check_bottomless_axioms
+from contactposets.core import BottomlessContact, adjoin_bottom, check_bottomless_axioms
 from contactposets.errors import AxiomViolation, PreconditionViolation, UnknownElement
 from contactposets.events import (
     RESERVED_BOTTOM,
@@ -270,3 +270,53 @@ def test_gluing_dedup_is_one_per_instance_class(max_events, classes):
             assert set(got) == expected
             total += len(expected)
     assert total == classes
+
+
+def reference_dual(e):
+    """The bottomless dual of e, built row by row."""
+    down = [0] * e.n
+    for i in range(e.n):
+        for j in range(e.n):
+            if e.up[i] >> j & 1:
+                down[j] |= 1 << i
+    full = (1 << e.n) - 1
+    return BottomlessContact(
+        e.events, tuple(down), tuple(full & ~row for row in e.conflict)
+    )
+
+
+def test_bottomed_dual_is_checked_once(monkeypatch):
+    """with_bottom checks the dual once, and gives what adjoining the
+    reserved bottom to the checked bottomless dual gives."""
+    from contactposets import core, events
+
+    calls = []
+    real = core.check_bottomless_axioms
+
+    def counting(b):
+        calls.append(b)
+        return real(b)
+
+    monkeypatch.setattr(core, "check_bottomless_axioms", counting)
+    monkeypatch.setattr(events, "check_bottomless_axioms", counting)
+    for e in enumerate_event_structures(3):
+        calls.clear()
+        bottomed = event_to_contact(e, with_bottom=True)
+        assert len(calls) == 1
+        assert bottomed == adjoin_bottom(reference_dual(e), RESERVED_BOTTOM)
+
+
+@pytest.mark.parametrize("with_bottom", [False, True])
+def test_invalid_dual_keeps_its_message(with_bottom):
+    # asymmetric conflict: the dual's contact is not symmetric
+    e = EventStructure(("e1", "e2"), (0b01, 0b10), (0b10, 0b00))
+    with pytest.raises(AxiomViolation) as err:
+        event_to_contact(e, with_bottom=with_bottom)
+    assert str(err.value) == "dual of a valid event structure failed"
+    assert not err.value.report.check("Sym").passed
+
+
+def test_bottomed_dual_still_rejects_the_reserved_name():
+    e = EventStructure((RESERVED_BOTTOM,), (0b1,), (0b0,))
+    with pytest.raises(UnknownElement):
+        event_to_contact(e, with_bottom=True)

@@ -21,10 +21,9 @@ from contactposets.core import (
     SEMILATTICE,
     ContactStructure,
     bits,
-    join_index,
+    join_table,
     meet_table,
     overlap_relation,
-    subset_join,
     verify_map,
 )
 from contactposets.enumeration import (
@@ -34,6 +33,7 @@ from contactposets.enumeration import (
     is_distributive,
     is_distributive_by_sublattices,
     is_lattice,
+    lattice_operations,
 )
 from contactposets.errors import AxiomViolation
 from contactposets.gallery import (
@@ -49,6 +49,7 @@ from contactposets.represent import (
     macneille_completion,
     overlap_semilattice_embedding,
 )
+from join_scans import join_index, subset_join
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +127,34 @@ def reference_lattice_zero_embeddings(a, d):
             assignment[slot] = target
         if reference_full_lattice_check(a, d, assignment):
             yield tuple(assignment)
+
+
+def permutation_lattice_zero_embeddings(a, d):
+    """The search as a loop over itertools.permutations of the targets,
+    each candidate checked on every pair by table lookups."""
+    operations = lattice_operations(a)
+    if operations is None:
+        return
+    a_join, a_meet = operations
+    d_joins, d_meets = join_table(d), meet_table(d)
+    d_up, d_down = d.up, d.down_masks()
+    pairs = [
+        (i, j, a_join[i][j], a_meet[i][j])
+        for i in range(a.n)
+        for j in range(i + 1, a.n)
+    ]
+    slots = [i for i in range(a.n) if i != a.bottom]
+    others = [i for i in range(d.n) if i != d.bottom]
+    for image in permutations(others, len(slots)):
+        f = [d.bottom] * a.n
+        for slot, target in zip(slots, image):
+            f[slot] = target
+        if all(
+            d_joins.get(d_up[f[i]] & d_up[f[j]]) == f[join]
+            and d_meets.get(d_down[f[i]] & d_down[f[j]]) == f[meet]
+            for i, j, join, meet in pairs
+        ):
+            yield tuple(f)
 
 
 def reference_search_embedding(source, target):
@@ -286,6 +315,26 @@ def test_lattice_zero_embeddings_match_scan_from_every_small_lattice(
             assert got == list(reference_lattice_zero_embeddings(source, target))
             found += len(got)
     assert found > 0
+
+
+def test_pruned_search_matches_permutation_loop_on_gallery_lattices():
+    """Every lattice pair the gallery scans at bound 6 and failure bound
+    8: both sides of the failure instance and every distributive lattice
+    <= 6 as the source, every distributive lattice <= 8 as the target.
+    Same tuples in the same order."""
+    targets = enumerate_distributive_lattices(8)
+    sources = [
+        failure_instance(SEMILATTICE).a,
+        failure_instance(SEMILATTICE).b,
+        *enumerate_distributive_lattices(6),
+    ]
+    found = 0
+    for source in sources:
+        for target in targets:
+            got = list(_lattice_zero_embeddings(source, target))
+            assert got == list(permutation_lattice_zero_embeddings(source, target))
+            found += len(got)
+    assert found > 1000
 
 
 def test_lattice_zero_embeddings_of_a_non_lattice_is_empty(v_overlap):

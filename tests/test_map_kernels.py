@@ -17,8 +17,6 @@ from contactposets.core import (
     SEMILATTICE,
     ContactStructure,
     MapReport,
-    _least_of,
-    join_index,
     join_table,
     verify_map,
 )
@@ -33,6 +31,7 @@ from contactposets.fraisse import (
     embeds_extension,
     one_point_extensions,
 )
+from join_scans import join_index, least_of as _least_of
 
 
 def reference_verify_map(source, target, mapping):

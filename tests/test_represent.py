@@ -5,7 +5,6 @@ from contactposets.core import (
     ContactStructure,
     compose_maps,
     overlap_relation,
-    subset_join,
 )
 from contactposets.enumeration import is_lattice
 from contactposets.errors import NotSemilattice
@@ -21,6 +20,7 @@ from contactposets.represent import (
     overlap_semilattice_embedding,
     powerset_embedding,
 )
+from join_scans import subset_join
 
 
 class TestOverlapPosetEmbedding:

@@ -27,7 +27,6 @@ from contactposets.core import (
     check_bottomless_axioms,
     check_contact_axioms,
     is_semilattice_order,
-    join_index,
     order_failure,
 )
 from contactposets.enumeration import AgeCatalog, enumerate_posets_with_bottom
@@ -46,6 +45,7 @@ from contactposets.represent import (
     overlap_semilattice_embedding,
     powerset_embedding,
 )
+from join_scans import join_index
 
 
 # ---------------------------------------------------------------------------
