@@ -9,8 +9,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, Iterator, NamedTuple
 
 from . import amalgam as am
 from . import events as ev
@@ -20,14 +22,17 @@ from . import io as formats
 from . import represent as rp
 from .core import POSET, SEMILATTICE, ContactStructure, check_contact_axioms
 from .enumeration import AgeCatalog, enumerate_contact_structures
-from .errors import ContactError, KindMismatch
+from .errors import ContactError, KindMismatch, ParseError
 
 THEOREM_CHOICES = ("prop2", "cor3", "4a", "4b")
+CONTACT_KINDS = (POSET, SEMILATTICE)
+ALL_KINDS = (*CONTACT_KINDS, formats.EVENT)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.handler(args)
     except ContactError as exc:
@@ -35,68 +40,32 @@ def main(argv: list[str] | None = None) -> int:
         return formats.exit_code_for(exc)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand in ``COMMANDS``, or of ``command``
+    alone, which parses and reports that command's argv identically."""
     parser = argparse.ArgumentParser(
         prog="contactposets",
         description="Finite contact posets: axiom checks, representation "
         "embeddings, superamalgamation, limit stages and the gallery.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_check = sub.add_parser("check", help="validate a structure file")
-    p_check.add_argument("path")
-    p_check.add_argument("--add", action="store_true", help="also require additivity")
-    p_check.add_argument("--kind", choices=(POSET, SEMILATTICE, formats.EVENT))
-    p_check.add_argument(
-        "--close", action="store_true", help="close the contact relation instead of validating strictly"
-    )
-    p_check.set_defaults(handler=cmd_check)
-
-    p_embed = sub.add_parser("embed", help="run a representation construction")
-    p_embed.add_argument("path")
-    p_embed.add_argument("--theorem", choices=THEOREM_CHOICES, required=True)
-    p_embed.add_argument("--out")
-    p_embed.add_argument("--close", action="store_true")
-    p_embed.set_defaults(handler=cmd_embed)
-
-    p_am = sub.add_parser("amalgamate", help="amalgamate A and B over C")
-    p_am.add_argument("path_a")
-    p_am.add_argument("path_b")
-    p_am.add_argument("path_c")
-    p_am.add_argument("--kind", choices=(POSET, SEMILATTICE, formats.EVENT), default=POSET)
-    p_am.add_argument("--out")
-    p_am.set_defaults(handler=cmd_amalgamate)
-
-    p_fr = sub.add_parser("fraisse", help="build a limit stage")
-    p_fr.add_argument("--kind", choices=(POSET, SEMILATTICE), default=POSET)
-    p_fr.add_argument("--cap", type=int, default=2, help="substructure size cap")
-    p_fr.add_argument("--budget", type=int, default=8, help="number of sweeps")
-    p_fr.add_argument("--max-elements", type=int, default=64)
-    p_fr.add_argument("--out")
-    p_fr.set_defaults(handler=cmd_fraisse)
-
-    p_en = sub.add_parser("enumerate", help="catalog structures up to isomorphism")
-    p_en.add_argument("--size", type=_positive_int, required=True)
-    p_en.add_argument("--kind", choices=(POSET, SEMILATTICE), default=POSET)
-    p_en.add_argument("--out", help="directory for one catalog file per size")
-    p_en.set_defaults(handler=cmd_enumerate)
-
-    p_ga = sub.add_parser("gallery", help="run every gallery check")
-    p_ga.add_argument("--bound", type=int, default=6)
-    p_ga.add_argument("--failure-bound", type=int, default=8)
-    p_ga.set_defaults(handler=cmd_gallery)
-
-    p_dot = sub.add_parser("export-dot", help="Hasse diagram as DOT text")
-    p_dot.add_argument("path")
-    p_dot.add_argument("--contact", choices=("full", "extra", "none"), default="full")
-    p_dot.add_argument("--out")
-    p_dot.set_defaults(handler=cmd_export_dot)
-
+    # The metavar keeps a one-command parser's usage line naming every
+    # subcommand; on the full parser it would replace "command" in errors.
+    metavar = "{" + ",".join(COMMANDS) + "}" if command else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in [command] if command else COMMANDS:
+        spec = COMMANDS[name]
+        p = sub.add_parser(name, help=spec.help)
+        for flags, kwargs in spec.arguments:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(handler=spec.handler)
     return parser
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
@@ -109,8 +78,7 @@ def _positive_int(text: str) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     loaded = formats.load_structure(args.path, close=args.close)
     if args.kind and _kind_of(loaded) != args.kind:
-        print(f"kind mismatch: file holds {_kind_of(loaded)}", file=sys.stderr)
-        return 1
+        raise KindMismatch(f"kind mismatch: file holds {_kind_of(loaded)}")
     if isinstance(loaded, ev.EventStructure):
         report = ev.check_event_structure(loaded)
     else:
@@ -170,16 +138,7 @@ def _super_doc(report) -> dict[str, Any]:
 
 def _report_doc(total) -> dict[str, Any]:
     report = total.report
-    return {
-        "injective": report.injective,
-        "bottom_preserving": report.bottom_preserving,
-        "order_preserving": report.order_preserving,
-        "order_reflecting": report.order_reflecting,
-        "contact_preserving": report.contact_preserving,
-        "contact_reflecting": report.contact_reflecting,
-        "join_preserving": report.join_preserving,
-        "is_embedding": report.is_embedding,
-    }
+    return {**asdict(report), "is_embedding": report.is_embedding}
 
 
 def cmd_amalgamate(args: argparse.Namespace) -> int:
@@ -294,17 +253,12 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     print(f"{len(items)} structures of size {args.size} ({args.kind})")
     if args.out:
         directory = Path(args.out)
-        directory.mkdir(parents=True, exist_ok=True)
+        with _writing(directory):
+            directory.mkdir(parents=True, exist_ok=True)
         catalog = AgeCatalog.build(args.size, args.kind)
         for n in range(1, args.size + 1):
-            payload = [
-                formats.structure_to_doc(item) for item in catalog.by_size(n)
-            ]
-            target = directory / f"catalog-{args.kind}-{n}.json"
-            target.write_text(
-                json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                encoding="utf-8",
-            )
+            payload = [formats.structure_to_doc(item) for item in catalog.by_size(n)]
+            _emit(payload, directory / f"catalog-{args.kind}-{n}.json")
         print(f"catalog written to {directory}")
     return 0
 
@@ -319,18 +273,91 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
     loaded = formats.load_structure(args.path)
     text = formats.structure_to_dot(loaded, contact_mode=args.contact)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        with _writing(args.out):
+            Path(args.out).write_text(text, encoding="utf-8")
     else:
         print(text, end="")
     return 0
 
 
-def _emit(bundle: dict[str, Any], out: str | None) -> None:
+def _emit(bundle: Any, out: str | Path | None) -> None:
     text = json.dumps(bundle, indent=2, sort_keys=True)
     if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
+        with _writing(out):
+            Path(out).write_text(text + "\n", encoding="utf-8")
     else:
         print(text)
+
+
+@contextmanager
+def _writing(path: str | Path) -> Iterator[None]:
+    """Report a failed write to ``path`` as a ParseError (exit 2), as
+    ``load_structure`` reports a failed read."""
+    try:
+        yield
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
+# the subcommand table
+
+
+class Command(NamedTuple):
+    help: str
+    handler: Callable[[argparse.Namespace], int]
+    arguments: tuple[tuple[tuple[str, ...], dict[str, Any]], ...]
+
+
+def _arg(*flags: str, **kwargs: Any) -> tuple[tuple[str, ...], dict[str, Any]]:
+    return flags, kwargs
+
+
+_OUT = _arg("--out")
+
+COMMANDS: dict[str, Command] = {
+    "check": Command("validate a structure file", cmd_check, (
+        _arg("path"),
+        _arg("--add", action="store_true", help="also require additivity"),
+        _arg("--kind", choices=ALL_KINDS),
+        _arg("--close", action="store_true",
+             help="close the contact relation instead of validating strictly"),
+    )),
+    "embed": Command("run a representation construction", cmd_embed, (
+        _arg("path"),
+        _arg("--theorem", choices=THEOREM_CHOICES, required=True),
+        _OUT,
+        _arg("--close", action="store_true"),
+    )),
+    "amalgamate": Command("amalgamate A and B over C", cmd_amalgamate, (
+        _arg("path_a"),
+        _arg("path_b"),
+        _arg("path_c"),
+        _arg("--kind", choices=ALL_KINDS, default=POSET),
+        _OUT,
+    )),
+    "fraisse": Command("build a limit stage", cmd_fraisse, (
+        _arg("--kind", choices=CONTACT_KINDS, default=POSET),
+        _arg("--cap", type=_positive_int, default=2, help="substructure size cap"),
+        _arg("--budget", type=_positive_int, default=8, help="number of sweeps"),
+        _arg("--max-elements", type=_positive_int, default=64),
+        _OUT,
+    )),
+    "enumerate": Command("catalog structures up to isomorphism", cmd_enumerate, (
+        _arg("--size", type=_positive_int, required=True),
+        _arg("--kind", choices=CONTACT_KINDS, default=POSET),
+        _arg("--out", help="directory for one catalog file per size"),
+    )),
+    "gallery": Command("run every gallery check", cmd_gallery, (
+        _arg("--bound", type=_positive_int, default=6),
+        _arg("--failure-bound", type=_positive_int, default=8),
+    )),
+    "export-dot": Command("Hasse diagram as DOT text", cmd_export_dot, (
+        _arg("path"),
+        _arg("--contact", choices=("full", "extra", "none"), default="full"),
+        _OUT,
+    )),
+}
 
 
 if __name__ == "__main__":

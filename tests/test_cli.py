@@ -1,8 +1,16 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from contactposets.cli import main
+import contactposets
+from contactposets import cli
+from contactposets.cli import COMMANDS, build_parser, main
 from contactposets.core import POSET, ContactStructure
 from contactposets.errors import ParseError
 from contactposets.events import EventStructure
@@ -277,3 +285,214 @@ class TestExportDot:
         e = EventStructure.build(["e1", "e2"], [("e1", "e2")], [])
         text = structure_to_dot(e, "full")
         assert '"e1" -> "e2"' in text
+
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+M3 = str(FIXTURES / "m3_overlap.json")
+CHAIN = str(FIXTURES / "chain3.json")
+EVENTS = str(FIXTURES / "events3.json")
+SIDES = [str(FIXTURES / f"amalgam_{x}.json") for x in "abc"]
+
+
+def _id(argv):
+    return " ".join(argv).replace(str(FIXTURES) + os.sep, "") or "empty"
+
+
+def _outcome(parser, argv):
+    """The Namespace a parse gives, or its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return parser.parse_args(list(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+class _Built(Exception):
+    pass
+
+
+def _command_main_builds(monkeypatch, argv):
+    """The ``command`` argument ``main`` passes to ``build_parser``."""
+
+    def spy(command=None):
+        raise _Built(command)
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    with pytest.raises(_Built) as info:
+        main(list(argv))
+    monkeypatch.undo()
+    return info.value.args[0]
+
+
+VALID_ARGV = [
+    ["check", M3],
+    ["check", M3, "--add", "--kind", "poset", "--close"],
+    ["embed", CHAIN, "--theorem", "4b", "--out", "b.json", "--close"],
+    ["embed", CHAIN, "--theo", "cor3"],
+    ["amalgamate", *SIDES],
+    ["amalgamate", *SIDES, "--kind", "event", "--out", "d.json"],
+    ["fraisse"],
+    ["fraisse", "--kind", "semilattice", "--cap", "3", "--budget", "2",
+     "--max-elements", "9", "--out", "s.json"],
+    ["enumerate", "--size", "3"],
+    ["enumerate", "--size", "2", "--kind", "semilattice", "--out", "cat"],
+    ["gallery"],
+    ["gallery", "--bound", "5", "--failure-bound", "7"],
+    ["export-dot", M3],
+    ["export-dot", M3, "--contact", "extra", "--out", "m3.dot"],
+]
+
+REJECTED_ARGV = [
+    *([name, "-h"] for name in COMMANDS),
+    ["embed", CHAIN, "--theorem", "5c"],
+    ["embed", CHAIN],
+    ["amalgamate", SIDES[0], SIDES[1]],
+    ["fraisse", "--cap", "0"],
+    ["embed", CHAIN, "--theorem", "prop2", "extra"],
+    ["check", M3, "-h", "--kind", "event"],
+]
+
+TOP_LEVEL_ARGV = [[], ["-h"], ["--help"], ["bogus"], ["-h", "check"], ["--seed", "1", "check", M3]]
+
+
+class TestParserDifferential:
+    """``main`` builds only the invoked subcommand's parser; it must parse
+    and report exactly as the parser of every subcommand does."""
+
+    def test_every_subcommand_is_covered(self):
+        assert {argv[0] for argv in VALID_ARGV} == set(COMMANDS)
+
+    @pytest.mark.parametrize("argv", VALID_ARGV, ids=_id)
+    def test_valid_argv_gives_equal_namespaces(self, argv, monkeypatch):
+        command = _command_main_builds(monkeypatch, argv)
+        assert command == argv[0]
+        one = _outcome(build_parser(command), argv)
+        full = _outcome(build_parser(), argv)
+        assert one == full
+        assert one.handler is COMMANDS[argv[0]].handler
+
+    @pytest.mark.parametrize("argv", REJECTED_ARGV, ids=_id)
+    def test_help_and_errors_are_byte_identical(self, argv, monkeypatch):
+        command = _command_main_builds(monkeypatch, argv)
+        assert command == argv[0]
+        one = _outcome(build_parser(command), argv)
+        full = _outcome(build_parser(), argv)
+        assert isinstance(one, tuple)
+        assert one == full
+
+    @pytest.mark.parametrize("argv", TOP_LEVEL_ARGV, ids=_id)
+    def test_top_level_uses_the_full_parser(self, argv, monkeypatch):
+        assert _command_main_builds(monkeypatch, argv) is None
+        full = _outcome(build_parser(), argv)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with pytest.raises(SystemExit) as info:
+                main(list(argv))
+        assert (info.value.code, out.getvalue(), err.getvalue()) == full
+
+    def test_errors_name_the_command_argument(self):
+        code, _, err = _outcome(build_parser(), [])
+        assert code == 2
+        assert err.endswith("error: the following arguments are required: command\n")
+        code, _, err = _outcome(build_parser(), ["bogus"])
+        assert code == 2
+        assert "argument command: invalid choice: 'bogus'" in err
+
+
+# (argv with {name} holes filled in per test, exit code, stderr prefix)
+CONTRACT = [
+    (["check", "{missing}"], 2, "error: cannot read"),
+    (["check", "{directory}"], 2, "error: cannot read"),
+    (["check", "{malformed}"], 2, "error: invalid JSON"),
+    (["check"], 2, "usage:"),
+    (["check", M3, "--kind", "lattice"], 2, "usage:"),
+    (["check", M3, "--kind", "event"], 1, "error: kind mismatch"),
+    (["embed", "{missing}", "--theorem", "prop2"], 2, "error: cannot read"),
+    (["embed", "{malformed}", "--theorem", "prop2"], 2, "error: invalid JSON"),
+    (["embed", CHAIN, "--theorem", "5c"], 2, "usage:"),
+    (["embed", CHAIN], 2, "usage:"),
+    (["embed", EVENTS, "--theorem", "prop2"], 1, "error:"),
+    (["embed", SIDES[0], "--theorem", "4b"], 1, "error:"),
+    (["embed", CHAIN, "--theorem", "prop2", "--out", "{no_dir}"], 2, "error: cannot write"),
+    (["embed", CHAIN, "--theorem", "prop2", "--out", "{directory}"], 2, "error: cannot write"),
+    (["amalgamate", "{missing}", SIDES[1], SIDES[2]], 2, "error: cannot read"),
+    (["amalgamate", SIDES[0], "{malformed}", SIDES[2]], 2, "error: invalid JSON"),
+    (["amalgamate", SIDES[0], SIDES[1]], 2, "usage:"),
+    (["amalgamate", *SIDES, "--kind", "lattice"], 2, "usage:"),
+    (["amalgamate", EVENTS, SIDES[1], SIDES[2]], 1, "error:"),
+    (["amalgamate", *SIDES, "--kind", "semilattice"], 1, "error:"),
+    (["amalgamate", *SIDES, "--kind", "event"], 1, "error:"),
+    (["amalgamate", *SIDES, "--out", "{no_dir}"], 2, "error: cannot write"),
+    (["fraisse", "--kind", "event"], 2, "usage:"),
+    (["fraisse", "--cap", "0"], 2, "usage:"),
+    (["fraisse", "--cap", "-2"], 2, "usage:"),
+    (["fraisse", "--budget", "-1"], 2, "usage:"),
+    (["fraisse", "--max-elements", "0"], 2, "usage:"),
+    (["fraisse", "--cap", "two"], 2, "usage:"),
+    (["fraisse", "--cap", "1", "--budget", "1", "--out", "{no_dir}"], 2, "error: cannot write"),
+    (["enumerate"], 2, "usage:"),
+    (["enumerate", "--size", "0"], 2, "usage:"),
+    (["enumerate", "--size", "3", "--kind", "event"], 2, "usage:"),
+    (["enumerate", "--size", "2", "--out", "{a_file}"], 2, "error: cannot write"),
+    (["enumerate", "--size", "2", "--out", "{a_file}/sub"], 2, "error: cannot write"),
+    (["gallery", "--bound", "0"], 2, "usage:"),
+    (["gallery", "--failure-bound", "-1"], 2, "usage:"),
+    (["gallery", "--bound", "six"], 2, "usage:"),
+    (["export-dot", "{missing}"], 2, "error: cannot read"),
+    (["export-dot", "{malformed}"], 2, "error: invalid JSON"),
+    (["export-dot", M3, "--contact", "some"], 2, "usage:"),
+    (["export-dot", M3, "--out", "{no_dir}"], 2, "error: cannot write"),
+]
+
+
+class TestExitCodeContract:
+    """Every error path of every subcommand ends in its contracted exit
+    code and a one-line diagnosis, never in a traceback."""
+
+    def test_every_subcommand_is_covered(self):
+        assert {argv[0] for argv, _, _ in CONTRACT} == set(COMMANDS)
+
+    @pytest.mark.parametrize(
+        "argv, code, prefix", CONTRACT, ids=[_id(c[0]) for c in CONTRACT]
+    )
+    def test_error_path(self, argv, code, prefix, tmp_path, capsys):
+        (tmp_path / "broken.json").write_text("{not json")
+        (tmp_path / "plain-file").write_text("")
+        holes = {
+            "missing": tmp_path / "absent.json",
+            "directory": tmp_path,
+            "malformed": tmp_path / "broken.json",
+            "no_dir": tmp_path / "no-such-dir" / "out",
+            "a_file": tmp_path / "plain-file",
+        }
+        argv = [arg.format(**holes) for arg in argv]
+        try:
+            got = main(argv)
+        except SystemExit as exc:
+            got = exc.code
+        err = capsys.readouterr().err
+        assert got == code
+        assert err.startswith(prefix)
+        assert err.startswith(("usage:", "error:"))
+        assert "Traceback" not in err
+
+    def test_parse_errors_name_the_bound(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["gallery", "--bound", "0"])
+        assert "argument --bound: must be at least 1, got 0" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["fraisse", "--cap", "two"])
+        assert "argument --cap: invalid int value: 'two'" in capsys.readouterr().err
+
+
+def test_package_runs_as_a_module():
+    src = str(Path(contactposets.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "contactposets", "check", M3],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("PASS")
