@@ -10,7 +10,7 @@ C, which is what superamalgamation asks for.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .core import (
     POSET,
@@ -418,20 +418,3 @@ def _assert_joins_survive(inst: AmalgamInstance, d: ContactStructure) -> None:
                         f"join of {side.names[i]!r} and {side.names[j]!r} moved"
                     )
 
-
-# ---------------------------------------------------------------------------
-# instance assembly helpers (used by the class-property and test suites)
-
-
-def glue_instances(
-    a: ContactStructure,
-    b: ContactStructure,
-    subset_names: Iterable[str],
-    embedding: dict[str, str],
-) -> AmalgamInstance:
-    """Instance with C = the induced substructure of a on subset_names,
-    glued into b along the given name map."""
-    c = induced_substructure(a, subset_names)
-    into_a = {name: name for name in c.names}
-    into_b = {name: embedding[name] for name in c.names}
-    return AmalgamInstance.from_embeddings(a, b, c, into_a, into_b)

@@ -36,6 +36,52 @@ def bits(mask: int):
         mask ^= low
 
 
+def transpose(rows: Sequence[int]) -> tuple[int, ...]:
+    """The transposed table: bit i of out[j] is bit j of rows[i].  Of
+    up-rows this gives the down-rows.  Like mask_image, it walks bits
+    inline: both run on every row of every table they serve."""
+    out = [0] * len(rows)
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        while row:
+            low = row & -row
+            out[low.bit_length() - 1] |= bit
+            row ^= low
+    return tuple(out)
+
+
+def cover_pairs(up: Sequence[int]) -> list[tuple[int, int]]:
+    """Hasse diagram edges (i, j) of an order table, j covering i."""
+    down = transpose(up)
+    out = []
+    for i, row in enumerate(up):
+        strict = row & ~(1 << i)
+        for j in bits(strict):
+            if strict & down[j] & ~(1 << j) == 0:
+                out.append((i, j))
+    return out
+
+
+def mask_image(mask: int, perm: Sequence[int]) -> int:
+    """The image of a set of positions under perm: bit perm[i] for each
+    bit i of mask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << perm[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def relabel_rows(rows: Sequence[int], perm: Sequence[int]) -> tuple[int, ...]:
+    """A table with position i moved to perm[i]: out[perm[i]] is the
+    image of rows[i] under perm."""
+    out = [0] * len(rows)
+    for i, row in enumerate(rows):
+        out[perm[i]] = mask_image(row, perm)
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # axiom reports
 
@@ -244,43 +290,26 @@ class ContactStructure:
         return bool(self.contact[self.index(x)] >> self.index(y) & 1)
 
     def down_masks(self) -> tuple[int, ...]:
-        down = [0] * self.n
-        for i, row in enumerate(self.up):
-            for j in bits(row):
-                down[j] |= 1 << i
-        return tuple(down)
+        return transpose(self.up)
 
     def cover_pairs(self) -> list[tuple[int, int]]:
         """Hasse diagram edges (i, j) with j covering i."""
-        down = self.down_masks()
-        out = []
-        for i in range(self.n):
-            strict = self.up[i] & ~(1 << i)
-            for j in bits(strict):
-                if strict & down[j] & ~(1 << j) == 0:
-                    out.append((i, j))
-        return out
+        return cover_pairs(self.up)
 
     def with_contact(self, table: Sequence[int]) -> "ContactStructure":
         return replace(self, contact=tuple(table))
 
     def relabel(self, perm: Sequence[int]) -> "ContactStructure":
         """Move element i to position perm[i], keeping names attached."""
-        n = self.n
-        names = [""] * n
-        up = [0] * n
-        contact = [0] * n
-        for i in range(n):
-            names[perm[i]] = self.names[i]
-            row_u = row_c = 0
-            for j in bits(self.up[i]):
-                row_u |= 1 << perm[j]
-            for j in bits(self.contact[i]):
-                row_c |= 1 << perm[j]
-            up[perm[i]] = row_u
-            contact[perm[i]] = row_c
+        names = [""] * self.n
+        for i, name in enumerate(self.names):
+            names[perm[i]] = name
         return ContactStructure(
-            tuple(names), perm[self.bottom], tuple(up), tuple(contact), self.kind
+            tuple(names),
+            perm[self.bottom],
+            relabel_rows(self.up, perm),
+            relabel_rows(self.contact, perm),
+            self.kind,
         )
 
     def rename(self, mapping: Mapping[str, str]) -> "ContactStructure":
@@ -645,18 +674,21 @@ def induced_substructure(s: ContactStructure, subset: Iterable[str]) -> ContactS
         raise MissingBottom("substructure carrier must contain the bottom")
     if s.kind == SEMILATTICE:
         _require_join_closed(s, chosen)
-    up, contact = restrict(chosen, s.up, s.contact)
-    out = ContactStructure(
-        tuple(s.names[i] for i in chosen),
-        chosen.index(s.bottom),
-        up,
-        contact,
-        s.kind,
-    )
+    out = _restriction(s, chosen)
     report = check_contact_axioms(out)
     if not report.ok:
         raise AxiomViolation("induced substructure failed self-check", report)
     return out
+
+
+def _restriction(s: ContactStructure, chosen: Sequence[int]) -> ContactStructure:
+    """induced_substructure on ascending positions that hold the bottom
+    (and are join-closed in a semilattice), unchecked: the axioms are
+    universal, so a restriction of a valid s is valid."""
+    up, contact = restrict(chosen, s.up, s.contact)
+    return ContactStructure(
+        tuple(s.names[i] for i in chosen), chosen.index(s.bottom), up, contact, s.kind
+    )
 
 
 def _require_join_closed(s: ContactStructure, chosen: Sequence[int]) -> None:

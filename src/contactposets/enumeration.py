@@ -30,9 +30,12 @@ from .core import (
     check_contact_axioms,
     is_semilattice_order,
     join_table,
+    mask_image,
     meet_table,
     overlap_relation,
+    relabel_rows,
     restrict,
+    transpose,
 )
 from .errors import AxiomViolation
 
@@ -263,22 +266,32 @@ def isomorphisms(
 # poset carriers
 
 
-def _poset_key(n: int, up: Sequence[int]) -> tuple:
-    key, _ = canonical_table_key(n, (tuple(up),))
-    return key
-
-
-def _down_sets(n: int, up: Sequence[int]) -> list[int]:
-    """All downward-closed subsets of an n-element order table."""
-    down = [0] * n
-    for i in range(n):
-        for j in bits(up[i]):
-            down[j] |= 1 << i
+def _down_sets(up: Sequence[int]) -> list[int]:
+    """All downward-closed subsets of an order table."""
+    down = transpose(up)
     out = []
-    for mask in range(1 << n):
+    for mask in range(1 << len(up)):
         if all(down[i] & ~mask == 0 for i in bits(mask)):
             out.append(mask)
     return out
+
+
+def _grown(small: Sequence[int]) -> Iterator[list[int]]:
+    """small with one new maximal point above each of its down-sets in
+    turn, the new point last."""
+    top = 1 << len(small)
+    for ideal in _down_sets(small):
+        up = [row | top if ideal >> i & 1 else row for i, row in enumerate(small)]
+        up.append(top)
+        yield up
+
+
+def _keep_canonical(found: dict[tuple, tuple[int, ...]], up: Sequence[int]) -> None:
+    """Record up's canonical relabelling under its canonical key, unless
+    its class is already recorded."""
+    key, perm = canonical_table_key(len(up), (tuple(up),))
+    if key not in found:
+        found[key] = relabel_rows(up, perm)
 
 
 @lru_cache(maxsize=None)
@@ -294,19 +307,8 @@ def enumerate_posets(k: int) -> tuple[tuple[int, ...], ...]:
         return ((1,),)
     seen: dict[tuple, tuple[int, ...]] = {}
     for small in enumerate_posets(k - 1):
-        for ideal in _down_sets(k - 1, small):
-            up = [row | 1 << (k - 1) if ideal >> i & 1 else row
-                  for i, row in enumerate(small)]
-            up.append(1 << (k - 1))
-            key, perm = canonical_table_key(k, (tuple(up),))
-            if key not in seen:
-                relabeled = [0] * k
-                for i in range(k):
-                    row = 0
-                    for j in bits(up[i]):
-                        row |= 1 << perm[j]
-                    relabeled[perm[i]] = row
-                seen[key] = tuple(relabeled)
+        for up in _grown(small):
+            _keep_canonical(seen, up)
     return tuple(seen[key] for key in sorted(seen))
 
 
@@ -470,55 +472,6 @@ def is_distributive(s: ContactStructure) -> bool:
     return True
 
 
-def is_distributive_by_sublattices(s: ContactStructure) -> bool:
-    """Distributivity as absence of diamond and pentagon sublattices.
-
-    Cross-checked against the triple law in the tests; a sublattice here
-    is any subset closed under the ambient joins and meets.
-    """
-    operations = lattice_operations(s)
-    if operations is None:
-        return False
-    join, meet = operations
-    for quint in combinations(range(s.n), 5):
-        closed = all(
-            join[a][b] in quint and meet[a][b] in quint
-            for a in quint
-            for b in quint
-        )
-        if not closed:
-            continue
-        sub = [
-            [bool(s.up[a] >> b & 1) for b in quint]
-            for a in quint
-        ]
-        if _is_m3_or_n5(sub):
-            return False
-    return True
-
-
-def _is_m3_or_n5(leq: list[list[bool]]) -> bool:
-    n = 5
-    below = [sum(1 for a in range(n) if leq[a][b]) for b in range(n)]
-    bot = below.index(1)
-    top = below.index(5)
-    mid = [i for i in range(n) if i not in (bot, top)]
-    incomparable = [
-        (a, b)
-        for a in mid
-        for b in mid
-        if a < b and not leq[a][b] and not leq[b][a]
-    ]
-    if len(incomparable) == 3:
-        return True  # three pairwise incomparable midpoints: diamond
-    if len(incomparable) == 2:
-        chain = [
-            (a, b) for a in mid for b in mid if a != b and leq[a][b]
-        ]
-        return len(chain) == 1  # pentagon: one comparable pair among mid
-    return False
-
-
 # ---------------------------------------------------------------------------
 # the catalog
 
@@ -594,29 +547,17 @@ def _ideal_bounded_posets(max_ideals: int) -> tuple[tuple[int, tuple[int, ...]],
     """Posets (size, table) whose number of down-sets stays within the
     bound; grown like enumerate_posets but pruned by ideal count."""
     out: list[tuple[int, tuple[int, ...]]] = [(0, ())]
-    layer: dict[tuple, tuple[int, ...]] = {_poset_key(0, ()): ()}
+    layer: list[tuple[int, ...]] = [()]
     k = 0
     while layer:
         k += 1
         grown: dict[tuple, tuple[int, ...]] = {}
-        for small in layer.values():
-            for ideal in _down_sets(k - 1, small):
-                up = [row | 1 << (k - 1) if ideal >> i & 1 else row
-                      for i, row in enumerate(small)]
-                up.append(1 << (k - 1))
-                if len(_down_sets(k, up)) > max_ideals:
-                    continue
-                key, perm = canonical_table_key(k, (tuple(up),))
-                if key not in grown:
-                    relabeled = [0] * k
-                    for i in range(k):
-                        row = 0
-                        for j in bits(up[i]):
-                            row |= 1 << perm[j]
-                        relabeled[perm[i]] = row
-                    grown[key] = tuple(relabeled)
-        out.extend((k, table) for table in grown.values())
-        layer = grown
+        for small in layer:
+            for up in _grown(small):
+                if len(_down_sets(up)) <= max_ideals:
+                    _keep_canonical(grown, up)
+        layer = list(grown.values())
+        out.extend((k, table) for table in layer)
     return tuple(out)
 
 
@@ -630,8 +571,7 @@ def enumerate_distributive_lattices(max_size: int) -> tuple[ContactStructure, ..
     """
     out = []
     for _, table in _ideal_bounded_posets(max_size):
-        k = len(table)
-        ideals = sorted(_down_sets(k, table))
+        ideals = sorted(_down_sets(table))
         m = len(ideals)
         if m > max_size:
             continue
@@ -760,3 +700,43 @@ def induced_embeddings(
     s_names, t_names = s.names, t.names
     for f in found:
         yield {name: t_names[j] for name, j in zip(s_names, f)}
+
+
+def gluings_up_to_iso(
+    a: ContactStructure, b: ContactStructure
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """One gluing of b onto a per isomorphism class of instances: pairs
+    (C's positions in a, ascending; their images' positions in b).
+
+    Gluings that automorphisms of a and b carry onto each other give
+    isomorphic instances, so one per orbit of Aut(a) x Aut(b) keeps a
+    sweep exhaustive up to isomorphism (McKay, "Isomorph-free exhaustive
+    generation", 1998).  A carrier subset is kept when its mask is the
+    least of its orbit under Aut(a).  An embedding of C into b is kept
+    when its index map is the least of its orbit under the subset's
+    stabiliser in Aut(a), acting on C, times Aut(b).  Subsets and maps
+    come from _carrier_positions and the memoised _embedding_table, read
+    with a's kind on both sides as induced_embeddings reads them.
+    """
+    auts_a, auts_b = automorphisms(a), automorphisms(b)
+    b_rows = _Rows(b.bottom, tuple(b.up), tuple(b.contact), a.kind)
+    for size in range(1, min(a.n, b.n) + 1):
+        for chosen in _carrier_positions(a, size, a.kind):
+            mask = sum(1 << i for i in chosen)
+            images = [mask_image(mask, alpha) for alpha in auts_a]
+            if min(images) < mask:
+                continue
+            stabiliser = [
+                [chosen.index(alpha[i]) for i in chosen]
+                for alpha, image in zip(auts_a, images)
+                if image == mask
+            ]
+            up, contact = restrict(chosen, a.up, a.contact)
+            c_rows = _Rows(chosen.index(a.bottom), up, contact, a.kind)
+            for f in _embedding_table(c_rows, b_rows):
+                if all(
+                    tuple([beta[f[k]] for k in sigma]) >= f
+                    for sigma in stabiliser
+                    for beta in auts_b
+                ):
+                    yield chosen, f

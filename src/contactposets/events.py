@@ -23,7 +23,9 @@ from .core import (
     drop_bottom,
     normalize_order,
     restrict,
+    transpose,
 )
+from .enumeration import AgeCatalog, gluings_up_to_iso
 from .errors import AxiomViolation, PreconditionViolation, UnknownElement
 
 RESERVED_BOTTOM = "__bot__"
@@ -128,14 +130,9 @@ def event_to_contact(
     once, here); with_bottom adjoins the reserved bottom and returns a
     full contact structure.
     """
-    n = e.n
-    down = [0] * n
-    for i in range(n):
-        for j in bits(e.up[i]):
-            down[j] |= 1 << i
-    full = (1 << n) - 1
+    full = (1 << e.n) - 1
     contact = tuple(full & ~row for row in e.conflict)
-    dual = BottomlessContact(e.events, tuple(down), contact)
+    dual = BottomlessContact(e.events, transpose(e.up), contact)
     report = check_bottomless_axioms(dual)
     if not report.ok:
         raise AxiomViolation("dual of a valid event structure failed", report)
@@ -149,14 +146,9 @@ def contact_to_event(b: BottomlessContact) -> EventStructure:
     report = check_bottomless_axioms(b)
     if not report.ok:
         raise AxiomViolation("input fails the bottomless contact axioms", report)
-    n = b.n
-    down = [0] * n
-    for i in range(n):
-        for j in bits(b.up[i]):
-            down[j] |= 1 << i
-    full = (1 << n) - 1
+    full = (1 << b.n) - 1
     conflict = tuple(full & ~row for row in b.contact)
-    out = EventStructure(b.names, tuple(down), conflict)
+    out = EventStructure(b.names, transpose(b.up), conflict)
     inner = check_event_structure(out)
     if not inner.ok:
         raise AxiomViolation("dual event structure failed", inner)
@@ -247,8 +239,6 @@ def _first_disagreement(
 def enumerate_event_structures(max_events: int) -> tuple[EventStructure, ...]:
     """All event structures with at most max_events events, up to
     isomorphism: exactly the duals of the contact catalog one size up."""
-    from .enumeration import AgeCatalog
-
     catalog = AgeCatalog.build(max_events + 1)
     out = []
     for item in catalog.items:
@@ -262,81 +252,22 @@ def sub_event(e: EventStructure, chosen: Sequence[int]) -> EventStructure:
     return EventStructure(tuple(e.events[i] for i in chosen), up, conflict)
 
 
-def event_isomorphisms(a: EventStructure, b: EventStructure) -> list[tuple[int, ...]]:
-    """Index permutations carrying a onto b (order and conflict)."""
-    from itertools import permutations
-
-    if a.n != b.n:
-        return []
-    out = []
-    for perm in permutations(range(a.n)):
-        if all(
-            (a.up[i] >> j & 1) == (b.up[perm[i]] >> perm[j] & 1)
-            and (a.conflict[i] >> j & 1) == (b.conflict[perm[i]] >> perm[j] & 1)
-            for i in range(a.n)
-            for j in range(a.n)
-        ):
-            out.append(perm)
-    return out
-
-
-def event_automorphisms(e: EventStructure) -> list[tuple[int, ...]]:
-    return event_isomorphisms(e, e)
-
-
 def iter_event_gluings(
     a: EventStructure, b: EventStructure
 ) -> Iterator[tuple[EventStructure, EventStructure, EventStructure]]:
     """Ways of gluing b onto a along a common part, one per instance
-    isomorphism class.
+    isomorphism class, as renamed-apart triples (a', b', c).
 
-    Gluings differing only by automorphisms of the sides produce
-    isomorphic amalgamation problems, so orbit representatives keep the
-    verification exhaustive up to isomorphism at a fraction of the cost.
-    Yields renamed-apart triples (a', b', c).
+    A sub-event structure on S is dual to the substructure on S plus the
+    reserved bottom, so the gluings are those of the bottomed duals
+    (enumeration.gluings_up_to_iso) with the bottom, position 0 on both
+    sides, dropped.
     """
-    auts_a = event_automorphisms(a)
-    auts_b = event_automorphisms(b)
-
-    def mask_image(mask: int, perm: Sequence[int]) -> int:
-        out = 0
-        for i in bits(mask):
-            out |= 1 << perm[i]
-        return out
-
-    subset_reps = []
-    seen_masks = set()
-    for mask in range(1 << a.n):
-        canon = min(mask_image(mask, alpha) for alpha in auts_a)
-        if canon in seen_masks:
-            continue
-        seen_masks.add(canon)
-        subset_reps.append(mask)
-    for mask in subset_reps:
-        chosen = list(bits(mask))
-        c = sub_event(a, chosen)
-        stabilizer = [
-            tuple(chosen.index(alpha[i]) for i in chosen)
-            for alpha in auts_a
-            if mask_image(mask, alpha) == mask
-        ]
-        seen_maps: set[tuple[int, ...]] = set()
-        for size_mask in range(1 << b.n):
-            if bin(size_mask).count("1") != c.n:
-                continue
-            target = list(bits(size_mask))
-            piece = sub_event(b, target)
-            for perm in event_isomorphisms(c, piece):
-                mapping = tuple(target[perm[k]] for k in range(c.n))
-                canon_map = min(
-                    tuple(beta[mapping[sigma[k]]] for k in range(c.n))
-                    for sigma in stabilizer
-                    for beta in auts_b
-                )
-                if canon_map in seen_maps:
-                    continue
-                seen_maps.add(canon_map)
-                yield _rename_gluing(a, b, c, mapping)
+    ca = event_to_contact(a, with_bottom=True)
+    cb = event_to_contact(b, with_bottom=True)
+    for chosen, image in gluings_up_to_iso(ca, cb):
+        c = sub_event(a, [i - 1 for i in chosen[1:]])
+        yield _rename_gluing(a, b, c, [j - 1 for j in image[1:]])
 
 
 def _rename_gluing(

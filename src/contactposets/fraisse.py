@@ -22,6 +22,7 @@ from .core import (
     POSET,
     SEMILATTICE,
     ContactStructure,
+    _restriction,
     bits,
     induced_substructure,
     join_table,
@@ -29,12 +30,13 @@ from .core import (
 )
 from .enumeration import (
     AgeCatalog,
+    _carrier_positions,
     canonical_key,
     canonical_table_key,
     carrier_subsets,
     induced_embeddings,
 )
-from .errors import NotJoinClosed, PreconditionViolation
+from .errors import PreconditionViolation
 
 
 # ---------------------------------------------------------------------------
@@ -440,11 +442,8 @@ def iter_gluings(
 ) -> Iterator[AmalgamInstance]:
     """Every way of gluing b onto a along a common induced substructure."""
     for size in range(1, min(a.n, b.n) + 1):
-        for subset in carrier_subsets(a, size, kind=a.kind):
-            try:
-                c = induced_substructure(a, subset)
-            except NotJoinClosed:
-                continue
+        for chosen in _carrier_positions(a, size, a.kind):
+            c = _restriction(a, chosen)
             for emb in induced_embeddings(c, b):
                 yield AmalgamInstance.from_embeddings(
                     a, b, c, {name: name for name in c.names}, emb
@@ -546,14 +545,10 @@ def random_instance(
         a = rng.choice(catalog.items)
         b = rng.choice(catalog.items)
         size = rng.randint(1, min(a.n, b.n))
-        subsets = list(carrier_subsets(a, size, kind=a.kind))
+        subsets = list(_carrier_positions(a, size, a.kind))
         if not subsets:
             continue
-        subset = rng.choice(subsets)
-        try:
-            c = induced_substructure(a, subset)
-        except NotJoinClosed:
-            continue
+        c = _restriction(a, rng.choice(subsets))
         embeddings = list(induced_embeddings(c, b))
         if not embeddings:
             continue

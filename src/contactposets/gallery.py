@@ -30,7 +30,7 @@ from .enumeration import (
     induced_embeddings,
     lattice_operations,
 )
-from .errors import NotSemilattice
+from .errors import BudgetExceeded, NotSemilattice
 
 
 def m3(variant: str = "overlap") -> ContactStructure:
@@ -201,7 +201,6 @@ class FailureReport:
     def ok(self) -> bool:
         return (
             self.amalgams_found == 0
-            and self.candidate_pairs > 0
             and self.identifications == self.candidate_pairs
             and self.poset_contrast_ok
             and self.semilattice_contrast_ok
@@ -272,7 +271,9 @@ def check_distributive_amalgam_failure(bound: int) -> FailureReport:
     embeddings of the two sides agreeing on the chain.  The mechanism is
     certified separately: every contact-free candidate pair identifies
     the two fresh complements, which the contact requirements then
-    contradict, so the bounded search is decisive for every size.
+    contradict, so the bounded search is decisive for every size.  A
+    bound too small to hold any candidate pair refutes nothing and
+    raises BudgetExceeded.
     """
     inst = failure_instance(SEMILATTICE)
     a, b, c = inst.a, inst.b, inst.c
@@ -306,6 +307,11 @@ def check_distributive_amalgam_failure(bound: int) -> FailureReport:
                     b, contact_target, g
                 ):
                     amalgams += 1
+    if not candidate_pairs:
+        raise BudgetExceeded(
+            f"no candidate pair of embeddings in a distributive lattice with at "
+            f"most {bound} elements; the failure search needs a larger bound"
+        )
     poset_inst = failure_instance(POSET)
     d = contact_amalgam(poset_inst)
     poset_ok = verify_superamalgamation(poset_inst, d).ok

@@ -17,6 +17,7 @@ from .core import (
     SEMILATTICE,
     ContactStructure,
     bits,
+    cover_pairs,
     overlap_relation,
 )
 from .errors import ContactError, ParseError
@@ -46,16 +47,7 @@ def structure_to_doc(s: ContactStructure) -> dict[str, Any]:
 
 
 def event_to_doc(e: EventStructure) -> dict[str, Any]:
-    cover = []
-    down = [0] * e.n
-    for i in range(e.n):
-        for j in bits(e.up[i]):
-            down[j] |= 1 << i
-    for i in range(e.n):
-        strict = e.up[i] & ~(1 << i)
-        for j in bits(strict):
-            if strict & down[j] & ~(1 << j) == 0:
-                cover.append([e.events[i], e.events[j]])
+    cover = [[e.events[i], e.events[j]] for i, j in cover_pairs(e.up)]
     pairs = []
     for i in range(e.n):
         for j in bits(e.conflict[i]):
@@ -173,22 +165,19 @@ def structure_to_dot(
         raise ParseError(f"unknown contact mode {contact_mode!r}")
     if isinstance(s, EventStructure):
         names = s.events
-        doc = event_to_doc(s)
-        covers = doc["order"]
         extra_rows = s.conflict
         baseline = [0] * s.n
         style = "conflict"
     else:
         names = s.names
-        covers = [[s.names[i], s.names[j]] for i, j in s.cover_pairs()]
         extra_rows = s.contact
         baseline = list(overlap_relation(s)) if contact_mode == "extra" else [0] * s.n
         style = "contact"
     lines = ["digraph structure {", "  rankdir=BT;"]
     for name in names:
         lines.append(f'  "{name}";')
-    for low, high in covers:
-        lines.append(f'  "{low}" -> "{high}";')
+    for low, high in cover_pairs(s.up):
+        lines.append(f'  "{names[low]}" -> "{names[high]}";')
     if contact_mode != "none":
         for i, name in enumerate(names):
             for j in bits(extra_rows[i]):

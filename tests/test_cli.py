@@ -242,6 +242,17 @@ class TestGalleryCommand:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
 
+    @pytest.mark.parametrize("failure_bound", [1, 2, 3])
+    def test_failure_bound_without_candidates_exits_3(self, failure_bound, capsys):
+        # the smallest lattice holding a candidate pair has 4 elements, so
+        # a search below it refutes nothing
+        argv = ["gallery", "--bound", "1", "--failure-bound", str(failure_bound)]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert "FAIL" not in captured.out
+        assert captured.err.startswith("error: no candidate pair")
+        assert f"at most {failure_bound} elements" in captured.err
+
 
 class TestExportDot:
     def test_chain_edges(self, tmp_path, chain3):

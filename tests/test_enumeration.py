@@ -24,13 +24,13 @@ from contactposets.enumeration import (
     enumerate_posets,
     enumerate_posets_with_bottom,
     is_distributive,
-    is_distributive_by_sublattices,
     is_lattice,
     is_semilattice,
     isomorphic,
 )
 from contactposets.errors import AxiomViolation
 from contactposets.gallery import m3
+from sublattice_oracle import is_distributive_by_sublattices
 
 
 def _carriers(n, kind):

@@ -4,6 +4,7 @@ from itertools import permutations
 import pytest
 
 from contactposets.core import BottomlessContact, adjoin_bottom, check_bottomless_axioms
+from contactposets.enumeration import automorphisms
 from contactposets.errors import AxiomViolation, PreconditionViolation, UnknownElement
 from contactposets.events import (
     RESERVED_BOTTOM,
@@ -13,7 +14,6 @@ from contactposets.events import (
     contact_to_event,
     enumerate_event_structures,
     event_to_contact,
-    event_automorphisms,
     iter_event_gluings,
     sub_event,
 )
@@ -194,7 +194,7 @@ class TestAmalgamation:
 class TestGluingHelpers:
     def test_automorphisms_of_antichain(self):
         e = EventStructure.build(["x", "y", "z"])
-        assert len(event_automorphisms(e)) == 6
+        assert len(automorphisms(event_to_contact(e, with_bottom=True))) == 6
 
     def test_sub_event(self):
         e = EventStructure.build(["e1", "e2", "e3"], [("e1", "e2")], [("e2", "e3")])

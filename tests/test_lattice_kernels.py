@@ -28,10 +28,8 @@ from contactposets.core import (
 )
 from contactposets.enumeration import (
     AgeCatalog,
-    _is_m3_or_n5,
     enumerate_distributive_lattices,
     is_distributive,
-    is_distributive_by_sublattices,
     is_lattice,
     lattice_operations,
 )
@@ -50,6 +48,7 @@ from contactposets.represent import (
     overlap_semilattice_embedding,
 )
 from join_scans import join_index, subset_join
+from sublattice_oracle import _is_m3_or_n5, is_distributive_by_sublattices
 
 
 # ---------------------------------------------------------------------------
