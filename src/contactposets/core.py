@@ -682,9 +682,9 @@ def induced_substructure(s: ContactStructure, subset: Iterable[str]) -> ContactS
 
 
 def _restriction(s: ContactStructure, chosen: Sequence[int]) -> ContactStructure:
-    """induced_substructure on ascending positions that hold the bottom
-    (and are join-closed in a semilattice), unchecked: the axioms are
-    universal, so a restriction of a valid s is valid."""
+    """induced_substructure on positions that hold the bottom (and are
+    join-closed in a semilattice), in the order given, unchecked: the
+    axioms are universal, so a restriction of a valid s is valid."""
     up, contact = restrict(chosen, s.up, s.contact)
     return ContactStructure(
         tuple(s.names[i] for i in chosen), chosen.index(s.bottom), up, contact, s.kind
@@ -955,7 +955,8 @@ def adjoin_bottom(
 def _adjoin_checked_bottom(
     b: BottomlessContact, bottom_name: str, kind: str = POSET
 ) -> ContactStructure:
-    """adjoin_bottom for a b whose bottomless axioms have been checked."""
+    """adjoin_bottom for a b whose bottomless axioms have been checked.
+    b's order rows are checked as given: reflexivity is not supplied."""
     if bottom_name in b.names:
         raise UnknownElement(f"bottom name {bottom_name!r} collides with an element")
     n = b.n
@@ -963,7 +964,7 @@ def _adjoin_checked_bottom(
     up = [(1 << (n + 1)) - 1]
     contact = [0]
     for i in range(n):
-        up.append(b.up[i] << 1 | 1 << (i + 1))
+        up.append(b.up[i] << 1)
         contact.append(b.contact[i] << 1)
     out = ContactStructure(names, 0, tuple(up), tuple(contact), kind)
     _check_order_tables(out.up, 0)

@@ -195,16 +195,6 @@ def automorphisms(s: ContactStructure) -> list[tuple[int, ...]]:
     return list(isomorphisms(s, s))
 
 
-def _is_isomorphism_perm(s, t, perm: Sequence[int]) -> bool:
-    for i in range(s.n):
-        for j in range(s.n):
-            if (s.up[i] >> j & 1) != (t.up[perm[i]] >> perm[j] & 1):
-                return False
-            if (s.contact[i] >> j & 1) != (t.contact[perm[i]] >> perm[j] & 1):
-                return False
-    return perm[s.bottom] == t.bottom
-
-
 def _bottom_colors(s) -> tuple[int, ...]:
     """The refined colouring of s from the bottom-pinned start, the one
     isomorphisms matches colour classes by."""
@@ -222,6 +212,13 @@ def isomorphisms(
     s_colors are s's refined colours (_bottom_colors(s)); a caller that
     matches one source against many targets computes them once.  Only
     n, kind, bottom and the rows of s and t are read.
+
+    Precondition: both orders are reflexive, both contacts symmetric,
+    and either every element but the bottom touches itself on both sides
+    (Ref) or none does: valid structures, their restrictions that keep
+    the bottom and the empty-contact carriers of _orbit_least_upsets.
+    Then a completed map needs no re-check: every off-diagonal pair was
+    compared, and the bottom, alone in colour 0, goes to the bottom.
     """
     if s.n != t.n or s.kind != t.kind:
         return
@@ -237,9 +234,7 @@ def isomorphisms(
 
     def rec(k: int, acc: dict[int, int], used: set[int]) -> Iterator[tuple[int, ...]]:
         if k == len(order):
-            perm = tuple(acc[i] for i in range(s.n))
-            if _is_isomorphism_perm(s, t, perm):
-                yield perm
+            yield tuple(acc[i] for i in range(s.n))
             return
         i = order[k]
         for j in slots.get(s_colors[i], ()):

@@ -488,6 +488,13 @@ class TestExitCodeContract:
         assert err.startswith(("usage:", "error:"))
         assert "Traceback" not in err
 
+    def test_event_file_without_elements_reads_its_conflict(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        doc = {"kind": "event", "elements": [], "order": [], "conflict": [["x", "y"]]}
+        path.write_text(json.dumps(doc))
+        assert main(["check", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: unknown event 'x' in conflict pair")
+
     def test_parse_errors_name_the_bound(self, capsys):
         with pytest.raises(SystemExit):
             main(["gallery", "--bound", "0"])

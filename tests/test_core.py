@@ -332,6 +332,11 @@ class TestBottomless:
             again = adjoin_bottom(stripped, item.names[item.bottom], kind=item.kind)
             assert again == item
 
+    def test_order_checked_as_given(self):
+        b = BottomlessContact(("e", "f"), (0b01, 0b00), (0b11, 0b11))
+        with pytest.raises(AxiomViolation, match="order not reflexive at index 2"):
+            adjoin_bottom(b, "0")
+
     def test_name_collision_rejected(self):
         b = BottomlessContact(("e",), (1,), (1,))
         with pytest.raises(UnknownElement):

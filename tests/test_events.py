@@ -37,6 +37,13 @@ class TestValidation:
         with pytest.raises(UnknownElement):
             EventStructure.build([RESERVED_BOTTOM], [], [])
 
+    def test_empty_carrier_reads_its_pairs(self):
+        assert EventStructure.build([]) == EventStructure((), (), ())
+        with pytest.raises(UnknownElement, match="unknown event 'x' in conflict pair"):
+            EventStructure.build([], [], [("x", "y")])
+        with pytest.raises(UnknownElement, match="unknown element 'x' in order pair"):
+            EventStructure.build([], [("x", "y")])
+
 
 class TestDuality:
     def test_conflict_free_chain(self):
