@@ -17,6 +17,7 @@ from .core import (
     SEMILATTICE,
     ContactStructure,
     StructureMap,
+    _fresh_names,
     _pull_back,
     _require_join_closed,
     _runs,
@@ -102,8 +103,8 @@ class AmalgamInstance:
         that fast path fails, and the old order of checks then raises
         what it always raised.
         """
-        fresh_a = _fresh_names(a, into_a, "a")
-        fresh_b = _fresh_names(b, into_b, "b")
+        fresh_a = _fresh_names(a.names, into_a, "a")
+        fresh_b = _fresh_names(b.names, into_b, "b")
         if _lands(c, into_a, fresh_a) and _lands(c, into_b, fresh_b):
             try:
                 return cls.from_parts(a.rename(fresh_a), b.rename(fresh_b), c)
@@ -114,15 +115,6 @@ class AmalgamInstance:
             if not (checked.report.is_embedding and checked.report.order_reflecting):
                 raise PreconditionViolation("the given maps are not embeddings")
         return cls.from_parts(a.rename(fresh_a), b.rename(fresh_b), c)
-
-
-def _fresh_names(
-    host: ContactStructure, emb: dict[str, str], tag: str
-) -> dict[str, str]:
-    """host's renaming apart: each image of emb takes the name it is the
-    image of, every other element is prefixed with tag."""
-    back = {image: name for name, image in emb.items()}
-    return {name: back.get(name, f"{tag}:{name}") for name in host.names}
 
 
 def _lands(c: ContactStructure, emb: dict[str, str], fresh: dict[str, str]) -> bool:

@@ -190,7 +190,9 @@ def order_failure(up: Sequence[int]) -> tuple[int, int, str] | None:
     return None
 
 
-def _check_order_tables(up: Sequence[int], bottom: int) -> None:
+def _check_order_tables(up: Sequence[int], bottom: int | None = None) -> None:
+    """Raise on the first order_failure of up, then, given a bottom, if
+    it is not below every element."""
     failure = order_failure(up)
     if failure is not None:
         i, j, law = failure
@@ -199,7 +201,7 @@ def _check_order_tables(up: Sequence[int], bottom: int) -> None:
         if law == "antisymmetric":
             raise CycleError(f"antisymmetry violated at indices {i}, {j}")
         raise AxiomViolation(f"order not transitive at indices {i}, {j}")
-    if up[bottom] != (1 << len(up)) - 1:
+    if bottom is not None and up[bottom] != (1 << len(up)) - 1:
         raise AxiomViolation("bottom is not below every element")
 
 
@@ -537,28 +539,22 @@ def _additivity_check(s: ContactStructure) -> AxiomCheck:
 
 
 def overlap_relation(s: ContactStructure) -> tuple[int, ...]:
-    """Contact table relating a, b iff a nonzero n lies below both."""
-    down = s.down_masks()
+    """Contact table relating a, b iff a nonzero n lies below both.
+
+    A nonzero n below both has a minimal nonzero element below it, so a
+    and b overlap iff both lie above one minimal nonzero m: each m ORs
+    its up-row into the rows of its members.  The bottom lies above no
+    m, so its row stays empty.  Overlap is a valid contact relation on
+    every partial order with a bottom, so the table is not checked here;
+    each caller that builds a structure from it checks that structure.
+    """
+    rows = [0] * s.n
     nonzero = ~(1 << s.bottom)
-    rows = tuple(
-        0
-        if i == s.bottom
-        else _overlap_row(down, down[i] & nonzero, s.n, s.bottom)
-        for i in range(s.n)
-    )
-    out = s.with_contact(rows)
-    report = check_contact_axioms(out)
-    if not report.ok:
-        raise AxiomViolation("overlap relation failed self-check", report)
-    return rows
-
-
-def _overlap_row(down: Sequence[int], strict_down: int, n: int, bottom: int) -> int:
-    row = 0
-    for j in range(n):
-        if j != bottom and down[j] & strict_down:
-            row |= 1 << j
-    return row
+    for m, below in enumerate(s.down_masks()):
+        if below & nonzero == 1 << m:
+            for a in bits(s.up[m]):
+                rows[a] |= s.up[m]
+    return tuple(rows)
 
 
 def close_contact(
@@ -695,17 +691,27 @@ def _require_join_closed(s: ContactStructure, chosen: Sequence[int]) -> None:
     """NotJoinClosed unless the join in s of every pair of the chosen
     positions (ascending) exists and is chosen; the message names the
     first pair that escapes."""
+    escape = _join_escape(join_table(s), s.up, chosen)
+    if escape is not None:
+        a, b = escape
+        raise NotJoinClosed(f"join of {s.names[a]!r} and {s.names[b]!r} escapes the subset")
+
+
+def _join_escape(
+    joins: Mapping[int, int], up: Sequence[int], chosen: Sequence[int]
+) -> tuple[int, int] | None:
+    """The first pair (a, b) of chosen positions, in the given order,
+    whose join (read in joins, a join_table) is missing or not chosen;
+    None when the chosen positions are join-closed."""
     mask = 0
     for i in chosen:
         mask |= 1 << i
-    joins, up = join_table(s), s.up
     for a in chosen:
         for b in chosen:
             j = joins.get(up[a] & up[b])
             if j is None or not mask >> j & 1:
-                raise NotJoinClosed(
-                    f"join of {s.names[a]!r} and {s.names[b]!r} escapes the subset"
-                )
+                return a, b
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -760,6 +766,17 @@ def index_map(names: Sequence[str]) -> dict[str, int]:
     ``tuple.index``."""
     n = len(names)
     return dict(zip(reversed(names), range(n - 1, -1, -1)))
+
+
+def _fresh_names(
+    names: Sequence[str], emb: Mapping[str, str], tag: str
+) -> dict[str, str]:
+    """Renaming a carrier apart from another along a common part: each
+    image of emb takes the name it is the image of, every other name is
+    prefixed with tag.  Both the contact instances and the event gluings
+    rename their sides with it."""
+    back = {image: name for name, image in emb.items()}
+    return {name: back.get(name, f"{tag}:{name}") for name in names}
 
 
 def lookup(positions: Mapping[str, int], name: str) -> int:

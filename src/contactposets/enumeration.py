@@ -26,6 +26,7 @@ from .core import (
     POSET,
     SEMILATTICE,
     ContactStructure,
+    _join_escape,
     bits,
     check_contact_axioms,
     is_semilattice_order,
@@ -609,16 +610,8 @@ def _carrier_positions(t, size: int, kind: str) -> Iterator[tuple[int, ...]]:
         joins, up = join_table(t), t.up
     for rest in combinations(others, size - 1):
         chosen = (t.bottom,) + rest
-        if kind == SEMILATTICE:
-            mask = 0
-            for i in chosen:
-                mask |= 1 << i
-            if any(
-                (j := joins.get(up[a] & up[b])) is None or not mask >> j & 1
-                for a in chosen
-                for b in chosen
-            ):
-                continue
+        if kind == SEMILATTICE and _join_escape(joins, up, chosen):
+            continue
         yield tuple(sorted(chosen))
 
 

@@ -18,6 +18,8 @@ from .core import (
     BottomlessContact,
     ContactStructure,
     _adjoin_checked_bottom,
+    _check_order_tables,
+    _fresh_names,
     _restriction,
     bits,
     check_bottomless_axioms,
@@ -125,9 +127,11 @@ def event_to_contact(
 ) -> BottomlessContact | ContactStructure:
     """Dualize the causal order and complement conflict.
 
-    The result always satisfies the bottomless contact axioms (asserted
-    once, here); with_bottom adjoins the reserved bottom and returns a
-    full contact structure.
+    The result is checked once, here: the bottomless contact axioms,
+    then the order.  with_bottom adjoins the reserved bottom and returns
+    a full contact structure, whose order _adjoin_checked_bottom checks;
+    otherwise e's order rows are checked (the dual of a partial order is
+    one).
     """
     dual = BottomlessContact(e.events, *_flip(e.up, e.conflict))
     report = check_bottomless_axioms(dual)
@@ -135,16 +139,19 @@ def event_to_contact(
         raise AxiomViolation("dual of a valid event structure failed", report)
     if with_bottom:
         return _adjoin_checked_bottom(dual, RESERVED_BOTTOM)
+    _check_order_tables(e.up)
     return dual
 
 
 def contact_to_event(b: BottomlessContact) -> EventStructure:
     """Inverse reading of the duality; round-trips are identities.  The
     input is checked, not the output: Ref*, Sym and Ext of a valid input
-    are exactly irreflexive, symmetric and inherited conflict."""
+    are exactly irreflexive, symmetric and inherited conflict, and the
+    transpose of its partial order is one."""
     report = check_bottomless_axioms(b)
     if not report.ok:
         raise AxiomViolation("input fails the bottomless contact axioms", report)
+    _check_order_tables(b.up)
     return EventStructure(b.names, *_flip(b.up, b.contact))
 
 
@@ -272,21 +279,14 @@ def _rename_gluing(
     c: EventStructure,
     mapping: Sequence[int],
 ) -> tuple[EventStructure, EventStructure, EventStructure]:
-    """Rename apart so the carriers intersect exactly in c's events."""
-    c_names = c.events
-    a_rename = {
-        name: (name if name in c_names else f"a:{name}") for name in a.events
-    }
-    b_rename = {}
-    for k, name in enumerate(c_names):
-        b_rename[b.events[mapping[k]]] = name
-    for name in b.events:
-        if name not in b_rename:
-            b_rename[name] = f"b:{name}"
-    renamed_a = EventStructure(
-        tuple(a_rename[name] for name in a.events), a.up, a.conflict
+    """Rename apart so the carriers intersect exactly in c's events;
+    mapping[k] is b's position of c's k-th event."""
+    into_a = {name: name for name in c.events}
+    into_b = {name: b.events[j] for name, j in zip(c.events, mapping)}
+    renamed_a = _fresh_names(a.events, into_a, "a").values()
+    renamed_b = _fresh_names(b.events, into_b, "b").values()
+    return (
+        EventStructure(tuple(renamed_a), a.up, a.conflict),
+        EventStructure(tuple(renamed_b), b.up, b.conflict),
+        c,
     )
-    renamed_b = EventStructure(
-        tuple(b_rename[name] for name in b.events), b.up, b.conflict
-    )
-    return renamed_a, renamed_b, c

@@ -246,6 +246,24 @@ def trivial_stage(kind: str) -> LimitStage:
     return LimitStage(structure, 0, (), kind)
 
 
+def _sweep(
+    s: ContactStructure, cap: int, catalog: AgeCatalog
+) -> Iterator[tuple[ContactStructure, dict, ContactStructure, dict]]:
+    """Every (copy, extension) pair over s, as (sub, f, t, into): each
+    catalog item sub of at most cap points with a one-point extension,
+    each copy f of sub in s, each extension (t, into) of sub.  The
+    copies are those in s, so a caller may grow a stage from s while it
+    walks them: s is a value and does not grow."""
+    for sub in catalog.items:
+        if sub.n > cap:
+            continue
+        extensions = one_point_extensions(sub, catalog)
+        if extensions:
+            for f in induced_embeddings(sub, s):
+                for t, into in extensions:
+                    yield sub, f, t, into
+
+
 def build_limit_stage(
     kind: str,
     cap: int,
@@ -256,96 +274,71 @@ def build_limit_stage(
     """Sweep over embedded copies of substructures up to the size cap,
     amalgamating every unrealized one-point extension.
 
+    Each sweep walks the copies in the stage it started from (_sweep).
     Stops at a fixpoint sweep, after the sweep budget, or with the
     budget_exceeded flag once the carrier would outgrow max_elements.
     Deterministic for a fixed catalog.
     """
     if catalog is None:
         catalog = AgeCatalog.build(cap + 1, kind)
-    stage = trivial_stage(kind)
-    structure = stage.structure
+    structure = trivial_stage(kind).structure
     log: list[Realization] = []
-    fresh_counter = 0
     exceeded = False
     sweep = 0
     while sweep < sweeps and not exceeded:
         sweep += 1
-        snapshot = structure
-        realized_any = False
-        for sub in catalog.items:
-            if sub.n > cap:
+        grown_from = len(log)
+        for sub, f, t, into in _sweep(structure, cap, catalog):
+            if embeds_extension(structure, f, t, into):
                 continue
-            extensions = one_point_extensions(sub, catalog)
-            if not extensions:
-                continue
-            for f in list(induced_embeddings(sub, snapshot)):
-                for t, into in extensions:
-                    if embeds_extension(structure, f, t, into):
-                        continue
-                    if structure.n >= max_elements:
-                        exceeded = True
-                        break
-                    fresh_counter += 1
-                    fresh = f"p{fresh_counter}"
-                    structure, actual_fresh, extra = _amalgamate_extension(
-                        structure, f, t, into, fresh, kind, max_elements
-                    )
-                    if extra:
-                        exceeded = True
-                        break
-                    log.append(
-                        Realization(
-                            sub,
-                            tuple(sorted(f.items())),
-                            t,
-                            actual_fresh,
-                        )
-                    )
-                    realized_any = True
-                if exceeded:
-                    break
+            exceeded = structure.n >= max_elements
             if exceeded:
                 break
-        if not realized_any:
+            fresh = f"p{len(log) + 1}"
+            structure, exceeded = _amalgamate_extension(
+                structure, f, t, into, fresh, max_elements
+            )
+            if exceeded:
+                break
+            log.append(Realization(sub, tuple(sorted(f.items())), t, fresh))
+        if len(log) == grown_from:
             break
     return LimitStage(structure, sweep, tuple(log), kind, exceeded)
 
 
 def _amalgamate_extension(
-    structure: ContactStructure,
+    stage: ContactStructure,
     f: dict[str, str],
     t: ContactStructure,
     into: dict[str, str],
     fresh: str,
-    kind: str,
     max_elements: int,
-) -> tuple[ContactStructure, str, bool]:
-    """Glue one extension onto the stage; returns the grown stage, the
-    fresh point's name, and whether the growth budget was exceeded."""
-    anchored = {into[s_name]: f[s_name] for s_name in into}
-    free = [name for name in t.names if name not in anchored]
-    rename = dict(anchored)
-    rename[free[0]] = fresh
+) -> tuple[ContactStructure, bool]:
+    """Glue one extension onto the stage; returns the grown stage and
+    whether the growth budget was exceeded.
+
+    The instance is built unchecked: C is the stage restricted to the
+    copy (core._restriction), and t is renamed onto the copy's names
+    plus fresh.  contact_amalgam's inclusion check, which compares both
+    sides' rows with the amalgam's, is the one check of it.
+    """
+    rename = {into[s_name]: f[s_name] for s_name in into}
+    (free,) = set(t.names) - set(rename)
+    rename[free] = fresh
     b_side = t.rename(rename)
-    c_sub = induced_substructure(structure, [f[name] for name in f])
-    inst = AmalgamInstance.from_parts(structure, b_side, c_sub)
-    if kind == POSET:
+    copy = sorted(stage.index(name) for name in f.values())
+    inst = AmalgamInstance(stage, b_side, _restriction(stage, copy))
+    if stage.kind == POSET:
         grown = contact_amalgam(inst)
-        return grown, fresh, grown.n > max_elements
+        return grown, grown.n > max_elements
     result = semilattice_amalgam(inst, exhaustive_joins=False)
     family_structure = result.family.structure
     if family_structure.n > max_elements:
-        return structure, fresh, True
+        return stage, True
     names = family_structure.names
-    renames = {}
-    used = set()
-    for name, position in zip(structure.names, result.from_a.mapping):
-        renames[names[position]] = name
-        used.add(name)
-    fresh_image = names[result.from_b.mapping[b_side.index(fresh)]]
-    if fresh_image not in renames:
-        renames[fresh_image] = fresh
-        used.add(fresh)
+    renames = {names[k]: name for name, k in zip(stage.names, result.from_a.mapping)}
+    renames.setdefault(names[result.from_b.mapping[b_side.index(fresh)]], fresh)
+    used = set(renames.values())
     counter = 0
     for name in names:
         if name not in renames:
@@ -353,10 +346,7 @@ def _amalgamate_extension(
             while f"q{counter}" in used:
                 counter += 1
             renames[name] = f"q{counter}"
-            used.add(f"q{counter}")
-    grown = family_structure.rename(renames)
-    grown = ContactStructure(grown.names, grown.bottom, grown.up, grown.contact, kind)
-    return grown, fresh, False
+    return family_structure.rename(renames), False
 
 
 def check_extension_property(
@@ -366,9 +356,10 @@ def check_extension_property(
 
     Quantifies over every embedding of every catalog item of size at
     most cap into the stage structure and every one-point extension of
-    that item; a finite stage cannot realize extensions above its
-    maximal elements, so fractions below 1.0 are expected and reported
-    honestly.  Each miss records its copy and its cause (ExtensionMiss).
+    that item (_sweep, the walk growth makes); a finite stage cannot
+    realize extensions above its maximal elements, so fractions below
+    1.0 are expected and reported honestly.  Each miss records its copy
+    and its cause (ExtensionMiss).
     """
     if catalog is None:
         catalog = AgeCatalog.build(cap + 1, stage.kind)
@@ -376,30 +367,21 @@ def check_extension_property(
     maximal = {s.names[i] for i in range(s.n) if s.up[i] == 1 << i}
     total = realized = 0
     misses = []
-    for sub in catalog.items:
-        if sub.n > cap:
+    for sub, f, t, into in _sweep(s, cap, catalog):
+        total += 1
+        if embeds_extension(s, f, t, into):
+            realized += 1
             continue
-        extensions = [
-            (t, into, tuple((name, into[name]) for name in sub.names),
-             _below_fresh(t, into))
-            for t, into in one_point_extensions(sub, catalog)
-        ]
-        for f in induced_embeddings(sub, s):
-            for t, into, pairs, below in extensions:
-                total += 1
-                if embeds_extension(s, f, t, into):
-                    realized += 1
-                    continue
-                forced = any(f[name] in maximal for name in below)
-                misses.append(
-                    ExtensionMiss(
-                        sub,
-                        tuple(f[name] for name in sub.names),
-                        t,
-                        pairs,
-                        ABOVE_MAXIMAL if forced else UNREALIZED_AT_BUDGET,
-                    )
-                )
+        forced = any(f[name] in maximal for name in _below_fresh(t, into))
+        misses.append(
+            ExtensionMiss(
+                sub,
+                tuple(f[name] for name in sub.names),
+                t,
+                tuple((name, into[name]) for name in sub.names),
+                ABOVE_MAXIMAL if forced else UNREALIZED_AT_BUDGET,
+            )
+        )
     return ExtensionReport(total, realized, tuple(misses))
 
 

@@ -21,6 +21,7 @@ from .core import (
     join_table,
     meet_table,
     overlap_relation,
+    restrict,
 )
 from .enumeration import (
     AgeCatalog,
@@ -325,13 +326,8 @@ def check_distributive_amalgam_failure(bound: int) -> FailureReport:
 def _contact_embedding(
     a: ContactStructure, d: ContactStructure, assignment: Sequence[int]
 ) -> bool:
-    for i in range(a.n):
-        for j in range(a.n):
-            have = bool(a.contact[i] >> j & 1)
-            got = bool(d.contact[assignment[i]] >> assignment[j] & 1)
-            if have != got:
-                return False
-    return True
+    """Does the assignment carry a's contact exactly onto d's?"""
+    return restrict(assignment, d.contact)[0] == a.contact
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ strict unless closing is requested.
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Sequence
 
 from .core import (
     POSET,
@@ -31,33 +31,29 @@ EVENT = "event"
 # documents
 
 
+def _pairs(names: Sequence[str], rows: Sequence[int], offset: int) -> list[list[str]]:
+    """The pairs [x, y] of a symmetric table with y at least offset
+    places after x: offset 0 keeps the diagonal, 1 drops it."""
+    return [[names[i], names[j]]
+            for i, row in enumerate(rows) for j in bits(row) if j >= i + offset]
+
+
 def structure_to_doc(s: ContactStructure) -> dict[str, Any]:
-    pairs = []
-    for i in range(s.n):
-        for j in bits(s.contact[i]):
-            if j >= i:
-                pairs.append([s.names[i], s.names[j]])
     return {
         "kind": s.kind,
         "elements": list(s.names),
         "bottom": s.names[s.bottom],
         "order": [[s.names[i], s.names[j]] for i, j in s.cover_pairs()],
-        "contact": pairs,
+        "contact": _pairs(s.names, s.contact, 0),
     }
 
 
 def event_to_doc(e: EventStructure) -> dict[str, Any]:
-    cover = [[e.events[i], e.events[j]] for i, j in cover_pairs(e.up)]
-    pairs = []
-    for i in range(e.n):
-        for j in bits(e.conflict[i]):
-            if j > i:
-                pairs.append([e.events[i], e.events[j]])
     return {
         "kind": EVENT,
         "elements": list(e.events),
-        "order": cover,
-        "conflict": pairs,
+        "order": [[e.events[i], e.events[j]] for i, j in cover_pairs(e.up)],
+        "conflict": _pairs(e.events, e.conflict, 1),
     }
 
 
@@ -164,32 +160,19 @@ def structure_to_dot(
     if contact_mode not in ("full", "extra", "none"):
         raise ParseError(f"unknown contact mode {contact_mode!r}")
     if isinstance(s, EventStructure):
-        names = s.events
-        extra_rows = s.conflict
-        baseline = [0] * s.n
-        style = "conflict"
+        names, rows, style = s.events, s.conflict, "conflict"
     else:
-        names = s.names
-        extra_rows = s.contact
-        baseline = list(overlap_relation(s)) if contact_mode == "extra" else [0] * s.n
-        style = "contact"
+        names, rows, style = s.names, s.contact, "contact"
+        if contact_mode == "extra":
+            rows = [row & ~base for row, base in zip(rows, overlap_relation(s))]
     lines = ["digraph structure {", "  rankdir=BT;"]
     for name in names:
         lines.append(f'  "{name}";')
     for low, high in cover_pairs(s.up):
         lines.append(f'  "{names[low]}" -> "{names[high]}";')
     if contact_mode != "none":
-        for i, name in enumerate(names):
-            for j in bits(extra_rows[i]):
-                if j <= i:
-                    continue
-                if baseline[i] >> j & 1:
-                    continue
-                other = names[j]
-                lines.append(
-                    f'  "{name}" -> "{other}" '
-                    f"[dir=none, style=dashed, class={style}];"
-                )
+        for x, y in _pairs(names, rows, 1):
+            lines.append(f'  "{x}" -> "{y}" [dir=none, style=dashed, class={style}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

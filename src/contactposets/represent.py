@@ -215,14 +215,7 @@ def overlap_poset_embedding(
     every contact is witnessed inside the family and nothing else is.
     """
     _require_valid(s)
-    masks, provenance = _image_family(s, union_closed=False)
-    family = family_structure(s.names, masks, provenance, POSET)
-    phi = _nonbelow_masks(s)
-    mapping = {
-        s.names[a]: _set_name(s.names, phi[a]) for a in range(s.n)
-    }
-    total = verify_map(s, family.structure, mapping)
-    return family, total
+    return _image_embedding(s, False, POSET)
 
 
 def overlap_semilattice_embedding(
@@ -233,8 +226,7 @@ def overlap_semilattice_embedding(
     if s.kind != SEMILATTICE:
         raise NotSemilattice("input must carry the semilattice kind")
     _require_valid(s)
-    family, total = _union_closed_embedding(s, SEMILATTICE)
-    return family, total
+    return _image_embedding(s, True, SEMILATTICE)
 
 
 def join_preserving_embedding(
@@ -256,7 +248,7 @@ def _join_preserving_family(
 ) -> tuple[SetFamilyStructure, StructureMap]:
     """join_preserving_embedding on a structure the caller has already
     validated."""
-    family, total = _union_closed_embedding(s, SEMILATTICE)
+    family, total = _image_embedding(s, True, SEMILATTICE)
     if check_subsets:
         missed = existing_join_misses(s, family, total)
         if missed:
@@ -264,10 +256,12 @@ def _join_preserving_family(
     return family, total
 
 
-def _union_closed_embedding(
-    s: ContactStructure, kind: str
+def _image_embedding(
+    s: ContactStructure, union_closed: bool, kind: str
 ) -> tuple[SetFamilyStructure, StructureMap]:
-    masks, provenance = _image_family(s, union_closed=True)
+    """The image family of s (_image_family), tagged kind, and the map
+    sending each element to its image, verified."""
+    masks, provenance = _image_family(s, union_closed)
     family = family_structure(s.names, masks, provenance, kind)
     phi = _nonbelow_masks(s)
     mapping = {
@@ -319,15 +313,15 @@ def powerset_embedding(
 ) -> tuple[SetFamilyStructure, StructureMap]:
     """Embed a contact poset into a literal powerset with overlap.
 
-    Runs the overlap-family stage first, re-checks that its contact is
-    the overlap relation, then sends each family set q to the family
-    sets inside q; the target is the powerset of the nonempty family
-    members, which is a complete atomic Boolean carrier.
+    Runs the overlap-family stage first, then sends each family set q
+    to the family sets inside q; the target is the powerset of the
+    nonempty family members, which is a complete atomic Boolean carrier.
+    That the stage-one contact is overlap is not re-checked: the stage
+    builds it as overlap, and ψ's verify_map tests contact in both
+    directions against the target's overlap.
     """
     family, phi_map = overlap_poset_embedding(s)
     q_structure = family.structure
-    if tuple(overlap_relation(q_structure)) != q_structure.contact:
-        raise AxiomViolation("stage-one contact is not overlap")
     nonempty = [mask for mask in family.sets if mask]
     u = len(nonempty)
     universe = tuple(q_structure.names[family.sets.index(mask)] for mask in nonempty)
