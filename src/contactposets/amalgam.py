@@ -9,7 +9,7 @@ C, which is what superamalgamation asks for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .core import (
@@ -18,14 +18,13 @@ from .core import (
     ContactStructure,
     StructureMap,
     _fresh_names,
+    _preserves_joins,
     _pull_back,
     _require_join_closed,
     _runs,
     check_contact_axioms,
     index_map,
     induced_substructure,
-    join_table,
-    lookup,
     order_failure,
     restrict,
     verify_map,
@@ -36,7 +35,7 @@ from .errors import (
     JoinNotPreserved,
     PreconditionViolation,
 )
-from .represent import SetFamilyStructure, _join_preserving_family
+from .represent import SetFamilyStructure, _image_embedding
 
 
 @dataclass(frozen=True)
@@ -342,63 +341,38 @@ class SemilatticeAmalgam:
     superamalgamation: SuperamalgamationReport
 
 
-def semilattice_amalgam(
-    inst: AmalgamInstance, exhaustive_joins: bool = True
-) -> SemilatticeAmalgam:
+def semilattice_amalgam(inst: AmalgamInstance) -> SemilatticeAmalgam:
     """Amalgamate semilattices: the poset amalgam need not have joins,
     so it is pushed join-preservingly into a union-closed overlap family
     where both sides land as semilattice embeddings.
 
-    This is join_preserving_embedding without its input check:
     contact_amalgam has just validated d, so d goes straight to the
-    family builder.  exhaustive_joins is its check_subsets.
+    family builder, whose map d -> F is verified.  A side's map is its
+    row-checked inclusion into d followed by that map: it carries that
+    map's report plus one join scan into F (core._preserves_joins).  F
+    is union-closed and x goes to the complement of its up-set, so a
+    side's join survives in F iff it survives in d.  d's existing joins
+    are preserved by construction; join_preserving_embedding sweeps them.
     """
     for side in (inst.a, inst.b, inst.c):
         if side.kind != SEMILATTICE:
             raise PreconditionViolation("all three structures must be semilattices")
     d = contact_amalgam(inst)
-    _assert_joins_survive(inst, d)
-    family, into = _join_preserving_family(d, exhaustive_joins)
-    from_a = _side_map(inst.a, d, into)
-    from_b = _side_map(inst.b, d, into)
-    for tag, side_map in (("A", from_a), ("B", from_b)):
-        if not (side_map.report.is_embedding and side_map.report.order_reflecting):
+    family, into = _image_embedding(d, True, SEMILATTICE)
+    at = index_map(d.names)
+    side_maps = []
+    for tag, side in (("A", inst.a), ("B", inst.b)):
+        f = tuple(into.mapping[at[name]] for name in side.names)
+        report = replace(
+            into.report, join_preserving=_preserves_joins(side, into.target, f)
+        )
+        if not (report.is_embedding and report.order_reflecting):
             raise JoinNotPreserved(
                 f"side {tag} does not embed into the semilattice amalgam"
             )
+        side_maps.append(StructureMap(side, into.target, f, report))
+    from_a, from_b = side_maps
     report = _cross_witnesses(
         inst, family.structure.up, from_a.mapping, from_b.mapping
     )
     return SemilatticeAmalgam(inst, d, family, into, from_a, from_b, report)
-
-
-def _side_map(
-    side: ContactStructure, d: ContactStructure, into: StructureMap
-) -> StructureMap:
-    at = {name: k for k, name in enumerate(d.names)}
-    names = into.target.names
-    mapping = {name: names[into.mapping[at[name]]] for name in side.names}
-    return verify_map(side, into.target, mapping)
-
-
-def _assert_joins_survive(inst: AmalgamInstance, d: ContactStructure) -> None:
-    """Joins of A and of B must stay least upper bounds in the amalgam.
-
-    Joins are looked up in join tables (see core.join_table); both
-    lookups are symmetric, so the pairs i <= j are all there is to check.
-    """
-    at = index_map(d.names)
-    d_joins = join_table(d)
-    for side in (inst.a, inst.b):
-        side_joins = join_table(side)
-        in_d = [lookup(at, name) for name in side.names]
-        for i in range(side.n):
-            for j in range(i, side.n):
-                join = side_joins.get(side.up[i] & side.up[j])
-                if join is None:
-                    raise JoinNotPreserved("side structure is missing a join")
-                if d_joins.get(d.up[in_d[i]] & d.up[in_d[j]]) != in_d[join]:
-                    raise JoinNotPreserved(
-                        f"join of {side.names[i]!r} and {side.names[j]!r} moved"
-                    )
-

@@ -837,9 +837,8 @@ def verify_map(
     f[i] to f[j].  So the map preserves a relation iff each source row
     lies inside its pulled-back row, and reflects it iff the reverse
     inclusion holds.  This decides every pair (i, j) as the pairwise
-    definition does, for every map, injective or not.  Joins are looked
-    up in the join tables of both sides (see join_table); both lookups
-    are symmetric in i and j, so the pairs i <= j decide preservation.
+    definition does, for every map, injective or not.  Join
+    preservation is one _preserves_joins scan.
     """
     at = index_map(target.names)
     f = tuple(lookup(at, mapping[name]) for name in source.names)
@@ -860,19 +859,30 @@ def verify_map(
         contact_r = contact_r and not back & ~row
     join_p: bool | None = None
     if source.kind == SEMILATTICE and target.kind == SEMILATTICE:
-        source_joins = join_table(source)
-        target_joins = join_table(target)
-        s_up, t_up = source.up, target.up
-        join_p = all(
-            (sj := source_joins.get(s_up[i] & s_up[j])) is not None
-            and f[sj] == target_joins.get(t_up[f[i]] & t_up[f[j]])
-            for i in range(n)
-            for j in range(i, n)
-        )
+        join_p = _preserves_joins(source, target, f)
     report = MapReport(
         injective, bottom, order_p, order_r, contact_p, contact_r, join_p
     )
     return StructureMap(source, target, f, report)
+
+
+def _preserves_joins(
+    source: ContactStructure, target: ContactStructure, f: Sequence[int]
+) -> bool:
+    """Whether the positions f send every join of source to the join of
+    the images; a pair of source without a join fails.  Joins are looked
+    up in the join tables of both sides (see join_table); both lookups
+    are symmetric in i and j, so the pairs i <= j decide it."""
+    source_joins = join_table(source)
+    target_joins = join_table(target)
+    s_up, t_up = source.up, target.up
+    n = source.n
+    return all(
+        (sj := source_joins.get(s_up[i] & s_up[j])) is not None
+        and f[sj] == target_joins.get(t_up[f[i]] & t_up[f[j]])
+        for i in range(n)
+        for j in range(i, n)
+    )
 
 
 def compose_maps(first: StructureMap, second: StructureMap) -> StructureMap:

@@ -331,7 +331,7 @@ def _amalgamate_extension(
     if stage.kind == POSET:
         grown = contact_amalgam(inst)
         return grown, grown.n > max_elements
-    result = semilattice_amalgam(inst, exhaustive_joins=False)
+    result = semilattice_amalgam(inst)
     family_structure = result.family.structure
     if family_structure.n > max_elements:
         return stage, True

@@ -16,6 +16,7 @@ from .core import (
     POSET,
     SEMILATTICE,
     ContactStructure,
+    _additivity_check,
     check_contact_axioms,
     close_contact,
     join_table,
@@ -63,21 +64,12 @@ def _closed_order(names: Sequence[str], pairs) -> tuple[int, ...]:
 
 
 def find_additivity_failure(s: ContactStructure) -> tuple[str, str, str] | None:
-    """A triple (x, y, z) with x touching y + z but neither y nor z."""
+    """A triple (x, y, z) with x touching y + z but neither y nor z: the
+    first witness of the Add check, which raises NotSemilattice at a
+    missing join."""
     if s.kind != SEMILATTICE:
         raise NotSemilattice("additivity needs joins")
-    joins, up = join_table(s), s.up
-    for x in range(s.n):
-        for y in range(s.n):
-            for z in range(s.n):
-                join = joins.get(up[y] & up[z])
-                if (
-                    s.contact[x] >> join & 1
-                    and not s.contact[x] >> y & 1
-                    and not s.contact[x] >> z & 1
-                ):
-                    return (s.names[x], s.names[y], s.names[z])
-    return None
+    return _additivity_check(s).witness
 
 
 # ---------------------------------------------------------------------------

@@ -230,29 +230,20 @@ def overlap_semilattice_embedding(
 
 
 def join_preserving_embedding(
-    s: ContactStructure, check_subsets: bool = True
+    s: ContactStructure,
 ) -> tuple[SetFamilyStructure, StructureMap]:
     """Embed a mere contact poset into a union-closed overlap family.
 
     Every join that happens to exist in the source is sent to the union
-    of the images; with check_subsets that is verified exhaustively over
-    all carrier subsets before returning (callers growing large carriers
-    may skip the sweep, the identity holds by construction).
+    of the images.  The construction makes that so, and it is verified
+    exhaustively over all carrier subsets (existing_join_misses) before
+    returning.
     """
     _require_valid(s)
-    return _join_preserving_family(s, check_subsets)
-
-
-def _join_preserving_family(
-    s: ContactStructure, check_subsets: bool
-) -> tuple[SetFamilyStructure, StructureMap]:
-    """join_preserving_embedding on a structure the caller has already
-    validated."""
     family, total = _image_embedding(s, True, SEMILATTICE)
-    if check_subsets:
-        missed = existing_join_misses(s, family, total)
-        if missed:
-            raise AxiomViolation(f"existing joins not preserved: {missed}")
+    missed = existing_join_misses(s, family, total)
+    if missed:
+        raise AxiomViolation(f"existing joins not preserved: {missed}")
     return family, total
 
 

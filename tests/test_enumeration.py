@@ -141,6 +141,14 @@ class TestContactEnumeration:
         for item in poset_catalog_4.items:
             assert check_contact_axioms(item).ok
 
+    def test_catalog_items_up_to_6_pass_the_axioms(
+        self, poset_catalog_6, semilattice_catalog_6
+    ):
+        # the enumeration builds its items valid and does not check them
+        for catalog in (poset_catalog_6, semilattice_catalog_6):
+            for item in catalog.items:
+                assert check_contact_axioms(item).ok
+
     def test_semilattice_carriers_have_joins(self, semilattice_catalog_4):
         for item in semilattice_catalog_4.items:
             assert is_semilattice(item)

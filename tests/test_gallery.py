@@ -1,5 +1,9 @@
+import pytest
+
 from contactposets.core import SEMILATTICE, check_contact_axioms, overlap_relation
+from contactposets.core import ContactStructure
 from contactposets.enumeration import is_distributive, is_lattice
+from contactposets.errors import NotSemilattice
 from contactposets.gallery import (
     check_complement_uniqueness,
     check_distributive_amalgam_failure,
@@ -46,6 +50,14 @@ class TestAdditivityFailures:
 
     def test_chain_has_no_witness(self, chain3_semilattice):
         assert find_additivity_failure(chain3_semilattice) is None
+
+    def test_missing_join_is_not_a_semilattice(self):
+        # tagged a semilattice, but a and b have no join
+        s = ContactStructure(
+            ("0", "a", "b"), 0, (0b111, 0b010, 0b100), (0, 0b010, 0b100), SEMILATTICE
+        )
+        with pytest.raises(NotSemilattice):
+            find_additivity_failure(s)
 
 
 class TestBoundedScans:

@@ -4,10 +4,15 @@ The package is stdlib-only: every import names a standard-library module
 or the package itself.  And no module other than ``__init__`` (whose
 imports are its re-exports) imports a name it never uses, so code that
 is deleted takes its imports with it.
+
+Likewise every module-level private function or class is referenced
+somewhere in the package outside its own definition, so code that is
+deleted takes its helpers with it.
 """
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -59,3 +64,34 @@ def test_every_imported_name_is_used(path):
         for name in names
     ]
     assert [name for name in imported if name not in used] == []
+
+
+def _references(node):
+    """Names a tree refers to: loaded names, attributes and names
+    imported from a module."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.ImportFrom):
+            yield from (alias.name for alias in sub.names)
+
+
+def test_every_private_definition_is_referenced():
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in MODULES]
+    everywhere = Counter(name for tree in trees for name in _references(tree))
+    definitions = [
+        node
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+    ]
+    assert definitions
+    unreferenced = [
+        node.name
+        for node in definitions
+        if everywhere[node.name] == Counter(_references(node))[node.name]
+    ]
+    assert unreferenced == []

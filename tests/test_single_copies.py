@@ -138,7 +138,7 @@ def reference_amalgamate_extension(structure, f, t, into, fresh, kind, max_eleme
     if kind == POSET:
         grown = contact_amalgam(inst)
         return grown, fresh, grown.n > max_elements
-    result = semilattice_amalgam(inst, exhaustive_joins=False)
+    result = semilattice_amalgam(inst)
     family_structure = result.family.structure
     if family_structure.n > max_elements:
         return structure, fresh, True
