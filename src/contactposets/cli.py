@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict
@@ -22,11 +23,16 @@ from . import io as formats
 from . import represent as rp
 from .core import POSET, SEMILATTICE, ContactStructure, check_contact_axioms
 from .enumeration import AgeCatalog, enumerate_contact_structures
-from .errors import ContactError, KindMismatch, ParseError
+from .errors import BudgetExceeded, ContactError, KindMismatch, ParseError
 
 THEOREM_CHOICES = ("prop2", "cor3", "4a", "4b")
 CONTACT_KINDS = (POSET, SEMILATTICE)
 ALL_KINDS = (*CONTACT_KINDS, formats.EVENT)
+STDOUT = "stdout"
+# The largest `enumerate --size` per kind.  Posets of size 8 start with
+# a 7-atom carrier of 2^21 free-pair up-sets and 5,040 automorphisms,
+# minutes of orbit filtering; semilattices of size 8 take seconds.
+ENUMERATE_BOUNDS = {POSET: 7, SEMILATTICE: 8}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -34,7 +40,10 @@ def main(argv: list[str] | None = None) -> int:
     command = argv[0] if argv and argv[0] in COMMANDS else None
     args = build_parser(command).parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        with _writing(STDOUT):
+            sys.stdout.flush()
+        return code
     except ContactError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return formats.exit_code_for(exc)
@@ -83,10 +92,12 @@ def cmd_check(args: argparse.Namespace) -> int:
         report = ev.check_event_structure(loaded)
     else:
         report = check_contact_axioms(loaded, require_add=args.add)
+    lines = []
     for check in report.checks:
         tag = "PASS" if check.passed else "FAIL"
         witness = f"  witness {check.witness}" if check.witness else ""
-        print(f"{tag}  {check.axiom}{witness}")
+        lines.append(f"{tag}  {check.axiom}{witness}")
+    _print("\n".join(lines))
     return 0 if report.ok else 1
 
 
@@ -249,8 +260,14 @@ def cmd_fraisse(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    bound = ENUMERATE_BOUNDS[args.kind]
+    if args.size > bound:
+        raise BudgetExceeded(
+            f"enumerating {args.kind} structures of size {args.size} exceeds "
+            f"the bound of size {bound}"
+        )
     items = enumerate_contact_structures(args.size, args.kind)
-    print(f"{len(items)} structures of size {args.size} ({args.kind})")
+    _print(f"{len(items)} structures of size {args.size} ({args.kind})")
     if args.out:
         directory = Path(args.out)
         with _writing(directory):
@@ -259,13 +276,13 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         for n in range(1, args.size + 1):
             payload = [formats.structure_to_doc(item) for item in catalog.by_size(n)]
             _emit(payload, directory / f"catalog-{args.kind}-{n}.json")
-        print(f"catalog written to {directory}")
+        _print(f"catalog written to {directory}")
     return 0
 
 
 def cmd_gallery(args: argparse.Namespace) -> int:
     report = ga.run_gallery(bound=args.bound, failure_bound=args.failure_bound)
-    print(formats.report_lines(list(report.entries)))
+    _print(formats.report_lines(list(report.entries)))
     return 0 if report.ok else 1
 
 
@@ -276,7 +293,7 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
         with _writing(args.out):
             Path(args.out).write_text(text, encoding="utf-8")
     else:
-        print(text, end="")
+        _print(text, end="")
     return 0
 
 
@@ -286,17 +303,36 @@ def _emit(bundle: Any, out: str | Path | None) -> None:
         with _writing(out):
             Path(out).write_text(text + "\n", encoding="utf-8")
     else:
-        print(text)
+        _print(text)
+
+
+def _print(text: str, end: str = "\n") -> None:
+    with _writing(STDOUT):
+        print(text, end=end)
 
 
 @contextmanager
 def _writing(path: str | Path) -> Iterator[None]:
     """Report a failed write to ``path`` as a ParseError (exit 2), as
-    ``load_structure`` reports a failed read."""
+    ``load_structure`` reports a failed read.  After a failed stdout
+    write, whatever is still buffered for stdout goes to the null
+    device, so the interpreter's flush at exit cannot fail again."""
     try:
         yield
     except OSError as exc:
+        if path == STDOUT:
+            _discard_stdout()
         raise ParseError(f"cannot write {path}: {exc}") from exc
+
+
+def _discard_stdout() -> None:
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,11 @@ Contact structures are generated isomorph-free.  The carriers are
 canonical, pairwise non-isomorphic posets with the bottom at index 0, so
 an isomorphism between two structures on the same carrier is a
 bottom-fixing automorphism of that carrier, and structures on different
-carriers are never isomorphic.  Valid tables are overlap plus an up-set
+carriers are never isomorphic.  Poset carriers are grown one maximal
+point at a time.  Semilattice carriers are the finite lattices, grown
+one atom at a time: removing an atom from a lattice of at least 3
+elements leaves a lattice, because a join x v y equal to the atom would
+force x = y = 0.  Valid tables are overlap plus an up-set
 of free pairs, automorphisms permute the free pairs, and so the
 isomorphism classes on a carrier are exactly the orbits of those up-sets;
 only the least mask of each orbit is built and canonicalised.
@@ -117,18 +121,25 @@ def _admissible_perms(colors: Sequence[int]) -> Iterator[tuple[int, ...]]:
 
 
 def _encode(n: int, relations: Sequence[Sequence[int]], perm: Sequence[int]) -> tuple[int, ...]:
+    """Each relation relabelled by perm, packed into one int: the row
+    at new position a fills bits a*n .. a*n + n - 1.  A new row is the
+    image of one source row, one step per set bit, and rows are packed
+    from the top position down."""
+    inv = [0] * n
+    for i, p in enumerate(perm):
+        inv[p] = i
+    targets = [1 << p for p in perm]
     words = []
     for rel in relations:
         acc = 0
-        pos = 0
-        inv = [0] * n
-        for i in range(n):
-            inv[perm[i]] = i
-        for a in range(n):
+        for a in reversed(range(n)):
             row = rel[inv[a]]
-            for b in range(n):
-                acc |= (row >> inv[b] & 1) << pos
-                pos += 1
+            image = 0
+            while row:
+                low = row & -row
+                image |= targets[low.bit_length() - 1]
+                row ^= low
+            acc = acc << n | image
         words.append(acc)
     return tuple(words)
 
@@ -146,13 +157,17 @@ def canonical_table_key(
     """
     base = tuple(colors) if colors is not None else (0,) * n
     refined = _refine_colors(n, relations, base)
-    best_words: tuple[int, ...] | None = None
-    best_perm: tuple[int, ...] | None = None
-    for perm in _admissible_perms(refined):
-        words = _encode(n, relations, perm)
-        if best_words is None or words < best_words:
-            best_words = words
-            best_perm = perm
+    if len(set(refined)) == n:
+        # a discrete colouring is the only admissible permutation
+        best_perm = refined
+        best_words = _encode(n, relations, refined)
+    else:
+        best_words = best_perm = None
+        for perm in _admissible_perms(refined):
+            words = _encode(n, relations, perm)
+            if best_words is None or words < best_words:
+                best_words = words
+                best_perm = perm
     class_sizes = tuple(
         sorted((refined.count(c), base[refined.index(c)]) for c in set(refined))
     )
@@ -281,10 +296,14 @@ def _grown(small: Sequence[int]) -> Iterator[list[int]]:
         yield up
 
 
-def _keep_canonical(found: dict[tuple, tuple[int, ...]], up: Sequence[int]) -> None:
+def _keep_canonical(
+    found: dict[tuple, tuple[int, ...]],
+    up: Sequence[int],
+    colors: Sequence[int] | None = None,
+) -> None:
     """Record up's canonical relabelling under its canonical key, unless
     its class is already recorded."""
-    key, perm = canonical_table_key(len(up), (tuple(up),))
+    key, perm = canonical_table_key(len(up), (tuple(up),), colors)
     if key not in found:
         found[key] = relabel_rows(up, perm)
 
@@ -323,6 +342,35 @@ def enumerate_posets_with_bottom(n: int) -> tuple[tuple[int, ...], ...]:
         up.extend(row << 1 for row in small)
         out.append(tuple(up))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _lattice_carriers(n: int) -> tuple[tuple[int, ...], ...]:
+    """One order table per isomorphism class of n-element lattices,
+    canonical, with the bottom at index 0.
+
+    Grown one atom at a time: each (n-1)-element lattice gets a new atom
+    a below each up-set U of its nonzero elements (the empty one too),
+    with up[0] |= a and up[a] = U | a, kept when U & up[x] is a row of
+    the small lattice for every nonzero x, i.e. when the join a v x
+    exists.  Every lattice is reached: removing an atom a from a lattice
+    of at least 3 elements leaves a lattice, since a join x v y = a would
+    force x, y <= a and so x = y = 0.  The bottom is pinned by its colour
+    while candidates are deduplicated, so it stays at index 0.
+    """
+    if n == 1:
+        return ((1,),)
+    found: dict[tuple, tuple[int, ...]] = {}
+    atom = 1 << (n - 1)
+    colors = (0,) + (1,) * (n - 1)
+    for small in _lattice_carriers(n - 1):
+        rows = set(small)
+        nonzero = small[1:]
+        for upset in _down_sets(transpose(small)):
+            if upset & 1 or any(upset & row not in rows for row in nonzero):
+                continue
+            _keep_canonical(found, (small[0] | atom, *nonzero, upset | atom), colors)
+    return tuple(found[key] for key in sorted(found))
 
 
 # ---------------------------------------------------------------------------
@@ -506,11 +554,18 @@ class AgeCatalog:
 def enumerate_contact_structures(n: int, kind: str = POSET) -> tuple[ContactStructure, ...]:
     """All contact structures of size n up to isomorphism, canonical and
     deterministically ordered.  Each is overlap plus an up-set of free
-    pairs, valid by construction (all_contact_tables), so none is checked."""
+    pairs, valid by construction (all_contact_tables), so none is checked.
+    Semilattice carriers are the lattices of _lattice_carriers; every item
+    is canonicalised and the list sorted by key, so the labelling of a
+    carrier never reaches the output."""
     if kind not in KINDS:
         raise AxiomViolation(f"unknown kind {kind!r}")
     found: dict[CanonicalKey, ContactStructure] = {}
-    for up in enumerate_posets_with_bottom(n):
+    if kind == SEMILATTICE:
+        carriers = _lattice_carriers(n)
+    else:
+        carriers = enumerate_posets_with_bottom(n)
+    for up in carriers:
         carrier = ContactStructure(
             tuple("0" if i == 0 else f"e{i}" for i in range(n)),
             0,
@@ -518,8 +573,6 @@ def enumerate_contact_structures(n: int, kind: str = POSET) -> tuple[ContactStru
             tuple([0] * n),
             kind,
         )
-        if kind == SEMILATTICE and not is_semilattice_order(carrier):
-            continue
         overlap = overlap_relation(carrier)
         free, upsets = _free_pair_upsets(carrier, overlap)
         for chosen in _orbit_least_upsets(carrier, free, upsets):

@@ -241,7 +241,7 @@ def join_preserving_embedding(
     """
     _require_valid(s)
     family, total = _image_embedding(s, True, SEMILATTICE)
-    missed = existing_join_misses(s, family, total)
+    missed = existing_join_misses(s)
     if missed:
         raise AxiomViolation(f"existing joins not preserved: {missed}")
     return family, total
@@ -262,9 +262,7 @@ def _image_embedding(
     return family, total
 
 
-def existing_join_misses(
-    s: ContactStructure, family: SetFamilyStructure, total: StructureMap
-) -> list[tuple[str, ...]]:
+def existing_join_misses(s: ContactStructure) -> list[tuple[str, ...]]:
     """Subsets whose existing join is not mapped to the union of images.
 
     Subsets are walked depth-first, deciding elements from the highest

@@ -546,12 +546,12 @@ def test_join_misses_match_reference(monkeypatch):
     for kind in (POSET, SEMILATTICE):
         for item in AgeCatalog.build(6, kind).items[::3]:
             phi = list(real(item))
-            assert represent.existing_join_misses(item, None, None) == []
+            assert represent.existing_join_misses(item) == []
             for _ in range(2):
                 a = rng.randrange(item.n)
                 phi[a] ^= 1 << rng.randrange(item.n)
             monkeypatch.setattr(represent, "_nonbelow_masks", lambda s, phi=phi: phi)
-            got = represent.existing_join_misses(item, None, None)
+            got = represent.existing_join_misses(item)
             monkeypatch.setattr(represent, "_nonbelow_masks", real)
             assert got == reference_join_misses(item, phi)
             seen += len(got)

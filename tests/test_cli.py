@@ -447,6 +447,10 @@ CONTRACT = [
     (["enumerate", "--size", "3", "--kind", "event"], 2, "usage:"),
     (["enumerate", "--size", "2", "--out", "{a_file}"], 2, "error: cannot write"),
     (["enumerate", "--size", "2", "--out", "{a_file}/sub"], 2, "error: cannot write"),
+    (["enumerate", "--size", "8"], 3,
+     "error: enumerating poset structures of size 8 exceeds the bound of size 7"),
+    (["enumerate", "--size", "9", "--kind", "semilattice"], 3,
+     "error: enumerating semilattice structures of size 9 exceeds the bound of size 8"),
     (["gallery", "--bound", "0"], 2, "usage:"),
     (["gallery", "--failure-bound", "-1"], 2, "usage:"),
     (["gallery", "--bound", "six"], 2, "usage:"),
@@ -457,12 +461,55 @@ CONTRACT = [
 ]
 
 
+# one successful run per subcommand that writes to stdout
+STDOUT_ARGV = [
+    ["check", M3],
+    ["embed", CHAIN, "--theorem", "prop2"],
+    ["amalgamate", *SIDES],
+    ["fraisse", "--cap", "1", "--budget", "1"],
+    ["enumerate", "--size", "3"],
+    ["gallery", "--bound", "2", "--failure-bound", "4"],
+    ["export-dot", M3],
+]
+
+
+class _FailingStdout(io.TextIOBase):
+    """A stdout whose writes, or else its flushes, raise exc."""
+
+    def __init__(self, exc, on_write=True):
+        self.exc, self.on_write = exc, on_write
+
+    def write(self, text):
+        if self.on_write:
+            raise self.exc
+        return len(text)
+
+    def flush(self):
+        raise self.exc
+
+
 class TestExitCodeContract:
     """Every error path of every subcommand ends in its contracted exit
     code and a one-line diagnosis, never in a traceback."""
 
     def test_every_subcommand_is_covered(self):
         assert {argv[0] for argv, _, _ in CONTRACT} == set(COMMANDS)
+        assert {argv[0] for argv in STDOUT_ARGV} == set(COMMANDS)
+
+    @pytest.mark.parametrize("argv", STDOUT_ARGV, ids=_id)
+    @pytest.mark.parametrize("on_write", [True, False], ids=["write", "flush"])
+    @pytest.mark.parametrize(
+        "exc",
+        [BrokenPipeError(32, "Broken pipe"), OSError(28, "No space left on device")],
+        ids=["EPIPE", "ENOSPC"],
+    )
+    def test_failed_stdout_write(self, argv, on_write, exc, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdout", _FailingStdout(exc, on_write))
+        assert main(list(argv)) == 2
+        err = capsys.readouterr().err
+        # fraisse reports its stage on stderr before the final flush
+        assert err.endswith(f"error: cannot write stdout: {exc}\n")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "argv, code, prefix", CONTRACT, ids=[_id(c[0]) for c in CONTRACT]
@@ -504,13 +551,35 @@ class TestExitCodeContract:
         assert "argument --cap: invalid int value: 'two'" in capsys.readouterr().err
 
 
-def test_package_runs_as_a_module():
+def _module_env():
     src = str(Path(contactposets.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def test_broken_pipe_exits_2_without_a_shutdown_error():
+    # the reader is gone before the buffered output is flushed, as in
+    # `contactposets enumerate --size 4 | head -0`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "contactposets", "enumerate", "--size", "4"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=_module_env(), timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 2
+    assert done.stderr == "error: cannot write stdout: [Errno 32] Broken pipe\n"
+
+
+def test_package_runs_as_a_module():
     done = subprocess.run(
         [sys.executable, "-m", "contactposets", "check", M3],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=_module_env(), timeout=60,
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("PASS")

@@ -1,4 +1,5 @@
 import random
+import warnings
 from collections import Counter
 
 import pytest
@@ -10,6 +11,7 @@ from contactposets.core import (
     ContactStructure,
     bits,
     check_contact_axioms,
+    is_semilattice_order,
     overlap_relation,
 )
 from contactposets.enumeration import (
@@ -76,6 +78,59 @@ def _reference_refine_colors(n, relations, colors):
         if refreshed == current:
             return refreshed
         current = refreshed
+
+
+def _reference_encode(n, relations, perm):
+    """The single-bit encoder the row-image encoder must reproduce."""
+    words = []
+    for rel in relations:
+        acc = 0
+        pos = 0
+        inv = [0] * n
+        for i in range(n):
+            inv[perm[i]] = i
+        for a in range(n):
+            row = rel[inv[a]]
+            for b in range(n):
+                acc |= (row >> inv[b] & 1) << pos
+                pos += 1
+        words.append(acc)
+    return tuple(words)
+
+
+def _reference_table_key(n, relations, colors=None):
+    """canonical_table_key as it was: every admissible permutation
+    encoded bit by bit, also when the colouring is discrete."""
+    base = tuple(colors) if colors is not None else (0,) * n
+    refined = enumeration._refine_colors(n, relations, base)
+    best_words = best_perm = None
+    for perm in enumeration._admissible_perms(refined):
+        words = _reference_encode(n, relations, perm)
+        if best_words is None or words < best_words:
+            best_words, best_perm = words, perm
+    class_sizes = tuple(
+        sorted((refined.count(c), base[refined.index(c)]) for c in set(refined))
+    )
+    return (n, class_sizes, best_words), best_perm
+
+
+def _filtered_lattice_tables(n):
+    """The semilattice carriers as they were found: every poset with a
+    bottom, kept when every pair has a join."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "poset enumeration beyond", UserWarning)
+        tables = enumerate_posets_with_bottom(n)
+    return tuple(
+        up for up in tables
+        if is_semilattice_order(
+            ContactStructure(tuple(map(str, range(n))), 0, up, (0,) * n, SEMILATTICE)
+        )
+    )
+
+
+def _pinned_key(up):
+    n = len(up)
+    return canonical_table_key(n, (tuple(up),), (0,) + (1,) * (n - 1))[0]
 
 
 class TestPosetCounts:
@@ -201,6 +256,90 @@ class TestOrbitEnumeration:
     def test_unknown_kind_rejected(self):
         with pytest.raises(AxiomViolation, match="unknown kind"):
             enumerate_contact_structures(3, "bogus")
+
+
+class TestLatticeCarriers:
+    """Lattices grown one atom at a time against the poset filter they
+    replace."""
+
+    def test_counts_are_the_lattice_counts(self):
+        # OEIS A006966; catches dropping the join check in the growth
+        assert [len(enumeration._lattice_carriers(n)) for n in range(1, 9)] == [
+            1, 1, 1, 2, 5, 15, 53, 222,
+        ]
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_same_classes_as_the_poset_filter(self, n):
+        # catches growing only below principal up-sets (U = up[x] for
+        # one x), which first loses the 5-element lattice
+        # 0 < a < x, y < 1, whose one atom has two covers
+        grown = enumeration._lattice_carriers(n)
+        assert all(up[0] == (1 << n) - 1 for up in grown)
+        assert [_pinned_key(up) for up in grown] == sorted(
+            _pinned_key(up) for up in _filtered_lattice_tables(n)
+        )
+        for up in grown:
+            _, perm = canonical_table_key(n, (up,), (0,) + (1,) * (n - 1))
+            assert enumeration.relabel_rows(up, perm) == up
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_catalog_equals_the_filter_path(self, n, monkeypatch):
+        # item by item; catches leaving the atom out of its own row
+        # (up[a] = U), which the brute-force oracle only sees up to n = 6
+        grown = enumerate_contact_structures(n, SEMILATTICE)
+        monkeypatch.setattr(enumeration, "_lattice_carriers", _filtered_lattice_tables)
+        filtered = enumeration.enumerate_contact_structures.__wrapped__(n, SEMILATTICE)
+        assert grown == filtered
+
+    def test_semilattice_enumeration_does_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            enumeration._lattice_carriers.__wrapped__(7)
+            enumerate_contact_structures.__wrapped__(7, SEMILATTICE)
+
+
+class TestRowImageEncoder:
+    """The row-image encoder and the discrete-colouring shortcut against
+    the bit-by-bit encoder over every admissible permutation."""
+
+    def test_matches_reference_on_seeded_tables(self):
+        # catches packing rows from the bottom position up
+        rng = random.Random(15)
+        discrete = 0
+        for _ in range(3000):
+            n = rng.randint(1, 7)
+            relations = []
+            for _ in range(rng.randint(1, 3)):
+                rel = [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(n)]
+                if rng.random() < 0.5:
+                    rel = [
+                        row | sum(1 << j for j in range(n) if rel[j] >> i & 1)
+                        for i, row in enumerate(rel)
+                    ]
+                relations.append(tuple(rel))
+            colors = tuple(rng.randint(0, 2) for _ in range(n))
+            assert canonical_table_key(
+                n, relations, colors
+            ) == _reference_table_key(n, relations, colors)
+            refined = enumeration._refine_colors(n, relations, colors)
+            discrete += len(set(refined)) == n > 1
+        # both branches of canonical_table_key are exercised
+        assert 0 < discrete < 3000
+
+    def test_matches_reference_on_relabelled_catalog_items(self):
+        # catches the discrete shortcut taking the identity instead of
+        # the colouring as its permutation
+        rng = random.Random(151)
+        for kind in (POSET, SEMILATTICE):
+            for item in AgeCatalog.build(5, kind).items:
+                perm = list(range(item.n))
+                rng.shuffle(perm)
+                moved = item.relabel(tuple(perm))
+                colors = tuple(0 if i == moved.bottom else 1 for i in range(item.n))
+                relations = (moved.up, moved.contact)
+                assert canonical_table_key(
+                    item.n, relations, colors
+                ) == _reference_table_key(item.n, relations, colors)
 
 
 class TestRefinementKernel:

@@ -102,12 +102,12 @@ class TestJoinPreservingEmbedding:
         s = m3("overlap")
         poset_view = ContactStructure(s.names, s.bottom, s.up, s.contact, POSET)
         family, total = join_preserving_embedding(poset_view)
-        assert existing_join_misses(poset_view, family, total) == []
+        assert existing_join_misses(poset_view) == []
 
     def test_exhaustive_over_catalog(self, poset_catalog_4):
         for item in poset_catalog_4.items:
             family, total = join_preserving_embedding(item)
-            assert existing_join_misses(item, family, total) == []
+            assert existing_join_misses(item) == []
 
 
 class TestPowersetEmbedding:

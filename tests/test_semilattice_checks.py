@@ -49,7 +49,7 @@ def reference_semilattice_amalgam(inst):
     d = contact_amalgam(inst)
     reference_assert_joins_survive(inst, d)
     family, into = _image_embedding(d, True, SEMILATTICE)
-    missed = existing_join_misses(d, family, into)
+    missed = existing_join_misses(d)
     from_a = reference_side_map(inst.a, d, into)
     from_b = reference_side_map(inst.b, d, into)
     for tag, side_map in (("A", from_a), ("B", from_b)):
@@ -142,7 +142,7 @@ def test_a_common_part_without_its_join_fails_on_both_paths():
 
 def test_join_preserving_embedding_keeps_its_exhaustive_sweep(monkeypatch, v_contact):
     monkeypatch.setattr(
-        represent, "existing_join_misses", lambda s, family, total: [("a", "b")]
+        represent, "existing_join_misses", lambda s: [("a", "b")]
     )
     with pytest.raises(AxiomViolation, match="existing joins not preserved"):
         join_preserving_embedding(v_contact)
