@@ -10,7 +10,7 @@ Element names are the external interface; indices are internal.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
     AxiomViolation,
@@ -80,6 +80,27 @@ def relabel_rows(rows: Sequence[int], perm: Sequence[int]) -> tuple[int, ...]:
     for i, row in enumerate(rows):
         out[perm[i]] = mask_image(row, perm)
     return tuple(out)
+
+
+def close_under(
+    start: Iterable[int], generators: Sequence[int], op: Callable[[int, int], int]
+) -> set[int]:
+    """The least set holding start and closed under x -> op(x, g) for
+    every generator g.  Semi-naive: each value is paired with each
+    generator once, when it is first found (Bancilhon and Ramakrishnan,
+    SIGMOD 1986).  For an associative, commutative op, the closure of a
+    family under op is close_under(family, family, op): every member is
+    op over some generators, reached one generator at a time."""
+    closed = set(start)
+    todo = list(closed)
+    while todo:
+        x = todo.pop()
+        for g in generators:
+            y = op(x, g)
+            if y not in closed:
+                closed.add(y)
+                todo.append(y)
+    return closed
 
 
 # ---------------------------------------------------------------------------

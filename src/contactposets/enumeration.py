@@ -18,7 +18,6 @@ only the least mask of each orbit is built and canonicalised.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations
@@ -239,7 +238,7 @@ def isomorphisms(
         return
     if s_colors is None:
         s_colors = _bottom_colors(s)
-    t_colors = _bottom_colors(t)
+    t_colors = s_colors if t is s else _bottom_colors(t)
     if sorted(s_colors) != sorted(t_colors):
         return
     slots: dict[int, list[int]] = {}
@@ -334,8 +333,6 @@ def enumerate_posets_with_bottom(n: int) -> tuple[tuple[int, ...], ...]:
     """
     if n < 1:
         raise ValueError("need at least one element")
-    if n > 6:
-        warnings.warn("poset enumeration beyond n = 6 gets slow", stacklevel=2)
     out = []
     for small in enumerate_posets(n - 1):
         up = [(1 << n) - 1]
@@ -404,20 +401,13 @@ def _free_pair_upsets(
     s: ContactStructure, overlap: Sequence[int]
 ) -> tuple[list[tuple[int, int]], list[int]]:
     """The free pairs of s and every up-set of their order, as ascending
-    bit masks over the free-pair list."""
+    bit masks over the free-pair list: the down-sets of the table whose
+    row q holds the free pairs at or below pair q."""
     free = _free_pairs(s, overlap)
-    m = len(free)
-    succ = [0] * m
-    for a in range(m):
-        for b in range(m):
-            if a != b and _pair_leq(s, free[a], free[b]):
-                succ[a] |= 1 << b
-    upsets = [
-        chosen
-        for chosen in range(1 << m)
-        if not any(succ[a] & ~chosen for a in bits(chosen))
+    below = [
+        sum(1 << a for a, p in enumerate(free) if _pair_leq(s, p, q)) for q in free
     ]
-    return free, upsets
+    return free, _down_sets(below)
 
 
 def _contact_table(
@@ -686,11 +676,14 @@ def _degree_profile(up: Sequence[int], contact: Sequence[int]) -> list[int]:
     return sorted([u.bit_count() << 16 | c.bit_count() for u, c in zip(up, contact)])
 
 
-def _embedding_search(s: _Rows, t: _Rows) -> Iterator[tuple[int, ...]]:
+@lru_cache(maxsize=4096)
+def _embedding_table(s: _Rows, t: _Rows) -> tuple[tuple[int, ...], ...]:
     """Embeddings of s onto induced substructures of t as index maps
     (entry i is t's position of s's element i), subset by
     subset in carrier_subsets order and, within a subset, in the order
-    isomorphisms finds them.
+    isomorphisms finds them.  Memoised by rows, so renamed copies of the
+    same pair share one entry; bounded, module-level and cleared with
+    the other caches.
 
     s's colours and degree profile are computed once.  A piece is t's
     rows restricted to the subset (core.restrict) and not re-validated:
@@ -700,42 +693,34 @@ def _embedding_search(s: _Rows, t: _Rows) -> Iterator[tuple[int, ...]]:
     profile differs from s's has no isomorphism from s and is skipped.
     """
     if s.n > t.n:
-        return
+        return ()
     colors = _bottom_colors(s)
     profile = _degree_profile(s.up, s.contact)
+    found = []
     for chosen in _carrier_positions(t, s.n, s.kind):
         up, contact = restrict(chosen, t.up, t.contact)
         if _degree_profile(up, contact) != profile:
             continue
         piece = _Rows(chosen.index(t.bottom), up, contact, s.kind)
         for perm in isomorphisms(s, piece, colors):
-            yield tuple([chosen[p] for p in perm])
-
-
-@lru_cache(maxsize=4096)
-def _embedding_table(s: _Rows, t: _Rows) -> tuple[tuple[int, ...], ...]:
-    """Every map _embedding_search yields, memoised by rows: renamed
-    copies of the same pair share one entry.  Bounded, module-level and
-    cleared with the other caches."""
-    return tuple(_embedding_search(s, t))
+            found.append(tuple([chosen[p] for p in perm]))
+    return tuple(found)
 
 
 def induced_embeddings(
-    s: ContactStructure, t: ContactStructure, memo: bool = True
+    s: ContactStructure, t: ContactStructure
 ) -> Iterator[dict[str, str]]:
     """All embeddings of s onto induced substructures of t, as name maps.
 
     For semilattices only join-closed images count, which makes these
-    exactly the signature embeddings.  The maps are read off the
-    memoised index maps of the pair; with memo=False the search runs
-    lazily instead, for a caller that stops at the first map.  The order
-    is the same either way.
+    exactly the signature embeddings.  The maps are read off the index
+    maps of the pair, searched once and memoised by rows
+    (_embedding_table).
     """
     s_rows = _Rows(s.bottom, tuple(s.up), tuple(s.contact), s.kind)
     t_rows = _Rows(t.bottom, tuple(t.up), tuple(t.contact), s.kind)
-    found = _embedding_table(s_rows, t_rows) if memo else _embedding_search(s_rows, t_rows)
     s_names, t_names = s.names, t.names
-    for f in found:
+    for f in _embedding_table(s_rows, t_rows):
         yield {name: t_names[j] for name, j in zip(s_names, f)}
 
 

@@ -24,8 +24,10 @@ from .core import (
     ContactStructure,
     _restriction,
     bits,
+    close_under,
     induced_substructure,
     join_table,
+    mask_image,
     verify_map,
 )
 from .enumeration import (
@@ -114,11 +116,7 @@ def embeds_extension(
     up, contact = stage.up, stage.contact
 
     def pushed(row: int) -> int:
-        out = 0
-        for i in rest:
-            if row >> i & 1:
-                out |= 1 << g[i]
-        return out
+        return mask_image(row & ~(1 << x), g)
 
     candidates = stage.full_mask & ~image
     if t.bottom == x:
@@ -538,18 +536,10 @@ def random_instance(
 def generated_subsemilattice(
     s: ContactStructure, generators: Iterable[str]
 ) -> tuple[str, ...]:
-    """Closure of the generators plus bottom under binary joins."""
+    """Closure of the generators plus bottom under binary joins.  In a
+    semilattice each member is the join of some generators, reached one
+    generator at a time (core.close_under); a missing join adds nothing."""
     joins, up = join_table(s), s.up
-    closed = {s.index(name) for name in generators}
-    closed.add(s.bottom)
-    while True:
-        fresh = set()
-        for i in closed:
-            for j in closed:
-                join = joins.get(up[i] & up[j])
-                if join is not None and join not in closed:
-                    fresh.add(join)
-        if not fresh:
-            break
-        closed |= fresh
+    chosen = [s.index(name) for name in generators] + [s.bottom]
+    closed = close_under(chosen, chosen, lambda i, j: joins.get(up[i] & up[j], i))
     return tuple(s.names[i] for i in sorted(closed))

@@ -21,15 +21,13 @@ from .core import (
     close_contact,
     join_table,
     meet_table,
+    normalize_order,
     overlap_relation,
     restrict,
 )
 from .enumeration import (
-    AgeCatalog,
     all_contact_tables,
-    canonical_key,
     enumerate_distributive_lattices,
-    induced_embeddings,
     lattice_operations,
 )
 from .errors import BudgetExceeded, NotSemilattice
@@ -45,7 +43,7 @@ def m3(variant: str = "overlap") -> ContactStructure:
     bare = ContactStructure(
         ("0", "a", "b", "c", "1"),
         0,
-        _closed_order(("0", "a", "b", "c", "1"), order),
+        normalize_order(order, ("0", "a", "b", "c", "1"), "0"),
         (0, 0, 0, 0, 0),
         SEMILATTICE,
     )
@@ -55,12 +53,6 @@ def m3(variant: str = "overlap") -> ContactStructure:
     if variant == "with_ab":
         return close_contact(base, [("a", "b")])
     raise ValueError(f"unknown variant {variant!r}")
-
-
-def _closed_order(names: Sequence[str], pairs) -> tuple[int, ...]:
-    from .core import normalize_order
-
-    return normalize_order(pairs, names, names[0])
 
 
 def find_additivity_failure(s: ContactStructure) -> tuple[str, str, str] | None:
@@ -320,66 +312,6 @@ def _contact_embedding(
 ) -> bool:
     """Does the assignment carry a's contact exactly onto d's?"""
     return restrict(assignment, d.contact)[0] == a.contact
-
-
-# ---------------------------------------------------------------------------
-# exploratory harness, asserts nothing
-
-
-@dataclass(frozen=True)
-class AdditiveSearchReport:
-    source_bound: int
-    target_bound: int
-    additive_sources: int
-    embeddable: int
-    unresolved: tuple[str, ...]
-
-
-def search_additive_overlap_embeddings(
-    source_bound: int = 4, target_bound: int = 6
-) -> AdditiveSearchReport:
-    """Try to re-embed additive contact semilattices into additive
-    overlap semilattices within a bounded target pool.
-
-    Purely exploratory: sources the pool cannot absorb are listed as
-    unresolved, no claim either way is made.
-    """
-    catalog = AgeCatalog.build(source_bound, SEMILATTICE)
-    sources = [
-        item
-        for item in catalog.items
-        if check_contact_axioms(item, require_add=True).ok
-    ]
-    pool: dict[tuple, ContactStructure] = {}
-    for carrier in AgeCatalog.build(target_bound, SEMILATTICE).items:
-        s = carrier.with_contact(overlap_relation(carrier))
-        if check_contact_axioms(s, require_add=True).ok:
-            pool.setdefault(canonical_key(s), s)
-    targets = list(pool.values())
-    embeddable = 0
-    unresolved = []
-    for source in sources:
-        hit = any(
-            target.n >= source.n and _search_embedding(source, target)
-            for target in targets
-        )
-        if hit:
-            embeddable += 1
-        else:
-            unresolved.append(str(canonical_key(source)))
-    return AdditiveSearchReport(
-        source_bound, target_bound, len(sources), embeddable, tuple(unresolved)
-    )
-
-
-def _search_embedding(source: ContactStructure, target: ContactStructure) -> bool:
-    """Whether some embedding source -> target exists (verify_map's
-    is_embedding).  Between semilattices an injective join-preserving
-    map reflects the order (f(x) <= f(y) gives f(x v y) = f(y), so
-    x v y = y), so the embeddings are exactly the isomorphisms onto
-    join-closed induced substructures that contain the bottom, which
-    enumeration.induced_embeddings walks, lazily, up to the first."""
-    return next(induced_embeddings(source, target, memo=False), None) is not None
 
 
 # ---------------------------------------------------------------------------

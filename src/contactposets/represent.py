@@ -9,6 +9,7 @@ embedding maps come back fully verified.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import and_, or_
 from typing import Callable, Sequence
 
 from .core import (
@@ -18,6 +19,7 @@ from .core import (
     StructureMap,
     bits,
     check_contact_axioms,
+    close_under,
     compose_maps,
     join_table,
     meet_table,
@@ -192,16 +194,8 @@ def _image_family(
                 Origin("pair-intersection", (s.names[a], s.names[b])),
             )
     if union_closed:
-        frontier = list(masks)
-        while frontier:
-            fresh = []
-            for x in frontier:
-                for y in list(masks):
-                    u = x | y
-                    if u not in provenance:
-                        add(u, Origin("union"))
-                        fresh.append(u)
-            frontier = fresh
+        for u in close_under(masks, masks, or_) - provenance.keys():
+            add(u, Origin("union"))
     return masks, provenance
 
 
@@ -381,14 +375,7 @@ def macneille_completion(
     and meet (_check_cut_bounds).
     """
     down = s.down_masks()
-    cuts = {s.full_mask} | {down[a] for a in range(s.n)}
-    while True:
-        fresh = {
-            x & down[a] for x in cuts for a in range(s.n)
-        } - cuts
-        if not fresh:
-            break
-        cuts |= fresh
+    cuts = close_under((s.full_mask, *down), down, and_)
     provenance: dict[int, list[Origin]] = {mask: [Origin("cut")] for mask in cuts}
     for a in range(s.n):
         provenance[down[a]].append(Origin("element-image", (s.names[a],)))

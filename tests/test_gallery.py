@@ -13,8 +13,8 @@ from contactposets.gallery import (
     find_additivity_failure,
     m3,
     run_gallery,
-    search_additive_overlap_embeddings,
 )
+from additive_search import search_additive_overlap_embeddings
 
 
 class TestM3Fixtures:

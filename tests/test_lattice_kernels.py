@@ -2,8 +2,8 @@
 
 ``core.meet_table`` answers meets by down-row lookup; the enumeration's
 lattice predicates and the gallery's lattice-embedding search read the
-join and meet of every pair off one table pair; the gallery's additive
-embedding search walks ``induced_embeddings``; and
+join and meet of every pair off one table pair; the additive embedding
+search kept in ``additive_search`` walks ``induced_embeddings``; and
 ``represent._check_cut_bounds`` walks the subsets depth-first, carrying
 bounds on both sides.  Each is compared here with the per-call scan it
 replaced, kept below as the reference.
@@ -15,7 +15,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from contactposets import gallery
+import additive_search
 from contactposets.core import (
     POSET,
     SEMILATTICE,
@@ -36,17 +36,16 @@ from contactposets.enumeration import (
 from contactposets.errors import AxiomViolation
 from contactposets.gallery import (
     _lattice_zero_embeddings,
-    _search_embedding,
     check_distributive_amalgam_failure,
     failure_instance,
     m3,
-    search_additive_overlap_embeddings,
 )
 from contactposets.represent import (
     _check_cut_bounds,
     macneille_completion,
     overlap_semilattice_embedding,
 )
+from additive_search import _search_embedding, search_additive_overlap_embeddings
 from join_scans import join_index, subset_join
 from sublattice_oracle import _is_m3_or_n5, is_distributive_by_sublattices
 
@@ -375,7 +374,7 @@ def test_search_embedding_matches_verify_map_scan(semilattice_catalog_6):
 @pytest.mark.parametrize("bounds", [(3, 5), (4, 6)])
 def test_additive_search_reports_unchanged(bounds, monkeypatch):
     got = search_additive_overlap_embeddings(*bounds)
-    monkeypatch.setattr(gallery, "_search_embedding", reference_search_embedding)
+    monkeypatch.setattr(additive_search, "_search_embedding", reference_search_embedding)
     assert got == search_additive_overlap_embeddings(*bounds)
 
 

@@ -273,7 +273,6 @@ def _assert_overlap_matches(s):
     assert check_contact_axioms(s.with_contact(rows)).ok
 
 
-@pytest.mark.filterwarnings("ignore:poset enumeration")
 def test_overlap_on_every_carrier_to_seven():
     count = 0
     for up in (up for n in range(1, 8) for up in enumerate_posets_with_bottom(n)):
@@ -390,7 +389,6 @@ def reference_require_join_closed(s, chosen):
                 raise NotJoinClosed(f"join of {s.names[a]!r} and {s.names[b]!r} escapes the subset")
 
 
-@pytest.mark.filterwarnings("ignore:poset enumeration")
 def test_carrier_positions_on_every_semilattice_to_seven():
     for t in AgeCatalog.build(7, SEMILATTICE).items:
         for size in range(1, t.n + 1):
