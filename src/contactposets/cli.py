@@ -7,7 +7,6 @@ Exit codes are a stable contract: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from contextlib import contextmanager
@@ -33,12 +32,16 @@ STDOUT = "stdout"
 # a 7-atom carrier of 2^21 free-pair up-sets and 5,040 automorphisms,
 # minutes of orbit filtering; semilattices of size 8 take seconds.
 ENUMERATE_BOUNDS = {POSET: 7, SEMILATTICE: 8}
+# The largest `fraisse --cap` per kind.  A stage searches every catalog
+# item one larger than the cap for one-point extensions: with one sweep
+# of a 2-element stage, poset cap 5 takes 8-10 s and cap 6 over 30 s,
+# semilattice cap 6 11-12 s.
+FRAISSE_CAP_BOUNDS = {POSET: 5, SEMILATTICE: 6}
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    command = argv[0] if argv and argv[0] in COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    args = _parse(argv)
     try:
         code = args.handler(args)
         with _writing(STDOUT):
@@ -49,24 +52,43 @@ def main(argv: list[str] | None = None) -> int:
         return formats.exit_code_for(exc)
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand in ``COMMANDS``, or of ``command``
-    alone, which parses and reports that command's argv identically."""
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse a known command with its own parser alone.  Argv without a
+    known command, and argv whose command leaves arguments unrecognized
+    (always a usage error), go to the full parser, so every usage, error
+    and help text is the full parser's.  Nothing is cached across calls:
+    each invocation is its own process."""
+    if argv and argv[0] in COMMANDS:
+        args, extra = command_parser(argv[0]).parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return build_parser().parse_args(argv)
+
+
+def command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of subcommand ``name`` alone: the full parser's
+    subparser for it, with the same usage, help and errors."""
+    return _fill(argparse.ArgumentParser(prog=f"contactposets {name}"), name)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand in ``COMMANDS``."""
     parser = argparse.ArgumentParser(
         prog="contactposets",
         description="Finite contact posets: axiom checks, representation "
         "embeddings, superamalgamation, limit stages and the gallery.",
     )
-    # The metavar keeps a one-command parser's usage line naming every
-    # subcommand; on the full parser it would replace "command" in errors.
-    metavar = "{" + ",".join(COMMANDS) + "}" if command else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in [command] if command else COMMANDS:
-        spec = COMMANDS[name]
-        p = sub.add_parser(name, help=spec.help)
-        for flags, kwargs in spec.arguments:
-            p.add_argument(*flags, **kwargs)
-        p.set_defaults(handler=spec.handler)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, spec in COMMANDS.items():
+        _fill(sub.add_parser(name, help=spec.help), name)
+    return parser
+
+
+def _fill(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    spec = COMMANDS[name]
+    for flags, kwargs in spec.arguments:
+        parser.add_argument(*flags, **kwargs)
+    parser.set_defaults(command=name, handler=spec.handler)
     return parser
 
 
@@ -224,6 +246,12 @@ def _load_event(path: str) -> ev.EventStructure:
 
 
 def cmd_fraisse(args: argparse.Namespace) -> int:
+    bound = FRAISSE_CAP_BOUNDS[args.kind]
+    if args.cap > bound:
+        raise BudgetExceeded(
+            f"a {args.kind} limit stage with cap {args.cap} exceeds the bound "
+            f"of cap {bound}"
+        )
     stage = fr.build_limit_stage(
         args.kind, args.cap, args.budget, max_elements=args.max_elements
     )
@@ -298,7 +326,7 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
 
 
 def _emit(bundle: Any, out: str | Path | None) -> None:
-    text = json.dumps(bundle, indent=2, sort_keys=True)
+    text = formats.dumps(bundle)
     if out:
         with _writing(out):
             Path(out).write_text(text + "\n", encoding="utf-8")

@@ -276,12 +276,19 @@ def isomorphisms(
 
 
 def _down_sets(up: Sequence[int]) -> list[int]:
-    """All downward-closed subsets of an order table."""
+    """All downward-closed subsets of an order table, ascending.
+
+    ``up`` must be a partial order (reflexive, antisymmetric and
+    transitive).  The elements are taken in a linear extension, by the
+    size of their down-sets, and each is added to every down-set found
+    so far that holds everything strictly below it, so each down-set is
+    grown once, along its own elements in that order."""
     down = transpose(up)
-    out = []
-    for mask in range(1 << len(up)):
-        if all(down[i] & ~mask == 0 for i in bits(mask)):
-            out.append(mask)
+    out = [0]
+    for i in sorted(range(len(up)), key=lambda i: down[i].bit_count()):
+        point, below = 1 << i, down[i] & ~(1 << i)
+        out += [ideal | point for ideal in out if below & ~ideal == 0]
+    out.sort()
     return out
 
 

@@ -10,6 +10,7 @@ strict unless closing is requested.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Any, Sequence
 
 from .core import (
@@ -122,8 +123,49 @@ def load_structure(path: str, close: bool = False) -> ContactStructure | EventSt
 def save_structure(path: str, s: ContactStructure | EventStructure) -> None:
     doc = event_to_doc(s) if isinstance(s, EventStructure) else structure_to_doc(s)
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(dumps(doc) + "\n")
+
+
+def dumps(doc: Any) -> str:
+    """The text of ``json.dumps(doc, indent=2, sort_keys=True)``, byte
+    for byte: the one writer of structure files and bundles.
+
+    ``indent`` turns off the C encoder, so strings, lists, tuples and
+    dicts with str keys are walked here and each string goes through the
+    C string encoder.  Every other value (numbers, bools, None, empty
+    containers, dicts with a non-str key) is handed to ``json.dumps``,
+    re-indented where it spans lines, so the text is the same by
+    construction.  A document that contains itself raises RecursionError
+    where ``json.dumps`` raises ValueError.
+    """
+    return _dumps(doc, "\n")
+
+
+def _dumps(value: Any, newline: str) -> str:
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if not isinstance(value, (list, tuple, dict)) or not value:
+        return json.dumps(value)  # no line breaks, so no indent to apply
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not all(isinstance(key, str) for key in value):
+            return json.dumps(value, indent=2, sort_keys=True).replace("\n", newline)
+        items = [encode_basestring_ascii(key) + ": " + (
+                     encode_basestring_ascii(item) if isinstance(item, str)
+                     else _dumps(item, inner))
+                 for key, item in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if all(isinstance(item, str) for item in value):
+        items = map(encode_basestring_ascii, value)
+    elif all(isinstance(item, (list, tuple)) and len(item) == 2
+             and isinstance(item[0], str) and isinstance(item[1], str)
+             for item in value):
+        deeper = inner + "  "
+        items = [f"[{deeper}{encode_basestring_ascii(x)},{deeper}"
+                 f"{encode_basestring_ascii(y)}{inner}]" for x, y in value]
+    else:
+        items = [_dumps(item, inner) for item in value]
+    return "[" + inner + ("," + inner).join(items) + newline + "]"
 
 
 def family_to_doc(family: SetFamilyStructure) -> dict[str, Any]:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -319,33 +320,50 @@ def _outcome(parser, argv):
             return exc.code, out.getvalue(), err.getvalue()
 
 
-class _Built(Exception):
-    pass
+def _main_outcome(monkeypatch, argv):
+    """What ``main`` makes of argv, with every handler replaced by a
+    recorder, and the parsers it built on the way: the name passed to
+    each ``command_parser`` call, None for each ``build_parser`` call.
+    The outcome is the Namespace the handler got, or the exit code,
+    stdout and stderr of a parse that exits.  The handlers stay
+    replaced, so a full parser built afterwards in the same test hands
+    out the same recorder."""
+    seen, built = [], []
 
+    def record(args):
+        seen.append(args)
+        return 0
 
-def _command_main_builds(monkeypatch, argv):
-    """The ``command`` argument ``main`` passes to ``build_parser``."""
-
-    def spy(command=None):
-        raise _Built(command)
-
-    monkeypatch.setattr(cli, "build_parser", spy)
-    with pytest.raises(_Built) as info:
-        main(list(argv))
-    monkeypatch.undo()
-    return info.value.args[0]
+    one, full = cli.command_parser, cli.build_parser
+    monkeypatch.setattr(cli, "COMMANDS", {
+        name: spec._replace(handler=record) for name, spec in COMMANDS.items()})
+    monkeypatch.setattr(cli, "command_parser", lambda name: built.append(name) or one(name))
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(None) or full())
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            assert main(list(argv)) == 0
+        except SystemExit as exc:
+            outcome = exc.code, out.getvalue(), err.getvalue()
+        else:
+            [outcome] = seen
+    return outcome, built
 
 
 VALID_ARGV = [
     ["check", M3],
     ["check", M3, "--add", "--kind", "poset", "--close"],
+    ["check", "--", M3],
+    ["check", "--kind=event", M3],
     ["embed", CHAIN, "--theorem", "4b", "--out", "b.json", "--close"],
     ["embed", CHAIN, "--theo", "cor3"],
+    ["embed", CHAIN, "--theorem=4a", "--out=-"],
     ["amalgamate", *SIDES],
     ["amalgamate", *SIDES, "--kind", "event", "--out", "d.json"],
     ["fraisse"],
     ["fraisse", "--kind", "semilattice", "--cap", "3", "--budget", "2",
      "--max-elements", "9", "--out", "s.json"],
+    ["fraisse", "--max", "3", "--cap=2"],
     ["enumerate", "--size", "3"],
     ["enumerate", "--size", "2", "--kind", "semilattice", "--out", "cat"],
     ["gallery"],
@@ -354,53 +372,61 @@ VALID_ARGV = [
     ["export-dot", M3, "--contact", "extra", "--out", "m3.dot"],
 ]
 
+# argv that the one-command parser leaves with unrecognized arguments,
+# so main hands them on to the full parser
+FALLBACK_ARGV = [
+    ["embed", CHAIN, "--theorem", "prop2", "extra"],
+    ["check", M3, "--bogus"],
+    ["fraisse", "-x", "1"],
+    ["gallery", "--", "--bound", "5"],
+]
+
 REJECTED_ARGV = [
     *([name, "-h"] for name in COMMANDS),
     ["embed", CHAIN, "--theorem", "5c"],
     ["embed", CHAIN],
     ["amalgamate", SIDES[0], SIDES[1]],
     ["fraisse", "--cap", "0"],
-    ["embed", CHAIN, "--theorem", "prop2", "extra"],
     ["check", M3, "-h", "--kind", "event"],
+    ["check", M3, "--k", "lattice"],
+    ["fraisse", "--cap"],
+    *FALLBACK_ARGV,
 ]
 
 TOP_LEVEL_ARGV = [[], ["-h"], ["--help"], ["bogus"], ["-h", "check"], ["--seed", "1", "check", M3]]
 
 
 class TestParserDifferential:
-    """``main`` builds only the invoked subcommand's parser; it must parse
-    and report exactly as the parser of every subcommand does."""
+    """``main`` parses a known command with that command's parser alone;
+    it must parse and report exactly as the parser of every subcommand
+    does."""
 
     def test_every_subcommand_is_covered(self):
         assert {argv[0] for argv in VALID_ARGV} == set(COMMANDS)
 
     @pytest.mark.parametrize("argv", VALID_ARGV, ids=_id)
     def test_valid_argv_gives_equal_namespaces(self, argv, monkeypatch):
-        command = _command_main_builds(monkeypatch, argv)
-        assert command == argv[0]
-        one = _outcome(build_parser(command), argv)
+        one, built = _main_outcome(monkeypatch, argv)
+        assert built == [argv[0]]
         full = _outcome(build_parser(), argv)
+        assert isinstance(one, argparse.Namespace)
         assert one == full
-        assert one.handler is COMMANDS[argv[0]].handler
+        assert one.handler is cli.COMMANDS[argv[0]].handler
 
     @pytest.mark.parametrize("argv", REJECTED_ARGV, ids=_id)
     def test_help_and_errors_are_byte_identical(self, argv, monkeypatch):
-        command = _command_main_builds(monkeypatch, argv)
-        assert command == argv[0]
-        one = _outcome(build_parser(command), argv)
+        one, built = _main_outcome(monkeypatch, argv)
+        fallback = [None] if argv in FALLBACK_ARGV else []
+        assert built == [argv[0], *fallback]
         full = _outcome(build_parser(), argv)
         assert isinstance(one, tuple)
         assert one == full
 
     @pytest.mark.parametrize("argv", TOP_LEVEL_ARGV, ids=_id)
     def test_top_level_uses_the_full_parser(self, argv, monkeypatch):
-        assert _command_main_builds(monkeypatch, argv) is None
-        full = _outcome(build_parser(), argv)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            with pytest.raises(SystemExit) as info:
-                main(list(argv))
-        assert (info.value.code, out.getvalue(), err.getvalue()) == full
+        one, built = _main_outcome(monkeypatch, argv)
+        assert built == [None]
+        assert one == _outcome(build_parser(), argv)
 
     def test_errors_name_the_command_argument(self):
         code, _, err = _outcome(build_parser(), [])
@@ -442,6 +468,10 @@ CONTRACT = [
     (["fraisse", "--max-elements", "0"], 2, "usage:"),
     (["fraisse", "--cap", "two"], 2, "usage:"),
     (["fraisse", "--cap", "1", "--budget", "1", "--out", "{no_dir}"], 2, "error: cannot write"),
+    (["fraisse", "--kind", "poset", "--cap", "6", "--budget", "1", "--max-elements", "2"], 3,
+     "error: a poset limit stage with cap 6 exceeds the bound of cap 5"),
+    (["fraisse", "--kind", "semilattice", "--cap", "7"], 3,
+     "error: a semilattice limit stage with cap 7 exceeds the bound of cap 6"),
     (["enumerate"], 2, "usage:"),
     (["enumerate", "--size", "0"], 2, "usage:"),
     (["enumerate", "--size", "3", "--kind", "event"], 2, "usage:"),

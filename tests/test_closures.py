@@ -6,8 +6,9 @@ closes the image family of ``represent._image_family`` under unions,
 the cuts of ``represent.macneille_completion`` under meets with
 principal down-sets, and ``fraisse.generated_subsemilattice`` under
 joins.  ``enumeration._free_pair_upsets`` reads its up-sets off
-``_down_sets``.  The loops and the filter they replaced are kept below
-as the references.
+``_down_sets``, which grows the down-sets of an order along a linear
+extension instead of filtering all 2^n masks.  The loops and the
+filters they replaced are kept below as the references.
 """
 
 import random
@@ -24,6 +25,7 @@ from contactposets.core import (
     close_under,
     join_table,
     overlap_relation,
+    transpose,
     verify_map,
 )
 from contactposets.enumeration import AgeCatalog, automorphisms, isomorphisms
@@ -40,7 +42,8 @@ from contactposets.represent import (
 
 
 # ---------------------------------------------------------------------------
-# the references: the loops close_under and _down_sets replaced
+# the references: the loops and filters close_under and _down_sets
+# replaced
 
 
 def reference_image_family(s, union_closed):
@@ -116,6 +119,17 @@ def reference_generated_subsemilattice(s, generators):
             break
         closed |= fresh
     return tuple(s.names[i] for i in sorted(closed))
+
+
+def reference_down_sets(up):
+    """Every mask over the elements, kept when it holds the down-set of
+    each of its elements."""
+    down = transpose(up)
+    out = []
+    for mask in range(1 << len(up)):
+        if all(down[i] & ~mask == 0 for i in bits(mask)):
+            out.append(mask)
+    return out
 
 
 def reference_free_pair_upsets(s, overlap):
@@ -226,6 +240,27 @@ def test_generated_subsemilattice_matches_reference(semilattice_catalog_6):
         assert closure == reference_generated_subsemilattice(s, chosen)
         added = max(added, len(closure) - len(set(chosen) | {s.names[s.bottom]}))
     assert added >= 4
+
+
+def test_down_sets_match_reference():
+    """Poset carriers to 6, lattice carriers to 7, and the free-pair
+    order of each carrier, whose down-sets are its up-sets of free
+    pairs."""
+    checked = 0
+    for n in range(1, 8):
+        for carrier in _carriers(n):
+            if carrier.kind == POSET and n > 6:
+                continue
+            free = enumeration._free_pairs(carrier, overlap_relation(carrier))
+            below = [
+                sum(1 << a for a, p in enumerate(free)
+                    if enumeration._pair_leq(carrier, p, q))
+                for q in free
+            ]
+            for table in (carrier.up, below):
+                assert enumeration._down_sets(table) == reference_down_sets(table)
+            checked += 1
+    assert checked == 88 + 78
 
 
 @pytest.mark.parametrize("n", range(1, 7))

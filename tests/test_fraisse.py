@@ -158,17 +158,26 @@ class TestExtensionProperty:
 
 class TestLocalFiniteness:
     def test_generated_subsemilattice_bound(self, semilattice_catalog_3):
+        """k generators give at most 2^k elements with the bottom.  A
+        stage of this size is a chain, where no closure adds a join, so
+        the bound is also run on the 32-element Boolean lattice, where
+        k atoms reach it."""
         from itertools import combinations
+
+        from test_closures import _boolean_lattice
 
         stage = build_limit_stage(
             SEMILATTICE, 2, 2, catalog=semilattice_catalog_3, max_elements=40
         )
-        s = stage.structure
-        nonbottom = [n for n in s.names if n != s.names[s.bottom]]
-        for k in (1, 2, 3):
-            for chosen in combinations(nonbottom[:6], k):
-                closure = generated_subsemilattice(s, chosen)
-                assert len(closure) <= 2 ** k - 1 + 1
+        for s, pool in ((stage.structure, 6), (_boolean_lattice(5), None)):
+            nonbottom = [n for n in s.names if n != s.names[s.bottom]]
+            largest = {}
+            for k in (1, 2, 3):
+                for chosen in combinations(nonbottom[:pool], k):
+                    closure = generated_subsemilattice(s, chosen)
+                    assert len(closure) <= 2 ** k
+                    largest[k] = max(largest.get(k, 0), len(closure))
+        assert largest == {1: 2, 2: 4, 3: 8}
 
 
 class TestClassProperties:

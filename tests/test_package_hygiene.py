@@ -8,6 +8,9 @@ is deleted takes its imports with it.
 Likewise every module-level private function or class is referenced
 somewhere in the package outside its own definition, so code that is
 deleted takes its helpers with it.
+
+And JSON is written in one place: only ``io`` calls ``json.dump`` or
+``json.dumps``, so every file and bundle goes through ``io.dumps``.
 """
 
 import ast
@@ -95,3 +98,35 @@ def test_every_private_definition_is_referenced():
         if everywhere[node.name] == Counter(_references(node))[node.name]
     ]
     assert unreferenced == []
+
+
+def _json_writes(tree):
+    """Calls of json.dump or json.dumps, however json or the function
+    was imported."""
+    aliases = {"json"}
+    writers = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases |= {a.asname or a.name for a in node.names if a.name == "json"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            writers |= {a.asname or a.name for a in node.names
+                        if a.name in ("dump", "dumps")}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (isinstance(func, ast.Attribute) and func.attr in ("dump", "dumps")
+                and isinstance(func.value, ast.Name) and func.value.id in aliases):
+            yield node.lineno
+        elif isinstance(func, ast.Name) and func.id in writers:
+            yield node.lineno
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_only_io_writes_json(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = list(_json_writes(tree))
+    if path.name == "io.py":
+        assert found
+    else:
+        assert found == []
