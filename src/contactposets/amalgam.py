@@ -10,7 +10,8 @@ C, which is what superamalgamation asks for.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
+from functools import cached_property
+from typing import Callable, Sequence
 
 from .core import (
     POSET,
@@ -25,6 +26,7 @@ from .core import (
     check_contact_axioms,
     index_map,
     induced_substructure,
+    lookup,
     order_failure,
     restrict,
     verify_map,
@@ -124,94 +126,79 @@ def _lands(c: ContactStructure, emb: dict[str, str], fresh: dict[str, str]) -> b
 
 
 # ---------------------------------------------------------------------------
-# the order amalgam
+# the amalgam rows
 
 
-def _lift(rows: Sequence[int], f: Sequence[int], n: int) -> list[int]:
-    """A side's rows moved into union positions: row i lands at f[i] and
-    its bit j becomes bit f[j].  One shift per run of f; f is injective.
-    Positions outside the side hold 0."""
+def _lift(f: Sequence[int], n: int, *tables: Sequence[int]) -> list[list[int]]:
+    """Each table's rows moved into union positions, the inverse of
+    core.restrict: row i lands at f[i] and its bit j becomes bit f[j].
+    The runs of f are cut once for all tables, one shift per run; f is
+    injective.  Positions outside the side hold 0."""
     runs = _runs(f)
-    out = [0] * n
-    for i, row in enumerate(rows):
-        lifted = 0
-        for source_start, target_start, width in runs:
-            lifted |= (row >> source_start & width) << target_start
-        out[f[i]] = lifted
+    out = []
+    for rows in tables:
+        lifted = [0] * n
+        for i, row in enumerate(rows):
+            moved = 0
+            for source_start, target_start, width in runs:
+                moved |= (row >> source_start & width) << target_start
+            lifted[f[i]] = moved
+        out.append(lifted)
     return out
 
 
-def order_amalgam(inst: AmalgamInstance) -> tuple[tuple[str, ...], tuple[int, ...]]:
-    """Smallest order on the union extending both sides and their
-    compositions through C.
+def _glue(inst: AmalgamInstance) -> tuple[list[str], list[int], list[int], list[int]]:
+    """The one row builder of both amalgams: the union carrier, the order
+    rows (asserted a partial order), the contact rows, and B's union
+    positions.
 
-    Each side's rows are lifted once into union positions.  x <= y
-    through C when some c in C sits above x on one side and below y on
-    the other, so x's row gains the other side's rows at the C bits of
-    its own side's row.
-
-    The result is asserted, not repaired: antisymmetry or transitivity
-    failures would contradict the construction and raise immediately.
-    That the order restricts to A and B exactly is checked once, with
-    contact, by contact_amalgam.
-    """
-    a, b, c = inst.a, inst.b, inst.c
-    names = list(a.names) + [name for name in b.names if name not in set(c.names)]
-    pos = {name: i for i, name in enumerate(names)}
-    n = len(names)
-    rows_a, rows_b = (_lift(side.up, [pos[x] for x in side.names], n) for side in (a, b))
-    c_mask = 0
-    for name in c.names:
-        c_mask |= 1 << pos[name]
-    up = []
-    for x in range(n):
-        row = 1 << x | rows_a[x] | rows_b[x]
-        for mine, theirs in ((rows_a, rows_b), (rows_b, rows_a)):
-            mids = mine[x] & c_mask
-            while mids:
-                low = mids & -mids
-                row |= theirs[low.bit_length() - 1]
-                mids ^= low
-        up.append(row)
-
-    _assert_partial_order(up, names)
-    return tuple(names), tuple(up)
-
-
-def _assert_partial_order(up: Sequence[int], names: Sequence[str]) -> None:
-    failure = order_failure(up)
-    if failure is not None:
-        i, j, law = failure
-        raise AxiomViolation(f"amalgam order not {law} at {names[i]!r}, {names[j]!r}")
-
-
-# ---------------------------------------------------------------------------
-# the contact amalgam
-
-
-def contact_amalgam(inst: AmalgamInstance) -> ContactStructure:
-    """Amalgamated contact structure on the union carrier.
+    A's elements sit at union positions 0..|A|-1, so A's rows are used
+    as they stand; B's elements outside C follow.  B's up and contact
+    rows are lifted once, and C's mask is built once, over A's
+    positions.  x <= y through C when some c in C sits above x on one
+    side and below y on the other, so x's row gains the other side's
+    rows at the C bits of its own side's row.
 
     Two elements touch iff some pair below them touches on one side.
     reach[d] collects the union positions touching some side element
     below d; d then touches everything above a member of its reach, so
     its row is the OR of up[r] over r in reach[d].
-    The inclusions of A and B are verified as embeddings, which is the
-    restriction property of the construction: each side's order and
-    contact rows come back at its positions (core.restrict, the row
-    form of verify_map's test) and its bottom is the amalgam's.
     """
-    names, up = order_amalgam(inst)
-    pos = {name: i for i, name in enumerate(names)}
-    n = len(names)
-    touch = [0] * n
-    for side in (inst.a, inst.b):
-        lifted = _lift(side.contact, [pos[name] for name in side.names], n)
-        for u in range(n):
-            touch[u] |= lifted[u]
+    a, b, c = inst.a, inst.b, inst.c
+    at_a = index_map(a.names)
+    c_mask = 0
+    for name in c.names:
+        c_mask |= 1 << at_a[name]
+    names = list(a.names)
+    into_b = []
+    for name in b.names:
+        k = at_a.get(name)
+        if k is None or not c_mask >> k & 1:
+            k = len(names)
+            names.append(name)
+        into_b.append(k)
+    n, na = len(names), a.n
+    up_b, contact_b = _lift(into_b, n, b.up, b.contact)
+    up = []
+    for x in range(n):
+        own = a.up[x] if x < na else 0
+        row = 1 << x | own | up_b[x]
+        mids = own & c_mask
+        while mids:
+            low = mids & -mids
+            row |= up_b[low.bit_length() - 1]
+            mids ^= low
+        mids = up_b[x] & c_mask
+        while mids:
+            low = mids & -mids
+            row |= a.up[low.bit_length() - 1]
+            mids ^= low
+        up.append(row)
+    _assert_partial_order(up, names)
+
     reach = [0] * n
     for u in range(n):
-        row = touch[u]
+        row = (a.contact[u] if u < na else 0) | contact_b[u]
         if row:
             above = up[u]
             while above:
@@ -227,19 +214,57 @@ def contact_amalgam(inst: AmalgamInstance) -> ContactStructure:
             row |= up[low.bit_length() - 1]
             rest ^= low
         contact.append(row)
-    result = ContactStructure(tuple(names), pos[inst.c.names[inst.c.bottom]],
-                              tuple(up), tuple(contact), POSET)
+    return names, up, contact, into_b
+
+
+def _assert_partial_order(up: Sequence[int], names: Sequence[str]) -> None:
+    failure = order_failure(up)
+    if failure is not None:
+        i, j, law = failure
+        raise AxiomViolation(f"amalgam order not {law} at {names[i]!r}, {names[j]!r}")
+
+
+def order_amalgam(inst: AmalgamInstance) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """Smallest order on the union extending both sides and their
+    compositions through C (the order half of _glue).
+
+    The result is asserted, not repaired: antisymmetry or transitivity
+    failures would contradict the construction and raise immediately.
+    That the order restricts to A and B exactly is checked once, with
+    contact, by contact_amalgam.
+    """
+    names, up, _, _ = _glue(inst)
+    return tuple(names), tuple(up)
+
+
+def contact_amalgam(inst: AmalgamInstance) -> ContactStructure:
+    """Amalgamated contact structure on the union carrier (_glue).
+
+    The result must pass the contact axioms, and the inclusions of A and
+    B are verified as embeddings, which is the restriction property of
+    the construction: each side's order and contact rows come back at
+    its positions (the row form of verify_map's test) and its bottom is
+    the amalgam's.  A sits at the first positions, so its rows come back
+    under one mask; B's are pulled back through its positions.
+    """
+    a, b = inst.a, inst.b
+    names, up, contact, into_b = _glue(inst)
+    bottom = a.index(inst.c.names[inst.c.bottom])
+    result = ContactStructure(tuple(names), bottom, tuple(up), tuple(contact), POSET)
     report = check_contact_axioms(result)
     if not report.ok:
         raise AxiomViolation("amalgamated contact failed the axioms", report)
-    for side in (inst.a, inst.b):
-        into = [pos[name] for name in side.names]
-        if into[side.bottom] != result.bottom or restrict(into, up, contact) != [
-            tuple(side.up), tuple(side.contact)
-        ]:
-            raise AxiomViolation(
-                "inclusion into the amalgam is not an embedding"
-            )
+    a_mask = a.full_mask
+    if (
+        a.bottom != bottom
+        or into_b[b.bottom] != bottom
+        or any(
+            up[x] & a_mask != a.up[x] or contact[x] & a_mask != a.contact[x]
+            for x in range(a.n)
+        )
+        or restrict(into_b, up, contact) != [tuple(b.up), tuple(b.contact)]
+    ):
+        raise AxiomViolation("inclusion into the amalgam is not an embedding")
     return result
 
 
@@ -254,16 +279,38 @@ class CrossWitness:
     through: str | None
 
 
-@dataclass(frozen=True)
 class SuperamalgamationReport:
-    witnesses: tuple[CrossWitness, ...]
+    """Whether every cross comparability routes through C, and the
+    witnesses that show it.
 
-    @property
-    def ok(self) -> bool:
-        return all(w.through is not None for w in self.witnesses)
+    ok is decided when the report is made, one mask test per low row.
+    The witnesses are searched the first time they are read (or misses(),
+    ==, hash or repr needs them), so a caller that only reads ok builds
+    no CrossWitness.  Equality, hash and repr are those of a frozen
+    dataclass whose one field is the witness tuple.
+    """
+
+    def __init__(self, ok: bool, search: Callable[[], tuple[CrossWitness, ...]]):
+        self.ok = ok
+        self._search = search
+
+    @cached_property
+    def witnesses(self) -> tuple[CrossWitness, ...]:
+        return self._search()
 
     def misses(self) -> tuple[CrossWitness, ...]:
         return tuple(w for w in self.witnesses if w.through is None)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.witnesses == other.witnesses
+
+    def __hash__(self) -> int:
+        return hash((self.witnesses,))
+
+    def __repr__(self) -> str:
+        return f"SuperamalgamationReport(witnesses={self.witnesses!r})"
 
 
 def verify_superamalgamation(
@@ -275,11 +322,12 @@ def verify_superamalgamation(
     c in C with a <=_A c <=_B b is exhibited, and symmetrically; a
     missing witness is a construction bug, reported rather than raised.
     """
+    at = index_map(amalgam.names)
     return _cross_witnesses(
         inst,
         amalgam.up,
-        [amalgam.index(name) for name in inst.a.names],
-        [amalgam.index(name) for name in inst.b.names],
+        [lookup(at, name) for name in inst.a.names],
+        [lookup(at, name) for name in inst.b.names],
     )
 
 
@@ -289,8 +337,59 @@ def _cross_witnesses(
     into_a: Sequence[int],
     into_b: Sequence[int],
 ) -> SuperamalgamationReport:
-    """Witnesses of the cross comparabilities of a target order up, with
-    side x's element i at position into_x[i].
+    """The report on the cross comparabilities of a target order up, with
+    side x's element i at position into_x[i]: ok from _routed, the
+    witnesses from _witness_search when they are read.
+
+    Each direction is (low side, high side, C's positions on each, the
+    two sides' target positions); A low comes first, then B low.
+    """
+    a, b, c = inst.a, inst.b, inst.c
+    at_a, at_b = index_map(a.names), index_map(b.names)
+    in_a = [lookup(at_a, name) for name in c.names]
+    in_b = [lookup(at_b, name) for name in c.names]
+    directions = (
+        (a, b, in_a, in_b, into_a, into_b),
+        (b, a, in_b, in_a, into_b, into_a),
+    )
+    ok = all(_routed(up, direction) for direction in directions)
+    return SuperamalgamationReport(
+        ok, lambda: _witness_search(c.names, up, directions)
+    )
+
+
+def _routed(up: Sequence[int], direction: tuple) -> bool:
+    """Does every cross pair with its low on the low side have a witness?
+
+    A high j above low i has one iff some C element above i on the low
+    side sits below j on the high side, that is iff j lies in the OR of
+    the high side's up-rows of the C elements above i.  So one mask test
+    per low row: its target row, pulled back through the high side's
+    positions, must lie inside that OR.
+    """
+    low_side, high_side, c_low, c_high, into_low, into_high = direction
+    c_mask = 0
+    through = [0] * low_side.n
+    for p, q in zip(c_low, c_high):
+        c_mask |= 1 << p
+        through[p] |= high_side.up[q]
+    high_runs = _runs(into_high)
+    for i, row in enumerate(low_side.up):
+        mids = row & c_mask
+        reach = 0
+        while mids:
+            low = mids & -mids
+            reach |= through[low.bit_length() - 1]
+            mids ^= low
+        if _pull_back(up[into_low[i]], high_runs) & ~reach:
+            return False
+    return True
+
+
+def _witness_search(
+    c_names: Sequence[str], up: Sequence[int], directions: Sequence[tuple]
+) -> tuple[CrossWitness, ...]:
+    """Witnesses of the cross comparabilities of up, one per cross pair.
 
     Pairs come low side A then B, lows in carrier order, highs in carrier
     order.  The highs above a low are its target row pulled back through
@@ -298,32 +397,28 @@ def _cross_witnesses(
     C's carrier order, that is above the low on its side and below the
     high on the other: the lowest bit of (C above low) & (C below high).
     """
-    a, b, c = inst.a, inst.b, inst.c
     witnesses = []
-    for low_side, high_side, into_low, into_high in (
-        (a, b, into_a, into_b),
-        (b, a, into_b, into_a),
-    ):
-        c_low = _runs([low_side.index(name) for name in c.names])
+    for low_side, high_side, c_low, c_high, into_low, into_high in directions:
+        low_runs = _runs(c_low)
         below = [0] * high_side.n
-        for k, name in enumerate(c.names):
-            above = high_side.up[high_side.index(name)]
+        for k, q in enumerate(c_high):
+            above = high_side.up[q]
             while above:
                 low = above & -above
                 below[low.bit_length() - 1] |= 1 << k
                 above ^= low
         high_runs = _runs(into_high)
         for i, low_name in enumerate(low_side.names):
-            over = _pull_back(low_side.up[i], c_low)
+            over = _pull_back(low_side.up[i], low_runs)
             highs = _pull_back(up[into_low[i]], high_runs)
             while highs:
                 low = highs & -highs
                 j = low.bit_length() - 1
                 mids = over & below[j]
-                found = c.names[(mids & -mids).bit_length() - 1] if mids else None
+                found = c_names[(mids & -mids).bit_length() - 1] if mids else None
                 witnesses.append(CrossWitness(low_name, high_side.names[j], found))
                 highs ^= low
-    return SuperamalgamationReport(tuple(witnesses))
+    return tuple(witnesses)
 
 
 # ---------------------------------------------------------------------------

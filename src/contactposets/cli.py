@@ -10,7 +10,7 @@ import argparse
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Any, Callable, Iterator, NamedTuple
 
@@ -151,6 +151,9 @@ def _dispatch_embedding(theorem: str, s: ContactStructure):
     if theorem == "cor3":
         return rp.join_preserving_embedding(s)
     if theorem == "4a":
+        # a poset theorem: a semilattice file is embedded as its poset reduct
+        if s.kind == SEMILATTICE:
+            s = replace(s, kind=POSET)
         return rp.powerset_embedding(s)
     if theorem == "4b":
         if s.kind != SEMILATTICE:

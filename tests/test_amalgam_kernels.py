@@ -12,11 +12,11 @@ compared here with the loop it replaced, kept below as the reference.
 """
 
 import random
-from dataclasses import replace
+from dataclasses import make_dataclass, replace
 
 import pytest
 
-from contactposets import events, represent
+from contactposets import amalgam, events, represent
 from contactposets.amalgam import (
     AmalgamInstance,
     CrossWitness,
@@ -48,10 +48,12 @@ from contactposets.errors import (
     NotJoinClosed,
     NotSemilattice,
     PreconditionViolation,
+    UnknownElement,
 )
 from contactposets.events import (
     amalgamate_events,
     enumerate_event_structures,
+    event_to_contact,
     iter_event_gluings,
 )
 from contactposets.fraisse import iter_gluings, random_instance
@@ -516,6 +518,117 @@ def test_witnesses_match_reference_on_foreign_orders(small_gluings):
         assert report.witnesses == reference_superamalgamation(inst, foreign)
         misses += len(report.misses())
     assert misses > 0
+
+
+# ---------------------------------------------------------------------------
+# the superamalgamation verdict: one mask test per low row
+
+
+def _routed_everywhere(witnesses):
+    return all(w.through is not None for w in witnesses)
+
+
+def _foreign(s, rng):
+    """s with a random relation of extra pairs added to its order."""
+    return replace(s, up=tuple(row | rng.getrandbits(s.n) for row in s.up))
+
+
+def test_verdict_matches_reference(small_gluings, random_gluings):
+    """ok is read before the witnesses, so the mask test decides it; it
+    must say whether every cross pair of the reference search has a
+    witness.  Each gluing is checked against its amalgam and against a
+    foreign order with extra pairs, which has misses; a semilattice
+    gluing also through its maps into the family, as built and with
+    extra pairs added to the family's order."""
+    rng = random.Random(4431)
+    verdicts = {True: 0, False: 0}
+    for kind, inst in small_gluings + random_gluings:
+        d = contact_amalgam(inst)
+        for target in (d, _foreign(d, rng)):
+            ok = verify_superamalgamation(inst, target).ok
+            assert ok == _routed_everywhere(reference_superamalgamation(inst, target))
+            verdicts[ok] += 1
+        if kind == SEMILATTICE:
+            result = semilattice_amalgam(inst)
+            ok = result.superamalgamation.ok
+            expected = reference_super_through_maps(
+                inst, result.family.structure, result.from_a, result.from_b
+            )
+            assert ok == _routed_everywhere(expected) is True
+            foreign = _foreign(result.family.structure, rng)
+            ok = amalgam._cross_witnesses(
+                inst, foreign.up, result.from_a.mapping, result.from_b.mapping
+            ).ok
+            expected = reference_super_through_maps(
+                inst, foreign, result.from_a, result.from_b
+            )
+            assert ok == _routed_everywhere(expected)
+            verdicts[ok] += 1
+    assert verdicts[True] > 3000 and verdicts[False] > 1000
+
+
+def test_event_verdicts_match_reference():
+    """Every gluing of event structures with at most 3 events: the
+    bridge's verdict against the reference search on the bottomed duals."""
+    structures = enumerate_event_structures(3)
+    glued = 0
+    for a in structures:
+        for b in structures:
+            for a2, b2, c in iter_event_gluings(a, b):
+                result = amalgamate_events(a2, b2, c)
+                inst = AmalgamInstance.from_parts(
+                    *(event_to_contact(x, with_bottom=True) for x in (a2, b2, c))
+                )
+                expected = reference_superamalgamation(inst, result.contact_amalgam)
+                assert result.superamalgamation_ok == _routed_everywhere(expected)
+                glued += 1
+    assert glued > 1000
+
+
+def test_witnesses_are_built_on_first_read(monkeypatch, small_gluings):
+    """A caller that reads only ok runs no witness search; the first read
+    of the witnesses runs it once.  ==, hash and repr are those of the
+    frozen dataclass whose one field is the witness tuple."""
+    searches = []
+    search = amalgam._witness_search
+
+    def counted(*args):
+        searches.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(amalgam, "_witness_search", counted)
+    frozen = make_dataclass(
+        "SuperamalgamationReport", [("witnesses", tuple)], frozen=True
+    )
+    for _, inst in small_gluings[::50]:
+        searches.clear()
+        d = contact_amalgam(inst)
+        report = verify_superamalgamation(inst, d)
+        assert report.ok
+        assert searches == []
+        witnesses = report.witnesses
+        assert report.witnesses is witnesses and report.misses() == ()
+        assert len(searches) == 1
+        expected = frozen(reference_superamalgamation(inst, d))
+        assert repr(report) == repr(expected)
+        assert hash(report) == hash(expected)
+        assert report == verify_superamalgamation(inst, d)
+        assert report != expected
+
+
+def test_verdict_names_an_element_missing_from_the_target(small_gluings):
+    """A target that lacks one of A's or B's names raises the typed
+    UnknownElement, not a bare KeyError."""
+    raised = 0
+    for _, inst in small_gluings[::25]:
+        d = contact_amalgam(inst)
+        for side in (inst.a, inst.b):
+            name = side.names[-1]
+            target = d.rename({x: x + "'" if x == name else x for x in d.names})
+            with pytest.raises(UnknownElement, match=repr(name)):
+                verify_superamalgamation(inst, target)
+            raised += 1
+    assert raised > 100
 
 
 def test_from_parts_matches_reference(small_gluings):

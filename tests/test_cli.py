@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -117,6 +118,22 @@ class TestEmbedCommand:
         save_structure(str(path), chain3)
         assert main(["embed", str(path), "--theorem", "4a"]) == 0
 
+    def test_4a_on_semilattice_files(self, tmp_path, semilattice_catalog_4, capsys):
+        """Theorem 4a is a poset theorem: a semilattice-tagged file is
+        embedded as its poset reduct, so no join is asked to survive,
+        and the bundle's source is still the file's structure."""
+        items = semilattice_catalog_4.items
+        assert len(items) == 6
+        for k, s in enumerate(items):
+            path = tmp_path / f"s{k}.json"
+            save_structure(str(path), s)
+            out_path = tmp_path / f"bundle{k}.json"
+            assert main(["embed", str(path), "--theorem", "4a", "--out", str(out_path)]) == 0
+            bundle = json.loads(out_path.read_text())
+            assert bundle["source"]["kind"] == "semilattice"
+            assert bundle["report"]["is_embedding"] is True
+            assert bundle["report"]["join_preserving"] is None
+
     def test_4b_requires_semilattice(self, tmp_path, v_overlap, capsys):
         path = tmp_path / "v.json"
         save_structure(str(path), v_overlap)
@@ -173,6 +190,43 @@ class TestAmalgamateCommand:
             save_structure(str(path), s)
             paths.append(str(path))
         assert main(["amalgamate", *paths, "--kind", "event"]) == 0
+
+    # sha256 of the amalgamate bundle files for fixtures/amalgam_{a,b,c}.json
+    # (poset; semilattice on copies tagged semilattice) and for the event
+    # triple of test_event_instance
+    PINNED_BUNDLES = {
+        "poset": "26011400e679c093e54bde4206f3a7dede4a37cdd35b68fc4e85f2b21aebe47d",
+        "semilattice": "6df47cd7d2581102271d9ae2938e9e5476b6f7a70471ae2ba49b93abceafeecc",
+        "event": "b4c2ef373655375db484f15f52780551fd331e6b8431ba521f04c60749cbd2f1",
+    }
+
+    def test_bundles_are_pinned(self, tmp_path):
+        fixtures = Path(__file__).resolve().parents[1] / "fixtures"
+        inputs = {"poset": [str(fixtures / f"amalgam_{x}.json") for x in "abc"]}
+        inputs["semilattice"] = []
+        for x in "abc":
+            doc = json.loads((fixtures / f"amalgam_{x}.json").read_text())
+            doc["kind"] = "semilattice"
+            path = tmp_path / f"lattice_{x}.json"
+            path.write_text(json.dumps(doc))
+            inputs["semilattice"].append(str(path))
+        c = EventStructure.build(["c"])
+        a = EventStructure.build(["c", "a"], [("c", "a")])
+        b = EventStructure.build(["c", "b"], [], [("b", "c")])
+        inputs["event"] = []
+        for tag, s in (("a", a), ("b", b), ("c", c)):
+            path = tmp_path / f"event_{tag}.json"
+            save_structure(str(path), s)
+            inputs["event"].append(str(path))
+        for kind, paths in inputs.items():
+            out_path = tmp_path / f"{kind}_bundle.json"
+            assert main(["amalgamate", *paths, "--kind", kind, "--out", str(out_path)]) == 0
+            data = out_path.read_bytes()
+            assert hashlib.sha256(data).hexdigest() == self.PINNED_BUNDLES[kind], kind
+            if kind != "event":
+                report = json.loads(data)["superamalgamation"]
+                assert report["ok"] is True
+                assert len(report["witnesses"]) == 16
 
     def test_precondition_failure(self, tmp_path, v_overlap, v_contact, capsys):
         paths = []
