@@ -24,9 +24,7 @@ from .core import (
     _require_join_closed,
     _runs,
     check_contact_axioms,
-    index_map,
     induced_substructure,
-    lookup,
     order_failure,
     restrict,
     verify_map,
@@ -72,8 +70,7 @@ class AmalgamInstance:
         if a.names[a.bottom] != c.names[c.bottom] or b.names[b.bottom] != c.names[c.bottom]:
             raise PreconditionViolation("bottoms must coincide on C")
         for host in (a, b):
-            at = index_map(host.names)
-            f = [at[name] for name in c.names]
+            f = [host.index(name) for name in c.names]
             if host.kind == SEMILATTICE:
                 _require_join_closed(host, sorted(set(f)))
             if restrict(f, host.up, host.contact) != [c.up, c.contact]:
@@ -165,7 +162,7 @@ def _glue(inst: AmalgamInstance) -> tuple[list[str], list[int], list[int], list[
     its row is the OR of up[r] over r in reach[d].
     """
     a, b, c = inst.a, inst.b, inst.c
-    at_a = index_map(a.names)
+    at_a = a._positions
     c_mask = 0
     for name in c.names:
         c_mask |= 1 << at_a[name]
@@ -322,12 +319,11 @@ def verify_superamalgamation(
     c in C with a <=_A c <=_B b is exhibited, and symmetrically; a
     missing witness is a construction bug, reported rather than raised.
     """
-    at = index_map(amalgam.names)
     return _cross_witnesses(
         inst,
         amalgam.up,
-        [lookup(at, name) for name in inst.a.names],
-        [lookup(at, name) for name in inst.b.names],
+        [amalgam.index(name) for name in inst.a.names],
+        [amalgam.index(name) for name in inst.b.names],
     )
 
 
@@ -345,9 +341,8 @@ def _cross_witnesses(
     two sides' target positions); A low comes first, then B low.
     """
     a, b, c = inst.a, inst.b, inst.c
-    at_a, at_b = index_map(a.names), index_map(b.names)
-    in_a = [lookup(at_a, name) for name in c.names]
-    in_b = [lookup(at_b, name) for name in c.names]
+    in_a = [a.index(name) for name in c.names]
+    in_b = [b.index(name) for name in c.names]
     directions = (
         (a, b, in_a, in_b, into_a, into_b),
         (b, a, in_b, in_a, into_b, into_a),
@@ -454,10 +449,9 @@ def semilattice_amalgam(inst: AmalgamInstance) -> SemilatticeAmalgam:
             raise PreconditionViolation("all three structures must be semilattices")
     d = contact_amalgam(inst)
     family, into = _image_embedding(d, True, SEMILATTICE)
-    at = index_map(d.names)
     side_maps = []
     for tag, side in (("A", inst.a), ("B", inst.b)):
-        f = tuple(into.mapping[at[name]] for name in side.names)
+        f = tuple(into.mapping[d.index(name)] for name in side.names)
         report = replace(
             into.report, join_preserving=_preserves_joins(side, into.target, f)
         )

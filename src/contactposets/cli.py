@@ -22,7 +22,7 @@ from . import io as formats
 from . import represent as rp
 from .core import POSET, SEMILATTICE, ContactStructure, check_contact_axioms
 from .enumeration import AgeCatalog, enumerate_contact_structures
-from .errors import BudgetExceeded, ContactError, KindMismatch, ParseError
+from .errors import AddOnPoset, BudgetExceeded, ContactError, KindMismatch, ParseError
 
 THEOREM_CHOICES = ("prop2", "cor3", "4a", "4b")
 CONTACT_KINDS = (POSET, SEMILATTICE)
@@ -111,6 +111,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     if args.kind and _kind_of(loaded) != args.kind:
         raise KindMismatch(f"kind mismatch: file holds {_kind_of(loaded)}")
     if isinstance(loaded, ev.EventStructure):
+        if args.add:
+            raise AddOnPoset("additivity is not expressible on an event structure")
         report = ev.check_event_structure(loaded)
     else:
         report = check_contact_axioms(loaded, require_add=args.add)

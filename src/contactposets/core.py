@@ -10,6 +10,7 @@ Element names are the external interface; indices are internal.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -227,11 +228,57 @@ def _check_order_tables(up: Sequence[int], bottom: int | None = None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# the structure type
+# the structure types
+
+
+def index_map(names: Sequence[str]) -> dict[str, int]:
+    """Name -> position of a carrier.  On a duplicate name the first
+    position wins, as with ``tuple.index``."""
+    n = len(names)
+    return dict(zip(reversed(names), range(n - 1, -1, -1)))
+
+
+class _Carrier:
+    """Names, order rows and the rows of one relation (contact, or
+    conflict for events): what ContactStructure, BottomlessContact and
+    EventStructure share.  A value's one name -> position map is built on
+    its first lookup, not when it is made: most values are never looked
+    up, and a build costs more than a few tuple scans."""
+
+    _noun = "element"
+
+    @property
+    def _relation(self) -> tuple[int, ...]:
+        return self.contact
+
+    @property
+    def n(self) -> int:
+        return len(self.names)
+
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        return index_map(self.names)
+
+    def index(self, name: str) -> int:
+        try:
+            return self._positions[name]
+        except (KeyError, TypeError):
+            raise UnknownElement(f"unknown {self._noun} {name!r}") from None
+
+    def leq(self, x: str, y: str) -> bool:
+        return bool(self.up[self.index(x)] >> self.index(y) & 1)
+
+    def _related(self, x: str, y: str) -> bool:
+        return bool(self._relation[self.index(x)] >> self.index(y) & 1)
+
+    def _restricted(self, chosen: Sequence[int]) -> tuple[tuple, tuple, tuple]:
+        """Names and both tables at the chosen positions, in that order."""
+        up, rows = restrict(chosen, self.up, self._relation)
+        return tuple(self.names[i] for i in chosen), up, rows
 
 
 @dataclass(frozen=True)
-class ContactStructure:
+class ContactStructure(_Carrier):
     """A finite poset with bottom and a contact relation.
 
     kind is a tag: SEMILATTICE additionally promises that every pair of
@@ -282,35 +329,16 @@ class ContactStructure:
             raise NotSemilattice("not every pair has a least upper bound")
         if close:
             return close_contact(skeleton, seed_pairs)
-        report = check_contact_axioms(skeleton)
-        if not report.ok:
-            bad = ", ".join(
-                f"{c.axiom}{c.witness or ''}" for c in report.failures()
-            )
-            raise AxiomViolation(f"contact axioms fail: {bad}", report)
+        _require_laws(check_contact_axioms(skeleton), "contact axioms fail")
         return skeleton
 
     # -- carrier helpers ----------------------------------------------------
 
     @property
-    def n(self) -> int:
-        return len(self.names)
-
-    @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def index(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise UnknownElement(f"unknown element {name!r}") from None
-
-    def leq(self, x: str, y: str) -> bool:
-        return bool(self.up[self.index(x)] >> self.index(y) & 1)
-
-    def delta(self, x: str, y: str) -> bool:
-        return bool(self.contact[self.index(x)] >> self.index(y) & 1)
+    delta = _Carrier._related
 
     def down_masks(self) -> tuple[int, ...]:
         return transpose(self.up)
@@ -461,31 +489,65 @@ def check_contact_axioms(s: ContactStructure, require_add: bool = False) -> Axio
     """
     if require_add and s.kind != SEMILATTICE:
         raise AddOnPoset("additivity is not expressible without joins")
-    if _rows_valid(s.up, s.contact, s.bottom):
-        checks = [
-            AxiomCheck(axiom, True) for axiom in ("Sym", "Emp", "Ext", "Ref", "Inh")
-        ]
-    else:
-        checks = _contact_witnesses(s)
+    laws = ("Sym", "Emp", "Ext", "Ref", "Inh")
+    checks = _law_checks(s, s.bottom, laws, _contact_witnesses)
     if require_add:
-        checks.append(_additivity_check(s))
-    return AxiomReport(tuple(checks))
+        checks += (_additivity_check(s),)
+    return AxiomReport(checks)
 
 
-def _contact_witnesses(s: ContactStructure) -> list[AxiomCheck]:
+def _law_checks(x: _Carrier, bottom: int | None, laws: tuple, witnesses: Callable) -> tuple:
+    """Every law passed, without witnesses, when the fused row pass
+    (_rows_valid) says yes; otherwise the per-law loops, witnesses(x)."""
+    if _rows_valid(x.up, x.contact, bottom):
+        return tuple(AxiomCheck(law, True) for law in laws)
+    return witnesses(x)
+
+
+def _law(axiom: str, witness: tuple[str, ...] | None) -> AxiomCheck:
+    return AxiomCheck(axiom, witness is None, witness)
+
+
+def _require_laws(report: AxiomReport, what: str) -> None:
+    """AxiomViolation naming each failed law and its witness, after what."""
+    if not report.ok:
+        bad = ", ".join(f"{c.axiom}{c.witness or ''}" for c in report.failures())
+        raise AxiomViolation(f"{what}: {bad}", report)
+
+
+def _sym_witness(rows: Sequence[int], names: Sequence[str]) -> tuple[str, str] | None:
+    """Sym: the first (x, y), in row then bit order, with y in x's row
+    but x not in y's.  Contact and conflict share it."""
+    for i, row in enumerate(rows):
+        for j in bits(row):
+            if not rows[j] >> i & 1:
+                return names[i], names[j]
+    return None
+
+
+def _ref_witness(rows: Sequence[int], names: Sequence, bottom: int | None) -> tuple | None:
+    """Ref, or Ref* when bottom is None: the first element off the
+    bottom whose row does not hold it."""
+    for i, row in enumerate(rows):
+        if i != bottom and not row >> i & 1:
+            return (names[i],)
+    return None
+
+
+def _upset_witness(rows: Sequence[int], up: Sequence[int], names: Sequence) -> tuple | None:
+    """The first row that is not an up-set of up: (x, y, z) with y in x's
+    row and z >= y outside it.  Ext's second half on contact rows, and
+    inheritance on conflict rows."""
+    for i, row in enumerate(rows):
+        for j in bits(row):
+            if up[j] & ~row:
+                return names[i], names[j], names[next(bits(up[j] & ~row))]
+    return None
+
+
+def _contact_witnesses(s: ContactStructure) -> tuple[AxiomCheck, ...]:
     """The per-law loops: each law's first failing witness, or a pass."""
     n, names = s.n, s.names
-    checks = []
-
-    sym = None
-    for i in range(n):
-        for j in bits(s.contact[i]):
-            if not s.contact[j] >> i & 1:
-                sym = (names[i], names[j])
-                break
-        if sym:
-            break
-    checks.append(AxiomCheck("Sym", sym is None, sym))
 
     emp = None
     if s.contact[s.bottom]:
@@ -495,7 +557,6 @@ def _contact_witnesses(s: ContactStructure) -> list[AxiomCheck]:
             if s.contact[i] >> s.bottom & 1:
                 emp = (names[i], names[s.bottom])
                 break
-    checks.append(AxiomCheck("Emp", emp is None, emp))
 
     ext = None
     for a in range(n):
@@ -507,22 +568,9 @@ def _contact_witnesses(s: ContactStructure) -> list[AxiomCheck]:
         if ext:
             break
     if ext is None:
-        for a in range(n):
-            for b in bits(s.contact[a]):
-                if s.up[b] & ~s.contact[a]:
-                    b1 = next(bits(s.up[b] & ~s.contact[a]))
-                    ext = (names[a], names[b], names[a], names[b1])
-                    break
-            if ext:
-                break
-    checks.append(AxiomCheck("Ext", ext is None, ext))
-
-    ref = None
-    for i in range(n):
-        if i != s.bottom and not s.contact[i] >> i & 1:
-            ref = (names[i],)
-            break
-    checks.append(AxiomCheck("Ref", ref is None, ref))
+        escape = _upset_witness(s.contact, s.up, names)
+        if escape:
+            ext = (escape[0], escape[1], escape[0], escape[2])
 
     inh = None
     for m in range(n):
@@ -535,8 +583,13 @@ def _contact_witnesses(s: ContactStructure) -> list[AxiomCheck]:
                 break
         if inh:
             break
-    checks.append(AxiomCheck("Inh", inh is None, inh))
-    return checks
+    return (
+        _law("Sym", _sym_witness(s.contact, names)),
+        _law("Emp", emp),
+        _law("Ext", ext),
+        _law("Ref", _ref_witness(s.contact, names, s.bottom)),
+        _law("Inh", inh),
+    )
 
 
 def _additivity_check(s: ContactStructure) -> AxiomCheck:
@@ -624,7 +677,7 @@ class ClosureOperator:
 
     @classmethod
     def build(cls, base: ContactStructure, mapping: Mapping[str, str]) -> "ClosureOperator":
-        image = tuple(base.index(mapping[name]) for name in base.names)
+        image = _image_positions(base, base, mapping)
         op = cls(base, image)
         up = base.up
         for i in range(base.n):
@@ -702,10 +755,8 @@ def _restriction(s: ContactStructure, chosen: Sequence[int]) -> ContactStructure
     """induced_substructure on positions that hold the bottom (and are
     join-closed in a semilattice), in the order given, unchecked: the
     axioms are universal, so a restriction of a valid s is valid."""
-    up, contact = restrict(chosen, s.up, s.contact)
-    return ContactStructure(
-        tuple(s.names[i] for i in chosen), chosen.index(s.bottom), up, contact, s.kind
-    )
+    names, up, contact = s._restricted(chosen)
+    return ContactStructure(names, chosen.index(s.bottom), up, contact, s.kind)
 
 
 def _require_join_closed(s: ContactStructure, chosen: Sequence[int]) -> None:
@@ -781,14 +832,6 @@ class StructureMap:
         return self.target.names[self.mapping[self.source.index(name)]]
 
 
-def index_map(names: Sequence[str]) -> dict[str, int]:
-    """Name -> position of a carrier, built once by the caller that needs
-    many lookups.  On a duplicate name the first position wins, as with
-    ``tuple.index``."""
-    n = len(names)
-    return dict(zip(reversed(names), range(n - 1, -1, -1)))
-
-
 def _fresh_names(
     names: Sequence[str], emb: Mapping[str, str], tag: str
 ) -> dict[str, str]:
@@ -806,6 +849,16 @@ def lookup(positions: Mapping[str, int], name: str) -> int:
         return positions[name]
     except KeyError:
         raise UnknownElement(f"unknown element {name!r}") from None
+
+
+def _image_positions(source: _Carrier, target: _Carrier, mapping: Mapping) -> tuple:
+    """target's positions of the images of source's elements; the first
+    element unmapped, or sent outside target, raises UnknownElement."""
+    try:
+        return tuple(target.index(mapping[name]) for name in source.names)
+    except KeyError:
+        missing = next(name for name in source.names if name not in mapping)
+        raise UnknownElement(f"element {missing!r} is not mapped") from None
 
 
 def _runs(f: Sequence[int]) -> list[tuple[int, int, int]]:
@@ -861,8 +914,7 @@ def verify_map(
     definition does, for every map, injective or not.  Join
     preservation is one _preserves_joins scan.
     """
-    at = index_map(target.names)
-    f = tuple(lookup(at, mapping[name]) for name in source.names)
+    f = _image_positions(source, target, mapping)
     n = source.n
     injective = len(set(f)) == n
     bottom = f[source.bottom] == target.bottom
@@ -919,7 +971,7 @@ def compose_maps(first: StructureMap, second: StructureMap) -> StructureMap:
 
 
 @dataclass(frozen=True)
-class BottomlessContact:
+class BottomlessContact(_Carrier):
     """A poset with contact but no designated bottom.
 
     Validity means symmetry, upward extension and reflexivity of contact
@@ -930,16 +982,6 @@ class BottomlessContact:
     up: tuple[int, ...]
     contact: tuple[int, ...]
 
-    @property
-    def n(self) -> int:
-        return len(self.names)
-
-    def index(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise UnknownElement(f"unknown element {name!r}") from None
-
 
 def check_bottomless_axioms(b: BottomlessContact) -> AxiomReport:
     """One pass/fail entry per Sym, Ext and Ref*.
@@ -949,21 +991,14 @@ def check_bottomless_axioms(b: BottomlessContact) -> AxiomReport:
     failing structure goes on to the per-law loops below, whose first
     witnesses are unchanged.
     """
-    if _rows_valid(b.up, b.contact, None):
-        return AxiomReport(
-            tuple(AxiomCheck(axiom, True) for axiom in ("Sym", "Ext", "Ref*"))
-        )
+    return AxiomReport(_law_checks(b, None, ("Sym", "Ext", "Ref*"), _bottomless_witnesses))
+
+
+def _bottomless_witnesses(b: BottomlessContact) -> tuple[AxiomCheck, ...]:
+    """The per-law loops of check_bottomless_axioms.  Ext checks both of
+    its halves per element, so its first witness can differ from the one
+    the bottomed loop finds."""
     n, names = b.n, b.names
-    checks = []
-    sym = None
-    for i in range(n):
-        for j in bits(b.contact[i]):
-            if not b.contact[j] >> i & 1:
-                sym = (names[i], names[j])
-                break
-        if sym:
-            break
-    checks.append(AxiomCheck("Sym", sym is None, sym))
     ext = None
     for a in range(n):
         for a1 in bits(b.up[a]):
@@ -979,24 +1014,18 @@ def check_bottomless_axioms(b: BottomlessContact) -> AxiomReport:
                     break
         if ext:
             break
-    checks.append(AxiomCheck("Ext", ext is None, ext))
-    ref = None
-    for i in range(n):
-        if not b.contact[i] >> i & 1:
-            ref = (names[i],)
-            break
-    checks.append(AxiomCheck("Ref*", ref is None, ref))
-    return AxiomReport(tuple(checks))
+    return (
+        _law("Sym", _sym_witness(b.contact, names)),
+        _law("Ext", ext),
+        _law("Ref*", _ref_witness(b.contact, names, None)),
+    )
 
 
 def adjoin_bottom(
     b: BottomlessContact, bottom_name: str = "0", kind: str = POSET
 ) -> ContactStructure:
     """Add a fresh bottom below everything, in contact with nothing."""
-    report = check_bottomless_axioms(b)
-    if not report.ok:
-        bad = ", ".join(f"{c.axiom}{c.witness or ''}" for c in report.failures())
-        raise AxiomViolation(f"bottomless axioms fail: {bad}", report)
+    _require_laws(check_bottomless_axioms(b), "bottomless axioms fail")
     return _adjoin_checked_bottom(b, bottom_name, kind)
 
 
@@ -1021,6 +1050,4 @@ def _adjoin_checked_bottom(
 
 def drop_bottom(s: ContactStructure) -> BottomlessContact:
     """Remove the bottom; the inverse of adjoin_bottom on its image."""
-    keep = [i for i in range(s.n) if i != s.bottom]
-    up, contact = restrict(keep, s.up, s.contact)
-    return BottomlessContact(tuple(s.names[i] for i in keep), up, contact)
+    return BottomlessContact(*s._restricted([i for i in range(s.n) if i != s.bottom]))

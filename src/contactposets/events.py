@@ -13,19 +13,22 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .core import (
-    AxiomCheck,
     AxiomReport,
     BottomlessContact,
     ContactStructure,
     _adjoin_checked_bottom,
+    _Carrier,
     _check_order_tables,
     _fresh_names,
+    _law,
+    _ref_witness,
+    _require_laws,
     _restriction,
-    bits,
+    _sym_witness,
+    _upset_witness,
     check_bottomless_axioms,
     drop_bottom,
     normalize_order,
-    restrict,
     transpose,
 )
 from .enumeration import AgeCatalog, gluings_up_to_iso
@@ -35,28 +38,25 @@ RESERVED_BOTTOM = "__bot__"
 
 
 @dataclass(frozen=True)
-class EventStructure:
+class EventStructure(_Carrier):
     """Events, a causal order (up[i] = successors), binary conflict."""
 
     events: tuple[str, ...]
     up: tuple[int, ...]
     conflict: tuple[int, ...]
 
+    _noun = "event"
+
     @property
-    def n(self) -> int:
-        return len(self.events)
+    def names(self) -> tuple[str, ...]:
+        """The events, as the carrier's element names."""
+        return self.events
 
-    def index(self, name: str) -> int:
-        try:
-            return self.events.index(name)
-        except ValueError:
-            raise UnknownElement(f"unknown event {name!r}") from None
+    @property
+    def _relation(self) -> tuple[int, ...]:
+        return self.conflict
 
-    def leq(self, x: str, y: str) -> bool:
-        return bool(self.up[self.index(x)] >> self.index(y) & 1)
-
-    def in_conflict(self, x: str, y: str) -> bool:
-        return bool(self.conflict[self.index(x)] >> self.index(y) & 1)
+    in_conflict = _Carrier._related
 
     @classmethod
     def build(
@@ -79,43 +79,20 @@ class EventStructure:
             rows[idx[x]] |= 1 << idx[y]
             rows[idx[y]] |= 1 << idx[x]
         out = cls(tuple(events), up, tuple(rows))
-        report = check_event_structure(out)
-        if not report.ok:
-            bad = ", ".join(f"{c.axiom}{c.witness or ''}" for c in report.failures())
-            raise AxiomViolation(f"event structure invalid: {bad}", report)
+        _require_laws(check_event_structure(out), "event structure invalid")
         return out
 
 
 def check_event_structure(e: EventStructure) -> AxiomReport:
     """Validate irreflexivity, symmetry and conflict inheritance."""
-    n, names = e.n, e.events
-    checks = []
-    irr = None
-    for i in range(n):
-        if e.conflict[i] >> i & 1:
-            irr = (names[i],)
-            break
-    checks.append(AxiomCheck("irreflexive", irr is None, irr))
-    sym = None
-    for i in range(n):
-        for j in bits(e.conflict[i]):
-            if not e.conflict[j] >> i & 1:
-                sym = (names[i], names[j])
-                break
-        if sym:
-            break
-    checks.append(AxiomCheck("symmetric", sym is None, sym))
-    inh = None
-    for i in range(n):
-        for j in bits(e.conflict[i]):
-            if e.up[j] & ~e.conflict[i]:
-                k = next(bits(e.up[j] & ~e.conflict[i]))
-                inh = (names[i], names[j], names[k])
-                break
-        if inh:
-            break
-    checks.append(AxiomCheck("inheritance", inh is None, inh))
-    return AxiomReport(tuple(checks))
+    names = e.events
+    checks = (
+        # irreflexive conflict is Ref* of its complement, the dual's contact
+        _law("irreflexive", _ref_witness([~row for row in e.conflict], names, None)),
+        _law("symmetric", _sym_witness(e.conflict, names)),
+        _law("inheritance", _upset_witness(e.conflict, e.up, names)),
+    )
+    return AxiomReport(checks)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +110,7 @@ def event_to_contact(
     otherwise e's order rows are checked (the dual of a partial order is
     one).
     """
-    dual = BottomlessContact(e.events, *_flip(e.up, e.conflict))
+    dual = BottomlessContact(*_flip(e))
     report = check_bottomless_axioms(dual)
     if not report.ok:
         raise AxiomViolation("dual of a valid event structure failed", report)
@@ -152,14 +129,15 @@ def contact_to_event(b: BottomlessContact) -> EventStructure:
     if not report.ok:
         raise AxiomViolation("input fails the bottomless contact axioms", report)
     _check_order_tables(b.up)
-    return EventStructure(b.names, *_flip(b.up, b.contact))
+    return EventStructure(*_flip(b))
 
 
-def _flip(up: Sequence[int], rows: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """The duality on rows, unchecked: the order transposed, the other
-    relation (conflict or contact) complemented.  It is its own inverse."""
-    full = (1 << len(up)) - 1
-    return transpose(up), tuple(full & ~row for row in rows)
+def _flip(x: _Carrier) -> tuple[tuple, tuple, tuple]:
+    """The duality on rows, unchecked: the names kept, the order
+    transposed, the other relation (conflict or contact) complemented.
+    It is its own inverse."""
+    full = (1 << x.n) - 1
+    return x.names, transpose(x.up), tuple(full & ~row for row in x._relation)
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +177,7 @@ def amalgamate_events(
     inst = AmalgamInstance(ca, cb, cc)
     d_contact = contact_amalgam(inst)
     report = verify_superamalgamation(inst, d_contact)
-    d = drop_bottom(d_contact)
-    amalgam = EventStructure(d.names, *_flip(d.up, d.contact))
+    amalgam = EventStructure(*_flip(drop_bottom(d_contact)))
     return EventAmalgam(amalgam, d_contact, report.ok)
 
 
@@ -214,13 +191,11 @@ def _require_common_part(host: EventStructure, c: EventStructure) -> None:
 def _restricts_exactly(host: EventStructure, part: EventStructure) -> bool:
     """Do host's order and conflict restrict exactly to part's?
 
-    host's rows at the part's events, pulled back through their
-    positions (core.restrict), are compared with part's rows.  leq and
-    in_conflict read the same bits, so unequal rows mean some pair
-    disagrees; _first_disagreement names it.
+    host restricted to the part's events (sub_event) is compared with
+    part.  leq and in_conflict read the same bits, so a difference means
+    some pair disagrees; _first_disagreement names it.
     """
-    f = [host.index(x) for x in part.events]
-    return restrict(f, host.up, host.conflict) == [part.up, part.conflict]
+    return sub_event(host, [host.index(x) for x in part.events]) == part
 
 
 def _first_disagreement(
@@ -251,8 +226,7 @@ def enumerate_event_structures(max_events: int) -> tuple[EventStructure, ...]:
 
 def sub_event(e: EventStructure, chosen: Sequence[int]) -> EventStructure:
     """Induced event substructure on the chosen indices (any subset)."""
-    up, conflict = restrict(chosen, e.up, e.conflict)
-    return EventStructure(tuple(e.events[i] for i in chosen), up, conflict)
+    return EventStructure(*e._restricted(chosen))
 
 
 def iter_event_gluings(

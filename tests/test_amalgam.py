@@ -16,7 +16,7 @@ from contactposets.core import (
     check_contact_axioms,
 )
 from contactposets.enumeration import canonical_key
-from contactposets.errors import PreconditionViolation
+from contactposets.errors import PreconditionViolation, UnknownElement
 from contactposets.fraisse import iter_gluings, random_instance
 
 
@@ -207,3 +207,8 @@ class TestGluedSuites:
         assert set(inst.a.names) & set(inst.b.names) == {"0"}
         d = contact_amalgam(inst)
         assert d.n == v_overlap.n + chain3.n - 1
+
+    def test_from_embeddings_names_an_unmapped_element(self, v_overlap, chain3):
+        c = ContactStructure.build(["0", "x"], "0", [("0", "x")], [("x", "x")])
+        with pytest.raises(UnknownElement, match="^element 'x' is not mapped$"):
+            AmalgamInstance.from_embeddings(v_overlap, chain3, c, {"0": "0"}, {"0": "0"})

@@ -959,6 +959,7 @@ def test_instance_boundary_matches_reference_on_rejected_inputs(small_gluings):
     assert seen.get("PreconditionViolation", 0) > 300
     assert seen.get("NotJoinClosed", 0) > 10
     assert seen.get("AxiomViolation", 0) > 50
-    assert seen.get("KeyError", 0) > 50
+    assert seen.get("UnknownElement", 0) > 50
+    assert "KeyError" not in seen
     assert seen.get("UnknownElement", 0) > 50
     assert seen.get("ok", 0) > 100

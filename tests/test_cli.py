@@ -499,6 +499,8 @@ CONTRACT = [
     (["check"], 2, "usage:"),
     (["check", M3, "--kind", "lattice"], 2, "usage:"),
     (["check", M3, "--kind", "event"], 1, "error: kind mismatch"),
+    (["check", EVENTS, "--add"], 1,
+     "error: additivity is not expressible on an event structure\n"),
     (["embed", "{missing}", "--theorem", "prop2"], 2, "error: cannot read"),
     (["embed", "{malformed}", "--theorem", "prop2"], 2, "error: invalid JSON"),
     (["embed", CHAIN, "--theorem", "5c"], 2, "usage:"),

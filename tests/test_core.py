@@ -229,6 +229,10 @@ class TestClosureOperators:
         with pytest.raises(AxiomViolation):
             ClosureOperator.build(chain3, {"0": "0", "c": "0", "1": "1"})
 
+    def test_partial_map_names_the_unmapped_element(self, chain3):
+        with pytest.raises(UnknownElement, match="^element 'c' is not mapped$"):
+            ClosureOperator.build(chain3, {"0": "0", "1": "1"})
+
     def test_closed_elements_carry_overlap(self, diamond):
         op = ClosureOperator.build(diamond, {"0": "0", "x": "1", "y": "1", "1": "1"})
         out = contact_from_closure(op)
@@ -285,6 +289,14 @@ class TestVerifyMap:
         m = verify_map(s, s, {"0": "0", "1": "0"})
         assert not m.report.injective
         assert not m.report.contact_preserving
+
+    def test_partial_map_names_the_unmapped_element(self):
+        s = ContactStructure.build(["0", "a"], "0", [("0", "a")], [("a", "a")])
+        with pytest.raises(UnknownElement, match="^element 'a' is not mapped$"):
+            verify_map(s, s, {"0": "0"})
+        # the first failure in carrier order wins: an image outside the target
+        with pytest.raises(UnknownElement, match="^unknown element 'z'$"):
+            verify_map(s, s, {"0": "z"})
 
     def test_composition_of_embeddings(self, v_contact):
         from contactposets.represent import overlap_poset_embedding, macneille_completion

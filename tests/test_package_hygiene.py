@@ -11,6 +11,10 @@ deleted takes its helpers with it.
 
 And JSON is written in one place: only ``io`` calls ``json.dump`` or
 ``json.dumps``, so every file and bundle goes through ``io.dumps``.
+
+And names are looked up one way: only ``core`` calls ``index_map``
+(each value builds its own map once, on its first lookup), and no
+module scans a carrier with ``.names.index`` or ``.events.index``.
 """
 
 import ast
@@ -128,5 +132,31 @@ def test_only_io_writes_json(path):
     found = list(_json_writes(tree))
     if path.name == "io.py":
         assert found
+    else:
+        assert found == []
+
+
+def _name_lookups(tree):
+    """Calls of index_map, and of .index on a .names or .events tuple."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "index_map":
+            yield "index_map", node.lineno
+        elif isinstance(func, ast.Attribute) and func.attr == "index_map":
+            yield "index_map", node.lineno
+        elif (isinstance(func, ast.Attribute) and func.attr == "index"
+                and isinstance(func.value, ast.Attribute)
+                and func.value.attr in ("names", "events")):
+            yield f".{func.value.attr}.index", node.lineno
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_one_name_lookup_path(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = list(_name_lookups(tree))
+    if path.name == "core.py":
+        assert [kind for kind, _ in found] == ["index_map"]
     else:
         assert found == []

@@ -13,7 +13,13 @@ give the same values:
 - ``enumeration._carrier_positions`` and ``core._require_join_closed``,
   now sharing ``core._join_escape``;
 - ``gallery._contact_embedding``, now one row compare;
-- the pair walks of ``io``, now one ``_pairs`` helper.
+- the pair walks of ``io``, now one ``_pairs`` helper;
+- the per-law loops of ``check_contact_axioms``,
+  ``check_bottomless_axioms`` and ``check_event_structure``, which now
+  share one Sym loop, one Ref/Ref* loop and one up-set loop (Ext's second
+  half, and conflict inheritance);
+- ``index`` of the three carrier types, now one lookup in a name map
+  each value builds once, against ``tuple.index``.
 
 The event bridge's order check, which the one-sided paths used to skip,
 is tested at the end.
@@ -21,24 +27,35 @@ is tested at the end.
 
 import json
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from contactposets import fraisse
-from contactposets.amalgam import AmalgamInstance, contact_amalgam, semilattice_amalgam
+from contactposets.amalgam import (
+    AmalgamInstance,
+    contact_amalgam,
+    semilattice_amalgam,
+    verify_superamalgamation,
+)
+from contactposets import core
 from contactposets.core import (
     POSET,
     SEMILATTICE,
+    AxiomCheck,
+    AxiomReport,
     BottomlessContact,
     ContactStructure,
     _require_join_closed,
     bits,
+    check_bottomless_axioms,
     check_contact_axioms,
     cover_pairs,
     induced_substructure,
     join_table,
+    order_failure,
     overlap_relation,
+    verify_map,
 )
 from contactposets.enumeration import (
     AgeCatalog,
@@ -49,10 +66,11 @@ from contactposets.enumeration import (
     gluings_up_to_iso,
     induced_embeddings,
 )
-from contactposets.errors import AxiomViolation, CycleError, NotJoinClosed
+from contactposets.errors import AxiomViolation, CycleError, NotJoinClosed, UnknownElement
 from contactposets.events import (
     EventStructure,
     _rename_gluing,
+    check_event_structure,
     contact_to_event,
     enumerate_event_structures,
     event_to_contact,
@@ -69,6 +87,7 @@ from contactposets.fraisse import (
     build_limit_stage,
     check_extension_property,
     embeds_extension,
+    iter_gluings,
     one_point_extensions,
     trivial_stage,
 )
@@ -555,3 +574,245 @@ def test_valid_round_trips_are_unchanged():
         dual = event_to_contact(e)
         assert contact_to_event(dual) == e
         assert event_to_contact(contact_to_event(dual)) == dual
+
+
+# ---------------------------------------------------------------------------
+# the per-law loops, as they were: three Sym loops, two Ref/Ref* loops
+
+
+def reference_contact_witnesses(s):
+    n, names = s.n, s.names
+    checks = []
+
+    sym = None
+    for i in range(n):
+        for j in bits(s.contact[i]):
+            if not s.contact[j] >> i & 1:
+                sym = (names[i], names[j])
+                break
+        if sym:
+            break
+    checks.append(AxiomCheck("Sym", sym is None, sym))
+
+    emp = None
+    if s.contact[s.bottom]:
+        emp = (names[s.bottom], names[next(bits(s.contact[s.bottom]))])
+    else:
+        for i in range(n):
+            if s.contact[i] >> s.bottom & 1:
+                emp = (names[i], names[s.bottom])
+                break
+    checks.append(AxiomCheck("Emp", emp is None, emp))
+
+    ext = None
+    for a in range(n):
+        for a1 in bits(s.up[a]):
+            if s.contact[a] & ~s.contact[a1]:
+                b = next(bits(s.contact[a] & ~s.contact[a1]))
+                ext = (names[a], names[b], names[a1], names[b])
+                break
+        if ext:
+            break
+    if ext is None:
+        for a in range(n):
+            for b in bits(s.contact[a]):
+                if s.up[b] & ~s.contact[a]:
+                    b1 = next(bits(s.up[b] & ~s.contact[a]))
+                    ext = (names[a], names[b], names[a], names[b1])
+                    break
+            if ext:
+                break
+    checks.append(AxiomCheck("Ext", ext is None, ext))
+
+    ref = None
+    for i in range(n):
+        if i != s.bottom and not s.contact[i] >> i & 1:
+            ref = (names[i],)
+            break
+    checks.append(AxiomCheck("Ref", ref is None, ref))
+
+    inh = None
+    for m in range(n):
+        if m == s.bottom:
+            continue
+        for a in bits(s.up[m]):
+            if s.up[m] & ~s.contact[a]:
+                b = next(bits(s.up[m] & ~s.contact[a]))
+                inh = (names[m], names[a], names[b])
+                break
+        if inh:
+            break
+    checks.append(AxiomCheck("Inh", inh is None, inh))
+    return checks
+
+
+def reference_bottomless_witnesses(b):
+    n, names = b.n, b.names
+    checks = []
+    sym = None
+    for i in range(n):
+        for j in bits(b.contact[i]):
+            if not b.contact[j] >> i & 1:
+                sym = (names[i], names[j])
+                break
+        if sym:
+            break
+    checks.append(AxiomCheck("Sym", sym is None, sym))
+    ext = None
+    for a in range(n):
+        for a1 in bits(b.up[a]):
+            if b.contact[a] & ~b.contact[a1]:
+                k = next(bits(b.contact[a] & ~b.contact[a1]))
+                ext = (names[a], names[k], names[a1], names[k])
+                break
+        if ext is None:
+            for k in bits(b.contact[a]):
+                if b.up[k] & ~b.contact[a]:
+                    k1 = next(bits(b.up[k] & ~b.contact[a]))
+                    ext = (names[a], names[k], names[a], names[k1])
+                    break
+        if ext:
+            break
+    checks.append(AxiomCheck("Ext", ext is None, ext))
+    ref = None
+    for i in range(n):
+        if not b.contact[i] >> i & 1:
+            ref = (names[i],)
+            break
+    checks.append(AxiomCheck("Ref*", ref is None, ref))
+    return checks
+
+
+def reference_check_event_structure(e):
+    n, names = e.n, e.events
+    checks = []
+    irr = None
+    for i in range(n):
+        if e.conflict[i] >> i & 1:
+            irr = (names[i],)
+            break
+    checks.append(AxiomCheck("irreflexive", irr is None, irr))
+    sym = None
+    for i in range(n):
+        for j in bits(e.conflict[i]):
+            if not e.conflict[j] >> i & 1:
+                sym = (names[i], names[j])
+                break
+        if sym:
+            break
+    checks.append(AxiomCheck("symmetric", sym is None, sym))
+    inh = None
+    for i in range(n):
+        for j in bits(e.conflict[i]):
+            if e.up[j] & ~e.conflict[i]:
+                k = next(bits(e.up[j] & ~e.conflict[i]))
+                inh = (names[i], names[j], names[k])
+                break
+        if inh:
+            break
+    checks.append(AxiomCheck("inheritance", inh is None, inh))
+    return AxiomReport(tuple(checks))
+
+
+def _labelled_orders(n):
+    """Every partial order on positions 0..n-1, as up-rows."""
+    rows = [[mask for mask in range(1 << n) if mask >> i & 1] for i in range(n)]
+    for up in product(*rows):
+        if order_failure(up) is None:
+            yield up
+
+
+def _relation_tables(n):
+    for cells in range(1 << (n * n)):
+        yield tuple(cells >> (i * n) & ((1 << n) - 1) for i in range(n))
+
+
+def test_labelled_orders_are_counted():
+    assert [sum(1 for _ in _labelled_orders(n)) for n in range(4)] == [1, 1, 3, 19]
+
+
+def test_shared_law_loops_on_every_table_to_three():
+    """Every labelled partial order with at most 3 elements, with every
+    relation table: the same reports, witnesses included, from all three
+    checkers.  The reference loops run on every table, so an all-pass
+    report from the fused row pass is compared with theirs too."""
+    failing = {"contact": 0, "bottomless": 0, "event": 0}
+    for n in range(4):
+        names = tuple("xyz"[:n])
+        for up in _labelled_orders(n):
+            for rows in _relation_tables(n):
+                if n:
+                    s = ContactStructure(names, 0, up, rows, POSET)
+                    expected = AxiomReport(tuple(reference_contact_witnesses(s)))
+                    assert check_contact_axioms(s) == expected, (up, rows)
+                    failing["contact"] += not expected.ok
+                b = BottomlessContact(names, up, rows)
+                expected = AxiomReport(tuple(reference_bottomless_witnesses(b)))
+                assert check_bottomless_axioms(b) == expected, (up, rows)
+                failing["bottomless"] += not expected.ok
+                e = EventStructure(names, up, rows)
+                expected = reference_check_event_structure(e)
+                assert check_event_structure(e) == expected, (up, rows)
+                failing["event"] += not expected.ok
+    assert min(failing.values()) > 9000
+
+
+def reference_index(names, name, noun):
+    try:
+        return names.index(name)
+    except ValueError:
+        raise UnknownElement(f"unknown {noun} {name!r}") from None
+
+
+def _index_outcome(fn, name):
+    try:
+        return ("ok", fn(name))
+    except UnknownElement as exc:
+        return ("raised", str(exc))
+
+
+def test_index_matches_tuple_index_on_all_three_types():
+    """The first position on raw values with duplicate names, and the
+    same UnknownElement text on a miss."""
+    for names in [("x", "y", "x"), ("x", "x"), ("a", "b", "c", "b", "a"), ()]:
+        n = len(names)
+        rows = tuple(1 << i for i in range(n))
+        values = [
+            (ContactStructure(names, 0, rows, rows, POSET), "element"),
+            (BottomlessContact(names, rows, rows), "element"),
+            (EventStructure(names, rows, rows), "event"),
+        ]
+        for value, noun in values:
+            for name in set(names) | {"q", "", 0, None}:
+                expected = _index_outcome(lambda x: reference_index(names, x, noun), name)
+                assert _index_outcome(value.index, name) == expected
+            assert _index_outcome(value.index, ["x"])[0] == "raised"
+
+
+def test_each_value_builds_its_name_map_once(monkeypatch):
+    """Lookups read the value's own map: built on the first lookup, never
+    by a value that is not looked up, and once per value however many
+    callers look it up."""
+    built = []
+    real = core.index_map
+    monkeypatch.setattr(core, "index_map", lambda names: built.append(names) or real(names))
+    items = AgeCatalog.build(4, POSET).items
+    t = items[-1]
+    s = ContactStructure(t.names, t.bottom, t.up, t.contact, t.kind)
+    assert built == []
+    identity = {name: name for name in s.names}
+    for name in s.names:
+        s.index(name)
+    verify_map(s, s, identity)
+    induced_substructure(s, s.names)
+    assert built == [s.names]
+    instances = [inst for a in items[::3] for b in items[::3] for inst in iter_gluings(a, b)]
+    assert len(instances) > 50
+    for inst in instances:
+        contact_amalgam(inst)
+    for inst in instances:
+        built.clear()
+        d = contact_amalgam(inst)
+        verify_superamalgamation(inst, d)
+        verify_map(inst.c, d, {name: name for name in inst.c.names})
+        assert built == [d.names]
