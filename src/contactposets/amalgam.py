@@ -162,7 +162,7 @@ def _glue(inst: AmalgamInstance) -> tuple[list[str], list[int], list[int], list[
     its row is the OR of up[r] over r in reach[d].
     """
     a, b, c = inst.a, inst.b, inst.c
-    at_a = a._positions
+    at_a = a._name_map()
     c_mask = 0
     for name in c.names:
         c_mask |= 1 << at_a[name]

@@ -10,7 +10,6 @@ Element names are the external interface; indices are internal.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -188,6 +187,19 @@ def normalize_order(
     return tuple(up)
 
 
+def _symmetric_rows(pairs: Iterable, idx: Mapping, unknown: str) -> tuple[int, ...]:
+    """Rows of the symmetric closure of name pairs over the positions
+    idx; the first name outside idx raises UnknownElement(unknown)."""
+    rows = [0] * len(idx)
+    for x, y in pairs:
+        if x not in idx or y not in idx:
+            missing = x if x not in idx else y
+            raise UnknownElement(unknown.format(missing))
+        rows[idx[x]] |= 1 << idx[y]
+        rows[idx[y]] |= 1 << idx[x]
+    return tuple(rows)
+
+
 def order_failure(up: Sequence[int]) -> tuple[int, int, str] | None:
     """First place where a table of up-rows fails to be a partial order,
     or None when it is one.
@@ -246,6 +258,7 @@ class _Carrier:
     up, and a build costs more than a few tuple scans."""
 
     _noun = "element"
+    _positions = None
 
     @property
     def _relation(self) -> tuple[int, ...]:
@@ -255,13 +268,18 @@ class _Carrier:
     def n(self) -> int:
         return len(self.names)
 
-    @cached_property
-    def _positions(self) -> dict[str, int]:
-        return index_map(self.names)
+    def _name_map(self) -> dict[str, int]:
+        # a cache, not a field, so set past the frozen dataclass; not a
+        # cached_property, whose __dict__ write slows every later read
+        positions = self._positions
+        if positions is None:
+            positions = index_map(self.names)
+            object.__setattr__(self, "_positions", positions)
+        return positions
 
     def index(self, name: str) -> int:
         try:
-            return self._positions[name]
+            return self._name_map()[name]
         except (KeyError, TypeError):
             raise UnknownElement(f"unknown {self._noun} {name!r}") from None
 
@@ -314,17 +332,9 @@ class ContactStructure(_Carrier):
             raise AxiomViolation(f"unknown kind {kind!r}")
         up = normalize_order(order, elements, bottom)
         idx = _index_elements(elements)
-        n = len(elements)
-        rows = [0] * n
-        seed_pairs = []
-        for x, y in contact:
-            if x not in idx or y not in idx:
-                missing = x if x not in idx else y
-                raise UnknownElement(f"unknown element {missing!r} in contact pair")
-            rows[idx[x]] |= 1 << idx[y]
-            rows[idx[y]] |= 1 << idx[x]
-            seed_pairs.append((x, y))
-        skeleton = cls(tuple(elements), idx[bottom], up, tuple(rows), kind)
+        seed_pairs = list(contact)
+        rows = _symmetric_rows(seed_pairs, idx, "unknown element {!r} in contact pair")
+        skeleton = cls(tuple(elements), idx[bottom], up, rows, kind)
         if kind == SEMILATTICE and not is_semilattice_order(skeleton):
             raise NotSemilattice("not every pair has a least upper bound")
         if close:
@@ -535,9 +545,8 @@ def _ref_witness(rows: Sequence[int], names: Sequence, bottom: int | None) -> tu
 
 
 def _upset_witness(rows: Sequence[int], up: Sequence[int], names: Sequence) -> tuple | None:
-    """The first row that is not an up-set of up: (x, y, z) with y in x's
-    row and z >= y outside it.  Ext's second half on contact rows, and
-    inheritance on conflict rows."""
+    """The first row that is not an up-set of up, as (x, y, z): y in x's
+    row, z >= y not.  Ext's second half on contact, inheritance on conflict."""
     for i, row in enumerate(rows):
         for j in bits(row):
             if up[j] & ~row:
@@ -567,10 +576,8 @@ def _contact_witnesses(s: ContactStructure) -> tuple[AxiomCheck, ...]:
                 break
         if ext:
             break
-    if ext is None:
-        escape = _upset_witness(s.contact, s.up, names)
-        if escape:
-            ext = (escape[0], escape[1], escape[0], escape[2])
+    if ext is None and (escape := _upset_witness(s.contact, s.up, names)):
+        ext = (escape[0], escape[1], escape[0], escape[2])
 
     inh = None
     for m in range(n):
@@ -995,9 +1002,8 @@ def check_bottomless_axioms(b: BottomlessContact) -> AxiomReport:
 
 
 def _bottomless_witnesses(b: BottomlessContact) -> tuple[AxiomCheck, ...]:
-    """The per-law loops of check_bottomless_axioms.  Ext checks both of
-    its halves per element, so its first witness can differ from the one
-    the bottomed loop finds."""
+    """The per-law loops.  Ext checks both its halves per element, so its
+    first witness can differ from the one _contact_witnesses finds."""
     n, names = b.n, b.names
     ext = None
     for a in range(n):

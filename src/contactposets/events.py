@@ -25,6 +25,7 @@ from .core import (
     _require_laws,
     _restriction,
     _sym_witness,
+    _symmetric_rows,
     _upset_witness,
     check_bottomless_axioms,
     drop_bottom,
@@ -71,14 +72,8 @@ class EventStructure(_Carrier):
         padded = normalize_order(order, (RESERVED_BOTTOM,) + tuple(events), RESERVED_BOTTOM)
         up = tuple(row >> 1 for row in padded[1:])
         idx = {name: i for i, name in enumerate(events)}
-        rows = [0] * len(events)
-        for x, y in conflict:
-            if x not in idx or y not in idx:
-                missing = x if x not in idx else y
-                raise UnknownElement(f"unknown event {missing!r} in conflict pair")
-            rows[idx[x]] |= 1 << idx[y]
-            rows[idx[y]] |= 1 << idx[x]
-        out = cls(tuple(events), up, tuple(rows))
+        rows = _symmetric_rows(conflict, idx, "unknown event {!r} in conflict pair")
+        out = cls(tuple(events), up, rows)
         _require_laws(check_event_structure(out), "event structure invalid")
         return out
 
@@ -133,9 +128,8 @@ def contact_to_event(b: BottomlessContact) -> EventStructure:
 
 
 def _flip(x: _Carrier) -> tuple[tuple, tuple, tuple]:
-    """The duality on rows, unchecked: the names kept, the order
-    transposed, the other relation (conflict or contact) complemented.
-    It is its own inverse."""
+    """The duality, unchecked and its own inverse: the names kept, the
+    order transposed, the relation (conflict or contact) complemented."""
     full = (1 << x.n) - 1
     return x.names, transpose(x.up), tuple(full & ~row for row in x._relation)
 
