@@ -10,6 +10,7 @@ Element names are the external interface; indices are internal.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -250,12 +251,18 @@ def index_map(names: Sequence[str]) -> dict[str, int]:
     return dict(zip(reversed(names), range(n - 1, -1, -1)))
 
 
+@lru_cache(maxsize=4096)
+def _shared_index_map(names: tuple[str, ...]) -> dict[str, int]:
+    """index_map, one per distinct names tuple: values that carry the
+    same names (renamed copies, amalgams) share one map, read only."""
+    return index_map(names)
+
+
 class _Carrier:
-    """Names, order rows and the rows of one relation (contact, or
-    conflict for events): what ContactStructure, BottomlessContact and
-    EventStructure share.  A value's one name -> position map is built on
-    its first lookup, not when it is made: most values are never looked
-    up, and a build costs more than a few tuple scans."""
+    """What ContactStructure, BottomlessContact and EventStructure share:
+    names, order rows and one relation's rows (contact, or conflict).  The
+    name -> position map is fetched on a value's first lookup, not when it
+    is made: most values are never looked up."""
 
     _noun = "element"
     _positions = None
@@ -273,7 +280,7 @@ class _Carrier:
         # cached_property, whose __dict__ write slows every later read
         positions = self._positions
         if positions is None:
-            positions = index_map(self.names)
+            positions = _shared_index_map(self.names)
             object.__setattr__(self, "_positions", positions)
         return positions
 
@@ -507,8 +514,7 @@ def check_contact_axioms(s: ContactStructure, require_add: bool = False) -> Axio
 
 
 def _law_checks(x: _Carrier, bottom: int | None, laws: tuple, witnesses: Callable) -> tuple:
-    """Every law passed, without witnesses, when the fused row pass
-    (_rows_valid) says yes; otherwise the per-law loops, witnesses(x)."""
+    """All laws passed if the fused row pass (_rows_valid) says so, else witnesses(x)."""
     if _rows_valid(x.up, x.contact, bottom):
         return tuple(AxiomCheck(law, True) for law in laws)
     return witnesses(x)
@@ -526,8 +532,7 @@ def _require_laws(report: AxiomReport, what: str) -> None:
 
 
 def _sym_witness(rows: Sequence[int], names: Sequence[str]) -> tuple[str, str] | None:
-    """Sym: the first (x, y), in row then bit order, with y in x's row
-    but x not in y's.  Contact and conflict share it."""
+    """Sym, of contact or conflict: the first (x, y) with y in x's row, x not in y's."""
     for i, row in enumerate(rows):
         for j in bits(row):
             if not rows[j] >> i & 1:
@@ -536,8 +541,7 @@ def _sym_witness(rows: Sequence[int], names: Sequence[str]) -> tuple[str, str] |
 
 
 def _ref_witness(rows: Sequence[int], names: Sequence, bottom: int | None) -> tuple | None:
-    """Ref, or Ref* when bottom is None: the first element off the
-    bottom whose row does not hold it."""
+    """Ref, or Ref* when bottom is None: the first x off the bottom not in its row."""
     for i, row in enumerate(rows):
         if i != bottom and not row >> i & 1:
             return (names[i],)
@@ -859,8 +863,7 @@ def lookup(positions: Mapping[str, int], name: str) -> int:
 
 
 def _image_positions(source: _Carrier, target: _Carrier, mapping: Mapping) -> tuple:
-    """target's positions of the images of source's elements; the first
-    element unmapped, or sent outside target, raises UnknownElement."""
+    """Target positions of source's images; UnknownElement names the first miss."""
     try:
         return tuple(target.index(mapping[name]) for name in source.names)
     except KeyError:

@@ -201,12 +201,10 @@ def structure_to_dot(
     """
     if contact_mode not in ("full", "extra", "none"):
         raise ParseError(f"unknown contact mode {contact_mode!r}")
-    if isinstance(s, EventStructure):
-        names, rows, style = s.events, s.conflict, "conflict"
-    else:
-        names, rows, style = s.names, s.contact, "contact"
-        if contact_mode == "extra":
-            rows = [row & ~base for row, base in zip(rows, overlap_relation(s))]
+    names, rows = s.names, s._relation
+    style = "conflict" if isinstance(s, EventStructure) else "contact"
+    if contact_mode == "extra" and style == "contact":
+        rows = [row & ~base for row, base in zip(rows, overlap_relation(s))]
     lines = ["digraph structure {", "  rankdir=BT;"]
     for name in names:
         lines.append(f'  "{name}";')

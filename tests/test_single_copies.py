@@ -790,29 +790,36 @@ def test_index_matches_tuple_index_on_all_three_types():
 
 
 def test_each_value_builds_its_name_map_once(monkeypatch):
-    """Lookups read the value's own map: built on the first lookup, never
-    by a value that is not looked up, and once per value however many
-    callers look it up."""
-    built = []
-    real = core.index_map
+    """Lookups read the value's own map: fetched on the first lookup,
+    never by a value that is not looked up, and once per value however
+    many callers look it up.  Values with equal names share one map, so
+    index_map runs once per distinct names tuple."""
+    fetched, built = [], []
+    shared, real = core._shared_index_map, core.index_map
+    shared.cache_clear()
+    monkeypatch.setattr(core, "_shared_index_map", lambda names: fetched.append(names) or shared(names))
     monkeypatch.setattr(core, "index_map", lambda names: built.append(names) or real(names))
     items = AgeCatalog.build(4, POSET).items
     t = items[-1]
     s = ContactStructure(t.names, t.bottom, t.up, t.contact, t.kind)
-    assert built == []
+    assert fetched == []
     identity = {name: name for name in s.names}
     for name in s.names:
         s.index(name)
     verify_map(s, s, identity)
     induced_substructure(s, s.names)
-    assert built == [s.names]
+    assert fetched == built == [s.names]
+    copy = ContactStructure(t.names, t.bottom, t.up, t.contact, t.kind)
+    assert copy.index(t.names[-1]) == t.n - 1
+    assert fetched == [s.names] * 2 and built == [s.names]
     instances = [inst for a in items[::3] for b in items[::3] for inst in iter_gluings(a, b)]
     assert len(instances) > 50
     for inst in instances:
         contact_amalgam(inst)
     for inst in instances:
-        built.clear()
+        fetched.clear()
         d = contact_amalgam(inst)
         verify_superamalgamation(inst, d)
         verify_map(inst.c, d, {name: name for name in inst.c.names})
-        assert built == [d.names]
+        assert fetched == [d.names]
+    assert len(built) == len(set(built))
