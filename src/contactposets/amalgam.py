@@ -442,7 +442,7 @@ def semilattice_amalgam(inst: AmalgamInstance) -> SemilatticeAmalgam:
     map's report plus one join scan into F (core._preserves_joins).  F
     is union-closed and x goes to the complement of its up-set, so a
     side's join survives in F iff it survives in d.  d's existing joins
-    are preserved by construction; join_preserving_embedding sweeps them.
+    are preserved by construction, which join_preserving_embedding checks.
     """
     for side in (inst.a, inst.b, inst.c):
         if side.kind != SEMILATTICE:

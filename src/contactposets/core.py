@@ -854,14 +854,6 @@ def _fresh_names(
     return {name: back.get(name, f"{tag}:{name}") for name in names}
 
 
-def lookup(positions: Mapping[str, int], name: str) -> int:
-    """Position of name in an index_map; UnknownElement if it is absent."""
-    try:
-        return positions[name]
-    except KeyError:
-        raise UnknownElement(f"unknown element {name!r}") from None
-
-
 def _image_positions(source: _Carrier, target: _Carrier, mapping: Mapping) -> tuple:
     """Target positions of source's images; UnknownElement names the first miss."""
     try:

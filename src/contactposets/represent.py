@@ -171,9 +171,8 @@ def _nonbelow_masks(s: ContactStructure) -> list[int]:
 
 
 def _image_family(
-    s: ContactStructure, union_closed: bool
+    s: ContactStructure, phi: Sequence[int], union_closed: bool
 ) -> tuple[list[int], dict[int, list[Origin]]]:
-    phi = _nonbelow_masks(s)
     provenance: dict[int, list[Origin]] = {}
     masks: list[int] = []
 
@@ -228,16 +227,16 @@ def join_preserving_embedding(
 ) -> tuple[SetFamilyStructure, StructureMap]:
     """Embed a mere contact poset into a union-closed overlap family.
 
-    Every join that happens to exist in the source is sent to the union
-    of the images.  The construction makes that so, and it is verified
-    exhaustively over all carrier subsets (existing_join_misses) before
-    returning.
+    Every join that happens to exist in the source is sent to the join
+    of the images, their union.  The construction makes that so, and it
+    is verified against the family's joins over all carrier subsets
+    (_bound_sweep) before returning.
     """
     _require_valid(s)
     family, total = _image_embedding(s, True, SEMILATTICE)
-    missed = existing_join_misses(s)
+    missed = _bound_sweep(s, family.structure, total.mapping, False)
     if missed:
-        raise AxiomViolation(f"existing joins not preserved: {missed}")
+        raise AxiomViolation(f"existing joins not preserved: {missed[1]}")
     return family, total
 
 
@@ -246,45 +245,14 @@ def _image_embedding(
 ) -> tuple[SetFamilyStructure, StructureMap]:
     """The image family of s (_image_family), tagged kind, and the map
     sending each element to its image, verified."""
-    masks, provenance = _image_family(s, union_closed)
-    family = family_structure(s.names, masks, provenance, kind)
     phi = _nonbelow_masks(s)
+    masks, provenance = _image_family(s, phi, union_closed)
+    family = family_structure(s.names, masks, provenance, kind)
     mapping = {
         s.names[a]: _set_name(s.names, phi[a]) for a in range(s.n)
     }
     total = verify_map(s, family.structure, mapping)
     return family, total
-
-
-def existing_join_misses(s: ContactStructure) -> list[tuple[str, ...]]:
-    """Subsets whose existing join is not mapped to the union of images.
-
-    Subsets are walked depth-first, deciding elements from the highest
-    index down with "left out" before "taken", so they come in
-    increasing mask order as a plain count would give them.  Each step
-    carries the common upper bounds and the union of images so far.  A
-    subset's join is the element whose up-row equals its upper bounds
-    (core.join_table).  A subtree with no upper bound left holds no
-    join and is skipped.  The stack holds O(n) entries.
-    """
-    phi = _nonbelow_masks(s)
-    joins = join_table(s)
-    up, names = s.up, s.names
-    missed = []
-    stack = [(s.n, 0, s.full_mask, 0)]
-    while stack:
-        k, subset, bounds, union = stack.pop()
-        if k == 0:
-            j = joins.get(bounds)
-            if j is not None and union != phi[j]:
-                missed.append(tuple(names[a] for a in bits(subset)))
-            continue
-        k -= 1
-        taken = bounds & up[k]
-        if taken:
-            stack.append((k, subset | 1 << k, taken, union | phi[k]))
-        stack.append((k, subset, bounds, union))
-    return missed
 
 
 # ---------------------------------------------------------------------------
@@ -369,10 +337,11 @@ def macneille_completion(
     Cuts are realized as the intersections of principal down-sets plus
     the full carrier; the resulting lattice carries the overlap contact
     of its own order, and the canonical map preserves every meet and
-    join that exists in the source: for every subset of the carrier,
-    both the join and the meet of its images are looked up in the
-    target lattice and compared with the image of the source's join
-    and meet (_check_cut_bounds).
+    join that exists in the source (Davey and Priestley, Introduction
+    to Lattices and Order, ch. 7): for every subset of the carrier, both
+    the join and the meet of its images are looked up in the target
+    lattice and compared with the image of the source's join and meet
+    (_check_cut_bounds, one memoised _bound_sweep).
     """
     down = s.down_masks()
     cuts = close_under((s.full_mask, *down), down, and_)
@@ -420,45 +389,76 @@ def _check_cut_bounds(
 ) -> None:
     """Exhaustive meet/join preservation over all carrier subsets: where
     a subset has a join (a meet, for a nonempty subset) in s, the target
-    takes the images to the image of that join (meet).
-
-    Subsets are walked depth-first as in existing_join_misses, so they
-    come in increasing mask order and the first failure reported is the
-    one a plain count would find.  Each step carries the upper and lower
-    bounds of the subset in s and of its images in the target, so a
-    subset costs four lookups in join and meet tables (core.join_table,
-    core.meet_table).  Both halves read the target.
+    takes the images to the image of that join (meet).  Element a's
+    image is the family member down[a]; the subsets are walked by
+    _bound_sweep, which reads the target's joins and meets.
     """
-    target = family.structure
     pos = {mask: i for i, mask in enumerate(family.sets)}
-    image = [pos[row] for row in down]
-    s_joins, s_meets = join_table(s), meet_table(s)
-    t_joins, t_meets = join_table(target), meet_table(target)
-    t_down = target.down_masks()
+    lost = _bound_sweep(s, family.structure, [pos[row] for row in down], True)
+    if lost:
+        raise AxiomViolation(f"completion lost the {lost[0]} of {lost[1]}")
+
+
+def _bound_sweep(
+    s: ContactStructure,
+    target: ContactStructure,
+    image: Sequence[int],
+    meets: bool,
+) -> tuple[str, list[str]] | None:
+    """First carrier subset whose join in s is not sent to the target's
+    join of its images (element a's image is image[a]); with meets, the
+    same for the meet of a nonempty subset.  Returns ("join" or "meet",
+    the subset's names), or None.
+
+    Subsets are walked depth-first, deciding elements from the highest
+    index down with "left out" before "taken", so they come in
+    increasing mask order as a plain count would give them.  Each step
+    carries the subset's upper bounds in s and in the target, plus its
+    lower bounds with meets, so a leaf costs a lookup per join and meet
+    table (core.join_table, core.meet_table).  Without meets a subtree
+    with no upper bound left in s holds no join and is skipped.
+
+    A state already expanded is skipped too: a leaf's verdict depends
+    only on its state (k, the bounds, whether the subset is empty), and
+    the walk stops at its first failure, so a skipped subtree repeats
+    one walked without a failure.  The first failure is the one a plain
+    count finds, and a chain costs O(n^3) states, not 2^n.
+    """
+    s_joins, t_joins = join_table(s), join_table(target)
     s_up, t_up = s.up, target.up
     every, t_every = s.full_mask, target.full_mask
-    stack = [(s.n, 0, every, every, t_every, t_every)]
+    if meets:
+        s_meets, t_meets = meet_table(s), meet_table(target)
+        s_down, t_down = s.down_masks(), target.down_masks()
+    else:
+        s_meets = t_meets = {}
+        s_down, t_down = [every] * s.n, [t_every] * target.n
+    seen = set()
+    stack = [(s.n, 0, every, t_every, every, t_every)]
     while stack:
-        k, subset, ub, lb, t_ub, t_lb = stack.pop()
+        k, subset, ub, t_ub, lb, t_lb = stack.pop()
+        state = (k, ub, t_ub, lb, t_lb, subset == 0)
+        if state in seen:
+            continue
+        seen.add(state)
         if k:
             k -= 1
             i = image[k]
-            stack.append(
-                (k, subset | 1 << k, ub & s_up[k], lb & down[k],
-                 t_ub & t_up[i], t_lb & t_down[i])
-            )
-            stack.append((k, subset, ub, lb, t_ub, t_lb))
+            taken = ub & s_up[k]
+            if taken or meets:
+                stack.append(
+                    (k, subset | 1 << k, taken, t_ub & t_up[i],
+                     lb & s_down[k], t_lb & t_down[i])
+                )
+            stack.append((k, subset, ub, t_ub, lb, t_lb))
             continue
         join = s_joins.get(ub)
         if join is not None and t_joins.get(t_ub) != image[join]:
-            raise AxiomViolation(
-                f"completion lost the join of {[s.names[a] for a in bits(subset)]}"
-            )
+            return "join", [s.names[a] for a in bits(subset)]
         meet = s_meets.get(lb)
         if meet is not None and subset and t_meets.get(t_lb) != image[meet]:
-            raise AxiomViolation(
-                f"completion lost the meet of {[s.names[a] for a in bits(subset)]}"
-            )
+            return "meet", [s.names[a] for a in bits(subset)]
+    return None
 
 
 def complete_lattice_embedding(

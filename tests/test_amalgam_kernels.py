@@ -2,9 +2,9 @@
 
 The axiom checks run a fused row pass before their per-law loops, the
 order and contact amalgams lift rows into union positions, the
-superamalgamation witness is a lowest bit, ``existing_join_misses``
-walks subsets depth-first and the event bridge compares pulled-back
-rows.  The instance boundary checks each gluing once: ``from_parts``
+superamalgamation witness is a lowest bit, ``cor3``'s join check reads
+the family's joins in one memoised subset sweep and the event bridge
+compares pulled-back rows.  The instance boundary checks each gluing once: ``from_parts``
 compares C's rows with each side's, ``from_embeddings`` leaves the
 embedding test to it, and ``contact_amalgam`` reads its inclusions off
 rows.  Each is
@@ -36,6 +36,7 @@ from contactposets.core import (
     check_contact_axioms,
     drop_bottom,
     induced_substructure,
+    join_table,
     restrict,
     verify_map,
 )
@@ -57,8 +58,9 @@ from contactposets.events import (
     iter_event_gluings,
 )
 from contactposets.fraisse import iter_gluings, random_instance
-from join_scans import join_index, subset_join
+from join_scans import existing_join_misses, join_index, subset_join
 from test_embedding_search import reference_induced_embeddings
+from test_lattice_kernels import _is_partial_order
 
 
 # ---------------------------------------------------------------------------
@@ -327,18 +329,20 @@ def reference_super_through_maps(inst, target, from_a, from_b):
     return tuple(witnesses)
 
 
-def reference_join_misses(s, phi):
-    missed = []
+def reference_join_miss(s, target, image):
+    """The first subset, by a plain count, whose join in s is not sent
+    to the target's join of its images: the names, or None."""
+    t_joins = join_table(target)
     for subset in range(1 << s.n):
         j = subset_join(s, subset)
         if j is None:
             continue
-        union = 0
+        t_ub = target.full_mask
         for a in bits(subset):
-            union |= phi[a]
-        if union != phi[j]:
-            missed.append(tuple(s.names[a] for a in bits(subset)))
-    return missed
+            t_ub &= target.up[image[a]]
+        if t_joins.get(t_ub) != image[j]:
+            return [s.names[a] for a in bits(subset)]
+    return None
 
 
 def reference_first_disagreement(host, part):
@@ -651,24 +655,40 @@ def test_from_parts_matches_reference(small_gluings):
 
 
 def test_join_misses_match_reference(monkeypatch):
-    """The images are perturbed, so that misses occur and their order is
-    compared too."""
+    """cor3's join check, against a plain count over the family's joins.
+    Each family gets single up-row bit flips, kept while the rows stay a
+    partial order, so that misses occur; the error must name the same
+    first miss.  Unperturbed, neither check nor the replaced walk
+    (existing_join_misses) finds a miss."""
     rng = random.Random(997)
-    real = represent._nonbelow_masks
-    seen = 0
+    flips = missed = 0
     for kind in (POSET, SEMILATTICE):
-        for item in AgeCatalog.build(6, kind).items[::3]:
-            phi = list(real(item))
-            assert represent.existing_join_misses(item) == []
-            for _ in range(2):
-                a = rng.randrange(item.n)
-                phi[a] ^= 1 << rng.randrange(item.n)
-            monkeypatch.setattr(represent, "_nonbelow_masks", lambda s, phi=phi: phi)
-            got = represent.existing_join_misses(item)
-            monkeypatch.setattr(represent, "_nonbelow_masks", real)
-            assert got == reference_join_misses(item, phi)
-            seen += len(got)
-    assert seen > 1000
+        for item in AgeCatalog.build(6, kind).items:
+            family, total = represent.join_preserving_embedding(item)
+            t = family.structure
+            assert represent._bound_sweep(item, t, total.mapping, False) is None
+            assert existing_join_misses(item) == []
+            for _ in range(3):
+                i, j = rng.randrange(t.n), rng.randrange(t.n)
+                up = list(t.up)
+                up[i] ^= 1 << j
+                if not _is_partial_order(up):
+                    continue
+                doctored = replace(family, structure=replace(t, up=tuple(up)))
+                with monkeypatch.context() as patch:
+                    patch.setattr(
+                        represent, "_image_embedding", lambda *args: (doctored, total)
+                    )
+                    got = _outcome(represent.join_preserving_embedding, item)
+                want = reference_join_miss(item, doctored.structure, total.mapping)
+                if want is None:
+                    assert got == ("ok", (doctored, total))
+                else:
+                    message = f"existing joins not preserved: {want}"
+                    assert got == ("raised", AxiomViolation, message)
+                    missed += 1
+                flips += 1
+    assert missed > 100, (missed, flips)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ import pytest
 import contactposets
 from contactposets import cli
 from contactposets.cli import COMMANDS, build_parser, main
-from contactposets.core import POSET, ContactStructure
+from contactposets.core import POSET, SEMILATTICE, ContactStructure
 from contactposets.errors import ParseError
 from contactposets.events import EventStructure
 from contactposets.gallery import m3
@@ -156,6 +157,30 @@ class TestEmbedCommand:
             for origin in origins
         }
         assert "cut" in kinds and "element-image" in kinds
+
+    @pytest.mark.parametrize("theorem", ["cor3", "4b"])
+    def test_long_chain_exits_quickly(self, tmp_path, theorem):
+        """A 40-element chain with full contact on its nonzero elements.
+        The subset sweeps of cor3 and 4b visit a polynomial number of
+        bound states on it, where a plain walk would visit 2^40 subsets."""
+        names = [str(i) for i in range(40)]
+        nonzero = names[1:]
+        chain = ContactStructure.build(
+            names,
+            "0",
+            zip(names, nonzero),
+            [(a, b) for a in nonzero for b in nonzero],
+            SEMILATTICE,
+        )
+        path = tmp_path / "chain.json"
+        save_structure(str(path), chain)
+        out_path = tmp_path / "bundle.json"
+        start = time.perf_counter()
+        argv = ["embed", str(path), "--theorem", theorem, "--out", str(out_path)]
+        assert main(argv) == 0
+        assert time.perf_counter() - start < 1
+        bundle = json.loads(out_path.read_text())
+        assert bundle["report"]["is_embedding"] is True
 
 
 class TestAmalgamateCommand:

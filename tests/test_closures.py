@@ -193,7 +193,7 @@ def test_close_under_is_the_least_closed_superset():
 
 def test_image_family_matches_reference(posets_5, semilattice_catalog_6):
     for s in posets_5 + semilattice_catalog_6.items:
-        masks, provenance = _image_family(s, True)
+        masks, provenance = _image_family(s, _nonbelow_masks(s), True)
         want_masks, want_provenance = reference_image_family(s, True)
         assert sorted(masks) == sorted(want_masks)
         assert len(masks) == len(set(masks))
@@ -211,7 +211,7 @@ def test_union_closure_of_boolean_lattices(k, members):
     compared on the 32-element one and the 64-element count is pinned
     from its output."""
     s = _boolean_lattice(k)
-    masks, provenance = _image_family(s, True)
+    masks, provenance = _image_family(s, _nonbelow_masks(s), True)
     assert len(masks) == len(provenance) == members
     if k == 5:
         want_masks, want_provenance = reference_image_family(s, True)

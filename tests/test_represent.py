@@ -11,7 +11,6 @@ from contactposets.errors import NotSemilattice
 from contactposets.gallery import m3
 from contactposets.represent import (
     complete_lattice_embedding,
-    existing_join_misses,
     is_boolean_family,
     join_preserving_embedding,
     macneille_completion,
@@ -20,7 +19,7 @@ from contactposets.represent import (
     overlap_semilattice_embedding,
     powerset_embedding,
 )
-from join_scans import subset_join
+from join_scans import existing_join_misses, subset_join
 
 
 class TestOverlapPosetEmbedding:

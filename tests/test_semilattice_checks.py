@@ -28,16 +28,12 @@ from contactposets.core import (
     ContactStructure,
     index_map,
     join_table,
-    lookup,
     verify_map,
 )
 from contactposets.errors import AxiomViolation, JoinNotPreserved, PreconditionViolation
 from contactposets.fraisse import iter_gluings, random_instance
-from contactposets.represent import (
-    _image_embedding,
-    existing_join_misses,
-    join_preserving_embedding,
-)
+from contactposets.represent import _image_embedding, join_preserving_embedding
+from join_scans import existing_join_misses
 
 
 def reference_semilattice_amalgam(inst):
@@ -75,7 +71,7 @@ def reference_assert_joins_survive(inst, d):
     d_joins = join_table(d)
     for side in (inst.a, inst.b):
         side_joins = join_table(side)
-        in_d = [lookup(at, name) for name in side.names]
+        in_d = [at[name] for name in side.names]
         for i in range(side.n):
             for j in range(i, side.n):
                 join = side_joins.get(side.up[i] & side.up[j])
@@ -142,7 +138,7 @@ def test_a_common_part_without_its_join_fails_on_both_paths():
 
 def test_join_preserving_embedding_keeps_its_exhaustive_sweep(monkeypatch, v_contact):
     monkeypatch.setattr(
-        represent, "existing_join_misses", lambda s: [("a", "b")]
+        represent, "_bound_sweep", lambda *args: ("join", ["a", "b"])
     )
     with pytest.raises(AxiomViolation, match="existing joins not preserved"):
         join_preserving_embedding(v_contact)
