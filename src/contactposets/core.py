@@ -259,17 +259,12 @@ def _shared_index_map(names: tuple[str, ...]) -> dict[str, int]:
 
 
 class _Carrier:
-    """What ContactStructure, BottomlessContact and EventStructure share:
-    names, order rows and one relation's rows (contact, or conflict).  The
-    name -> position map is fetched on a value's first lookup, not when it
-    is made: most values are never looked up."""
+    """What ContactStructure and BottomlessContact share: names, order
+    rows and contact rows.  The name -> position map is fetched on a
+    value's first lookup, not when it is made: most values are never
+    looked up."""
 
-    _noun = "element"
     _positions = None
-
-    @property
-    def _relation(self) -> tuple[int, ...]:
-        return self.contact
 
     @property
     def n(self) -> int:
@@ -288,18 +283,15 @@ class _Carrier:
         try:
             return self._name_map()[name]
         except (KeyError, TypeError):
-            raise UnknownElement(f"unknown {self._noun} {name!r}") from None
+            raise UnknownElement(f"unknown element {name!r}") from None
 
     def leq(self, x: str, y: str) -> bool:
         return bool(self.up[self.index(x)] >> self.index(y) & 1)
 
-    def _related(self, x: str, y: str) -> bool:
-        return bool(self._relation[self.index(x)] >> self.index(y) & 1)
-
     def _restricted(self, chosen: Sequence[int]) -> tuple[tuple, tuple, tuple]:
         """Names and both tables at the chosen positions, in that order."""
-        up, rows = restrict(chosen, self.up, self._relation)
-        return tuple(self.names[i] for i in chosen), up, rows
+        up, contact = restrict(chosen, self.up, self.contact)
+        return tuple(self.names[i] for i in chosen), up, contact
 
 
 @dataclass(frozen=True)
@@ -355,7 +347,8 @@ class ContactStructure(_Carrier):
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    delta = _Carrier._related
+    def delta(self, x: str, y: str) -> bool:
+        return bool(self.contact[self.index(x)] >> self.index(y) & 1)
 
     def down_masks(self) -> tuple[int, ...]:
         return transpose(self.up)

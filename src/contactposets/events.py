@@ -1,10 +1,13 @@
-"""Event structures with binary conflict and their contact duals.
+"""Event structures with binary conflict, held as their contact duals.
 
 An event structure here is a finite causal order with a symmetric,
 irreflexive conflict relation inherited upward along causality.  Taking
 the dual order and complementing conflict turns one into a bottomless
-contact structure, and back; amalgamation rides that bridge through the
-contact machinery after a reserved bottom is adjoined.
+contact structure, and back.  Each value is stored as that dual with a
+reserved bottom adjoined, checked once where the value is built from
+event rows; its event rows are views read off the dual.  Restriction,
+gluing, enumeration and amalgamation are the contact operations on the
+duals, with no translation and no re-check.
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ from .core import (
     BottomlessContact,
     ContactStructure,
     _adjoin_checked_bottom,
-    _Carrier,
-    _check_order_tables,
     _fresh_names,
     _law,
     _ref_witness,
@@ -27,37 +28,26 @@ from .core import (
     _sym_witness,
     _symmetric_rows,
     _upset_witness,
-    check_bottomless_axioms,
+    adjoin_bottom,
     drop_bottom,
     normalize_order,
     transpose,
 )
 from .enumeration import AgeCatalog, gluings_up_to_iso
-from .errors import AxiomViolation, PreconditionViolation, UnknownElement
+from .errors import PreconditionViolation, UnknownElement
 
 RESERVED_BOTTOM = "__bot__"
 
 
 @dataclass(frozen=True)
-class EventStructure(_Carrier):
-    """Events, a causal order (up[i] = successors), binary conflict."""
+class EventStructure:
+    """Events, a causal order and binary conflict, stored as the checked
+    bottomed dual: position 0 of ``dual`` is RESERVED_BOTTOM, position
+    k + 1 is event k, its order is causality reversed and its contact is
+    the complement of conflict.  The event reads are computed from the
+    dual on each call and not cached, since callers keep many values."""
 
-    events: tuple[str, ...]
-    up: tuple[int, ...]
-    conflict: tuple[int, ...]
-
-    _noun = "event"
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        """The events, as the carrier's element names."""
-        return self.events
-
-    @property
-    def _relation(self) -> tuple[int, ...]:
-        return self.conflict
-
-    in_conflict = _Carrier._related
+    dual: ContactStructure
 
     @classmethod
     def build(
@@ -73,19 +63,72 @@ class EventStructure(_Carrier):
         up = tuple(row >> 1 for row in padded[1:])
         idx = {name: i for i, name in enumerate(events)}
         rows = _symmetric_rows(conflict, idx, "unknown event {!r} in conflict pair")
-        out = cls(tuple(events), up, rows)
-        _require_laws(check_event_structure(out), "event structure invalid")
-        return out
+        return cls.from_rows(events, up, rows)
+
+    @classmethod
+    def from_rows(
+        cls, events: Sequence[str], up: Sequence[int], conflict: Sequence[int]
+    ) -> "EventStructure":
+        """The value with these rows (bit j of up[i] says event i <= event
+        j), checked once: the event laws on the rows, then, as the
+        bottomed dual is built, the reserved name and the dual order."""
+        _require_laws(_event_laws(events, up, conflict), "event structure invalid")
+        full = (1 << len(events)) - 1
+        flipped = BottomlessContact(
+            tuple(events), transpose(up), tuple(full & ~row for row in conflict)
+        )
+        return cls(_adjoin_checked_bottom(flipped, RESERVED_BOTTOM))
+
+    @property
+    def events(self) -> tuple[str, ...]:
+        return self.dual.names[1:]
+
+    names = events
+
+    @property
+    def n(self) -> int:
+        return self.dual.n - 1
+
+    @property
+    def up(self) -> tuple[int, ...]:
+        """Causal rows: bit j of up[i] says event i <= event j."""
+        return tuple(row >> 1 for row in transpose(self.dual.up)[1:])
+
+    @property
+    def conflict(self) -> tuple[int, ...]:
+        return tuple((self.dual.full_mask & ~row) >> 1 for row in self.dual.contact[1:])
+
+    def index(self, name: str) -> int:
+        try:
+            position = self.dual._name_map()[name]
+        except (KeyError, TypeError):
+            position = 0
+        if not position:
+            raise UnknownElement(f"unknown event {name!r}")
+        return position - 1
+
+    def leq(self, x: str, y: str) -> bool:
+        i, j = self.index(x) + 1, self.index(y) + 1
+        return bool(self.dual.up[j] >> i & 1)
+
+    def in_conflict(self, x: str, y: str) -> bool:
+        i, j = self.index(x) + 1, self.index(y) + 1
+        return not self.dual.contact[i] >> j & 1
 
 
 def check_event_structure(e: EventStructure) -> AxiomReport:
     """Validate irreflexivity, symmetry and conflict inheritance."""
-    names = e.events
+    return _event_laws(e.events, e.up, e.conflict)
+
+
+def _event_laws(
+    names: Sequence[str], up: Sequence[int], conflict: Sequence[int]
+) -> AxiomReport:
     checks = (
         # irreflexive conflict is Ref* of its complement, the dual's contact
-        _law("irreflexive", _ref_witness([~row for row in e.conflict], names, None)),
-        _law("symmetric", _sym_witness(e.conflict, names)),
-        _law("inheritance", _upset_witness(e.conflict, e.up, names)),
+        _law("irreflexive", _ref_witness([~row for row in conflict], names, None)),
+        _law("symmetric", _sym_witness(conflict, names)),
+        _law("inheritance", _upset_witness(conflict, up, names)),
     )
     return AxiomReport(checks)
 
@@ -97,45 +140,20 @@ def check_event_structure(e: EventStructure) -> AxiomReport:
 def event_to_contact(
     e: EventStructure, with_bottom: bool = False
 ) -> BottomlessContact | ContactStructure:
-    """Dualize the causal order and complement conflict.
-
-    The result is checked once, here: the bottomless contact axioms,
-    then the order.  with_bottom adjoins the reserved bottom and returns
-    a full contact structure, whose order _adjoin_checked_bottom checks;
-    otherwise e's order rows are checked (the dual of a partial order is
-    one).
-    """
-    dual = BottomlessContact(*_flip(e))
-    report = check_bottomless_axioms(dual)
-    if not report.ok:
-        raise AxiomViolation("dual of a valid event structure failed", report)
-    if with_bottom:
-        return _adjoin_checked_bottom(dual, RESERVED_BOTTOM)
-    _check_order_tables(e.up)
-    return dual
+    """Dualize the causal order and complement conflict: the stored dual
+    without its reserved bottom, or with_bottom the stored dual itself."""
+    return e.dual if with_bottom else drop_bottom(e.dual)
 
 
 def contact_to_event(b: BottomlessContact) -> EventStructure:
-    """Inverse reading of the duality; round-trips are identities.  The
-    input is checked, not the output: Ref*, Sym and Ext of a valid input
-    are exactly irreflexive, symmetric and inherited conflict, and the
-    transpose of its partial order is one."""
-    report = check_bottomless_axioms(b)
-    if not report.ok:
-        raise AxiomViolation("input fails the bottomless contact axioms", report)
-    _check_order_tables(b.up)
-    return EventStructure(*_flip(b))
-
-
-def _flip(x: _Carrier) -> tuple[tuple, tuple, tuple]:
-    """The duality, unchecked and its own inverse: the names kept, the
-    order transposed, the relation (conflict or contact) complemented."""
-    full = (1 << x.n) - 1
-    return x.names, transpose(x.up), tuple(full & ~row for row in x._relation)
+    """Inverse reading of the duality; round-trips are identities.  b is
+    checked once, by adjoin_bottom: its bottomless contact axioms, which
+    read through the duality are the event laws, and its order."""
+    return EventStructure(adjoin_bottom(b, RESERVED_BOTTOM))
 
 
 # ---------------------------------------------------------------------------
-# amalgamation through the bridge
+# amalgamation on the duals
 
 
 @dataclass(frozen=True)
@@ -149,15 +167,15 @@ def amalgamate_events(
     a: EventStructure, b: EventStructure, c: EventStructure
 ) -> EventAmalgam:
     """Strong amalgamation of event structures over a shared part, run on
-    the duals with one reserved bottom adjoined: restrictions to the
-    sides are literal, the carrier union is disjoint over C, and
-    superamalgamation holds in the dual order.
+    the stored duals: restrictions to the sides are literal, the carrier
+    union is disjoint over C, and superamalgamation holds in the dual
+    order.
 
-    Each value is checked once.  Here: the carriers, A's and B's rows
-    against C's, and A's and B's bottomed duals.  C's dual is A's
-    restricted to C, so from_parts's tests are these read through the
-    duality.  contact_amalgam checks the amalgam and both inclusions;
-    the way back (_flip) is unchecked.
+    Each value was checked where it was built, so only the instance is
+    checked here: the carriers, and A's and B's rows against C's.  Once
+    they agree, C's dual is A's restricted to C, and the duals form the
+    instance as they stand.  contact_amalgam checks the amalgam and both
+    inclusions, and its result is the amalgam's bottomed dual.
     """
     from .amalgam import AmalgamInstance, contact_amalgam, verify_superamalgamation
 
@@ -165,62 +183,50 @@ def amalgamate_events(
         raise PreconditionViolation("event carriers must intersect exactly in C")
     _require_common_part(a, c)
     _require_common_part(b, c)
-    ca = event_to_contact(a, with_bottom=True)
-    cb = event_to_contact(b, with_bottom=True)
-    cc = _restriction(ca, [0] + [a.index(x) + 1 for x in c.events])
-    inst = AmalgamInstance(ca, cb, cc)
+    inst = AmalgamInstance(a.dual, b.dual, c.dual)
     d_contact = contact_amalgam(inst)
-    report = verify_superamalgamation(inst, d_contact)
-    amalgam = EventStructure(*_flip(drop_bottom(d_contact)))
-    return EventAmalgam(amalgam, d_contact, report.ok)
+    ok = verify_superamalgamation(inst, d_contact).ok
+    return EventAmalgam(EventStructure(d_contact), d_contact, ok)
 
 
 def _require_common_part(host: EventStructure, c: EventStructure) -> None:
+    """PreconditionViolation unless host restricts exactly to c, naming
+    the first pair of c's events, in carrier order, that disagrees."""
     if _restricts_exactly(host, c):
         return
-    what, x, y = _first_disagreement(host, c)
-    raise PreconditionViolation(f"{what} disagrees with C at ({x!r}, {y!r})")
+    reads = (("order", EventStructure.leq), ("conflict", EventStructure.in_conflict))
+    for x in c.events:
+        for y in c.events:
+            for what, read in reads:
+                if read(host, x, y) != read(c, x, y):
+                    raise PreconditionViolation(f"{what} disagrees with C at ({x!r}, {y!r})")
 
 
 def _restricts_exactly(host: EventStructure, part: EventStructure) -> bool:
-    """Do host's order and conflict restrict exactly to part's?
-
-    host restricted to the part's events (sub_event) is compared with
-    part.  leq and in_conflict read the same bits, so a difference means
-    some pair disagrees; _first_disagreement names it.
-    """
+    """Do host's order and conflict restrict exactly to part's?  host
+    restricted to the part's events (sub_event) is compared with part;
+    leq and in_conflict read the same bits."""
     return sub_event(host, [host.index(x) for x in part.events]) == part
 
 
-def _first_disagreement(
-    host: EventStructure, part: EventStructure
-) -> tuple[str, str, str]:
-    """First pair of part's events, in carrier order, on which host and
-    part disagree: ("order" | "conflict", x, y).  Called only once the
-    row compare has found that some pair does."""
-    for x in part.events:
-        for y in part.events:
-            if host.leq(x, y) != part.leq(x, y):
-                return ("order", x, y)
-            if host.in_conflict(x, y) != part.in_conflict(x, y):
-                return ("conflict", x, y)
-    raise AssertionError("rows differ but every pair agrees")
-
-
 # ---------------------------------------------------------------------------
-# enumeration through the contact catalog
+# enumeration and gluing through the contact catalog
 
 
 def enumerate_event_structures(max_events: int) -> tuple[EventStructure, ...]:
     """All event structures with at most max_events events, up to
-    isomorphism: exactly the duals of the contact catalog one size up."""
+    isomorphism: the contact catalog one size up, each item with its
+    bottom (position 0) renamed to the reserved one."""
     catalog = AgeCatalog.build(max_events + 1)
-    return tuple(contact_to_event(drop_bottom(item)) for item in catalog.items)
+    return tuple(
+        EventStructure(item.rename({item.names[0]: RESERVED_BOTTOM}))
+        for item in catalog.items
+    )
 
 
 def sub_event(e: EventStructure, chosen: Sequence[int]) -> EventStructure:
     """Induced event substructure on the chosen indices (any subset)."""
-    return EventStructure(*e._restricted(chosen))
+    return EventStructure(_restriction(e.dual, [0] + [i + 1 for i in chosen]))
 
 
 def iter_event_gluings(
@@ -230,14 +236,12 @@ def iter_event_gluings(
     isomorphism class, as renamed-apart triples (a', b', c).
 
     A sub-event structure on S is dual to the substructure on S plus the
-    reserved bottom, so the gluings are those of the bottomed duals
-    (enumeration.gluings_up_to_iso) with the bottom, position 0 on both
-    sides, dropped.
+    reserved bottom, so the gluings are those of the stored duals
+    (enumeration.gluings_up_to_iso); the bottom is position 0 on both
+    sides and in every chosen part.
     """
-    ca = event_to_contact(a, with_bottom=True)
-    cb = event_to_contact(b, with_bottom=True)
-    for chosen, image in gluings_up_to_iso(ca, cb):
-        c = sub_event(a, [i - 1 for i in chosen[1:]])
+    for chosen, image in gluings_up_to_iso(a.dual, b.dual):
+        c = EventStructure(_restriction(a.dual, chosen))
         yield _rename_gluing(a, b, c, [j - 1 for j in image[1:]])
 
 
@@ -248,13 +252,14 @@ def _rename_gluing(
     mapping: Sequence[int],
 ) -> tuple[EventStructure, EventStructure, EventStructure]:
     """Rename apart so the carriers intersect exactly in c's events;
-    mapping[k] is b's position of c's k-th event."""
+    mapping[k] is b's position of c's k-th event.  The names are set on
+    the duals as _fresh_names gives them, unchecked."""
     into_a = {name: name for name in c.events}
     into_b = {name: b.events[j] for name, j in zip(c.events, mapping)}
-    renamed_a = _fresh_names(a.events, into_a, "a").values()
-    renamed_b = _fresh_names(b.events, into_b, "b").values()
+    names_a = (RESERVED_BOTTOM, *_fresh_names(a.events, into_a, "a").values())
+    names_b = (RESERVED_BOTTOM, *_fresh_names(b.events, into_b, "b").values())
     return (
-        EventStructure(tuple(renamed_a), a.up, a.conflict),
-        EventStructure(tuple(renamed_b), b.up, b.conflict),
+        EventStructure(ContactStructure(names_a, 0, a.dual.up, a.dual.contact)),
+        EventStructure(ContactStructure(names_b, 0, b.dual.up, b.dual.contact)),
         c,
     )

@@ -201,14 +201,15 @@ def structure_to_dot(
     """
     if contact_mode not in ("full", "extra", "none"):
         raise ParseError(f"unknown contact mode {contact_mode!r}")
-    names, rows = s.names, s._relation
-    style = "conflict" if isinstance(s, EventStructure) else "contact"
+    event = isinstance(s, EventStructure)
+    names, up, rows = s.names, s.up, s.conflict if event else s.contact
+    style = "conflict" if event else "contact"
     if contact_mode == "extra" and style == "contact":
         rows = [row & ~base for row, base in zip(rows, overlap_relation(s))]
     lines = ["digraph structure {", "  rankdir=BT;"]
     for name in names:
         lines.append(f'  "{name}";')
-    for low, high in cover_pairs(s.up):
+    for low, high in cover_pairs(up):
         lines.append(f'  "{names[low]}" -> "{names[high]}";')
     if contact_mode != "none":
         for x, y in _pairs(names, rows, 1):

@@ -694,3 +694,79 @@ def test_package_runs_as_a_module():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("PASS")
+
+
+def _event_doc(events, order=(), conflict=()):
+    return {"kind": "event", "elements": list(events),
+            "order": [list(p) for p in order], "conflict": [list(p) for p in conflict]}
+
+
+_WIDE = [f"e{i}" for i in range(70)]
+_EVERY_PAIR = [(x, y) for i, x in enumerate(_WIDE) for y in _WIDE[i + 1:]]
+
+# (event document, the one error line), for both check and export-dot
+INVALID_EVENT_FILES = {
+    "duplicate": (_event_doc(["e", "e"]), "error: duplicate element name 'e'\n"),
+    "reserved": (_event_doc(["__bot__"]), "error: '__bot__' is reserved, not an event name\n"),
+    "two-cycle": (_event_doc(["x", "y"], [("x", "y"), ("y", "x")]),
+                  "error: antisymmetry violated: 'x' and 'y'\n"),
+    "uninherited": (_event_doc(["e1", "e2", "e3"], [("e2", "e3")], [("e1", "e2")]),
+                    "error: event structure invalid: inheritance('e1', 'e2', 'e3')\n"),
+    "self-conflict": (_event_doc(["e"], (), [("e", "e")]),
+                      "error: event structure invalid: irreflexive('e',)\n"),
+    "unknown": (_event_doc(["e"], (), [("e", "zz")]),
+                "error: unknown event 'zz' in conflict pair\n"),
+}
+
+
+class TestEventFiles:
+    """Event files are checked where they are read.  The 70-event files
+    are the first event inputs whose bottomed dual has more than 64
+    elements (71)."""
+
+    @pytest.mark.parametrize("command", ["check", "export-dot"])
+    @pytest.mark.parametrize("case", INVALID_EVENT_FILES)
+    def test_invalid_file_is_one_error_line(self, case, command, tmp_path, capsys):
+        doc, message = INVALID_EVENT_FILES[case]
+        path = tmp_path / "event.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == message
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["check", "export-dot"])
+    @pytest.mark.parametrize("doc", [
+        _event_doc(_WIDE, (), _EVERY_PAIR),
+        _event_doc(_WIDE, zip(_WIDE, _WIDE[1:])),
+    ], ids=["antichain-full-conflict", "chain"])
+    def test_seventy_events(self, doc, command, tmp_path, capsys):
+        path = tmp_path / "event.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if command == "check":
+            assert captured.out == "PASS  irreflexive\nPASS  symmetric\nPASS  inheritance\n"
+        else:
+            assert captured.out.count("class=conflict") == len(doc["conflict"])
+
+    def test_amalgamate_two_71_event_sides(self, tmp_path):
+        a = ["c"] + [f"a{i}" for i in range(70)]
+        b = ["c"] + [f"b{i}" for i in range(70)]
+        docs = {
+            "a": _event_doc(a, (), [(x, y) for i, x in enumerate(a) for y in a[i + 1:]]),
+            "b": _event_doc(b, zip(b, b[1:])),
+            "c": _event_doc(["c"]),
+        }
+        paths = []
+        for tag, doc in docs.items():
+            paths.append(tmp_path / f"{tag}.json")
+            paths[-1].write_text(json.dumps(doc))
+        out = tmp_path / "bundle.json"
+        assert main(["amalgamate", *map(str, paths), "--kind", "event", "--out", str(out)]) == 0
+        bundle = json.loads(out.read_text())
+        assert bundle["superamalgamation_ok"] is True
+        assert len(bundle["amalgam"]["elements"]) == 141
+        # c is in conflict with every a, and conflict is inherited up b's chain
+        assert len(bundle["amalgam"]["conflict"]) == 71 * 70 // 2 + 70 * 70

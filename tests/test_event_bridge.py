@@ -1,72 +1,110 @@
-"""The event bridge checks each value once.
+"""The event bridge checks each value once, where it is built.
 
-``amalgamate_events`` checks its inputs at its boundary (carriers, the
-common part, the bottomed duals of A and B), builds the instance
-directly with C's dual read off A's, leaves the amalgam to
-``contact_amalgam`` and translates it back unchecked.  The bridge as it
-was, with ``from_parts``, C's checked dual, the checked way back and the
-post-amalgam restriction tests, is kept below as the reference; whole
-``EventAmalgam`` values and, on invalid input, exception types and
-messages are compared with it.
+An ``EventStructure`` is stored as its checked bottomed dual, so
+``amalgamate_events`` checks only the instance (the carriers, and the
+sides' rows against C's) and hands the stored duals to
+``contact_amalgam``, whose result is the amalgam's dual.  The bridge as
+it was is kept below as the reference, on event rows: the row flip, the
+checked duals of A, B and C, ``from_parts``, and the checked way back
+with both restrictions re-read.  Whole ``EventAmalgam`` values are
+compared with it.  A raw side it rejected is now rejected where it is
+built, by the row constructor, with the same exception type.
 """
 
 import random
-from dataclasses import replace
 
 import pytest
 
 from contactposets import amalgam, core, events
 from contactposets.amalgam import AmalgamInstance, contact_amalgam, verify_superamalgamation
-from contactposets.core import drop_bottom, transpose
+from contactposets.core import BottomlessContact, adjoin_bottom, bits, drop_bottom, transpose
 from contactposets.errors import AxiomViolation, PreconditionViolation
 from contactposets.events import (
     RESERVED_BOTTOM,
     EventAmalgam,
     EventStructure,
     amalgamate_events,
-    check_event_structure,
     contact_to_event,
     enumerate_event_structures,
     event_to_contact,
     iter_event_gluings,
 )
 
+LAWS_FAILED = "dual of a valid event structure failed"
+
+
+def _rows(e):
+    return e.events, e.up, e.conflict
+
+
+def _flipped(names, up, rows):
+    """The duality on rows: the order transposed, the relation complemented."""
+    full = (1 << len(names)) - 1
+    return tuple(names), transpose(up), tuple(full & ~row for row in rows)
+
+
+def reference_bottomed_dual(side):
+    """event_to_contact(e, with_bottom=True) as it was, on raw rows."""
+    dual = BottomlessContact(*_flipped(*side))
+    report = core.check_bottomless_axioms(dual)
+    if not report.ok:
+        raise AxiomViolation(LAWS_FAILED, report)
+    return adjoin_bottom(dual, RESERVED_BOTTOM)
+
+
+def _event_laws_hold(up, conflict):
+    """Irreflexive, symmetric and inherited conflict, pair by pair."""
+    return all(
+        not conflict[i] >> i & 1
+        and all(conflict[j] >> i & 1 and not up[j] & ~conflict[i] for j in bits(conflict[i]))
+        for i in range(len(up))
+    )
+
 
 def reference_contact_to_event(b):
-    """contact_to_event as it was: input and output both checked."""
+    """contact_to_event as it was, giving rows: input and output checked."""
     report = core.check_bottomless_axioms(b)
     if not report.ok:
         raise AxiomViolation("input fails the bottomless contact axioms", report)
-    full = (1 << b.n) - 1
-    out = EventStructure(
-        b.names, transpose(b.up), tuple(full & ~row for row in b.contact)
-    )
-    inner = check_event_structure(out)
-    if not inner.ok:
-        raise AxiomViolation("dual event structure failed", inner)
+    out = _flipped(b.names, b.up, b.contact)
+    if not _event_laws_hold(out[1], out[2]):
+        raise AxiomViolation("dual event structure failed")
     return out
 
 
+def reference_first_disagreement(host, part):
+    """The first pair of part's events on which host's rows differ."""
+    at = {name: k for k, name in enumerate(host[0])}
+    f = [at[name] for name in part[0]]
+    for i, x in enumerate(part[0]):
+        for j, y in enumerate(part[0]):
+            for what, host_rows, part_rows in zip(("order", "conflict"), host[1:], part[1:]):
+                if host_rows[f[i]] >> f[j] & 1 != part_rows[i] >> j & 1:
+                    return what, x, y
+    return None
+
+
 def reference_amalgamate_events(a, b, c):
-    """amalgamate_events as it was: from_parts, C's checked dual, the
-    checked way back and both restrictions re-read."""
-    if set(a.events) & set(b.events) != set(c.events):
+    """amalgamate_events as it was, on rows: the carriers, each side
+    against C, from_parts on three checked duals, the checked way back
+    and both restrictions re-read."""
+    if set(a[0]) & set(b[0]) != set(c[0]):
         raise PreconditionViolation("event carriers must intersect exactly in C")
-    events._require_common_part(a, c)
-    events._require_common_part(b, c)
-    ca = event_to_contact(a, with_bottom=True)
-    cb = event_to_contact(b, with_bottom=True)
-    cc = event_to_contact(c, with_bottom=True)
-    inst = AmalgamInstance.from_parts(ca, cb, cc)
+    for host in (a, b):
+        disagreement = reference_first_disagreement(host, c)
+        if disagreement is not None:
+            what, x, y = disagreement
+            raise PreconditionViolation(f"{what} disagrees with C at ({x!r}, {y!r})")
+    inst = AmalgamInstance.from_parts(*(reference_bottomed_dual(x) for x in (a, b, c)))
     d_contact = contact_amalgam(inst)
     report = verify_superamalgamation(inst, d_contact)
     d = reference_contact_to_event(drop_bottom(d_contact))
     for side in (a, b):
-        if not events._restricts_exactly(d, side):
+        if reference_first_disagreement(d, side) is not None:
             raise AxiomViolation("amalgam does not restrict to a side")
-    if d.n != a.n + b.n - c.n:
+    if len(d[0]) != len(a[0]) + len(b[0]) - len(c[0]):
         raise AxiomViolation("amalgam identified events")
-    return EventAmalgam(d, d_contact, report.ok)
+    return EventAmalgam(EventStructure.from_rows(*d), d_contact, report.ok)
 
 
 def _outcome(call, *args):
@@ -78,9 +116,31 @@ def _outcome(call, *args):
 
 
 def _same(a, b, c):
-    expected = _outcome(reference_amalgamate_events, a, b, c)
+    expected = _outcome(reference_amalgamate_events, _rows(a), _rows(b), _rows(c))
     assert _outcome(amalgamate_events, a, b, c) == expected, (a, b, c)
     return expected
+
+
+def _same_rows(a, b, c):
+    """Sides given as rows, each built through the row constructor.  A
+    side it rejects is one the reference rejected as a raw side: the same
+    exception type, and the same message but for the law check's wording,
+    which is now the one EventStructure.build gives.  A side it builds has
+    the reference's checked dual, and valid sides are compared whole."""
+    values = []
+    for side in (a, b, c):
+        built = _outcome(EventStructure.from_rows, *side)
+        expected = _outcome(reference_bottomed_dual, side)
+        if built[0] == "raised":
+            assert built[1] is expected[1], (side, built, expected)
+            if expected[2] == LAWS_FAILED:
+                assert built[2].startswith("event structure invalid: ")
+            else:
+                assert built[2] == expected[2]
+            return built
+        assert expected == ("ok", built[1].dual)
+        values.append(built[1])
+    return _same(*values)
 
 
 @pytest.fixture(scope="module")
@@ -109,81 +169,99 @@ def _flip(rows, i, j):
     return tuple(rows)
 
 
-def _renamed(e, old, new):
-    return replace(e, events=tuple(new if x == old else x for x in e.events))
+def _renamed(side, old, new):
+    names, up, conflict = side
+    return tuple(new if x == old else x for x in names), up, conflict
 
 
 def test_rejected_inputs_match_reference(gluings_3):
     """Carrier mismatches, sides or C disagreeing on order or conflict,
     raw sides with asymmetric conflict or an order that is not
-    reflexive, antisymmetric or transitive, and the reserved name: the
-    same exception, with the same message."""
+    reflexive, antisymmetric or transitive, and the reserved name."""
     rng = random.Random(5102)
     seen = {}
-    for a, b, c in gluings_3[::3]:
+    for triple in gluings_3[::3]:
+        a, b, c = (_rows(x) for x in triple)
         outcomes = []
-        # one order or conflict bit flipped in A, B or C
+        # one order or conflict bit flipped in A, B or C; conflict also
+        # both ways, which keeps it symmetric
         for which in range(3):
             parts = [a, b, c]
-            host = parts[which]
-            if not host.n:
+            names, up, conflict = parts[which]
+            if not names:
                 continue
-            field = rng.choice(("up", "conflict"))
-            i, j = rng.randrange(host.n), rng.randrange(host.n)
-            parts[which] = replace(host, **{field: _flip(getattr(host, field), i, j)})
-            outcomes.append(_same(*parts))
+            i, j = rng.randrange(len(names)), rng.randrange(len(names))
+            if rng.random() < 0.5:
+                parts[which] = (names, _flip(up, i, j), conflict)
+                outcomes.append(_same_rows(*parts))
+            else:
+                parts[which] = (names, up, _flip(conflict, i, j))
+                outcomes.append(_same_rows(*parts))
+                if i != j:
+                    parts[which] = (names, up, _flip(_flip(conflict, i, j), j, i))
+                    outcomes.append(_same_rows(*parts))
         # carriers that do not meet exactly in C
-        only_b = [x for x in b.events if x not in c.events]
-        only_a = [x for x in a.events if x not in c.events]
+        only_b = [x for x in b[0] if x not in c[0]]
+        only_a = [x for x in a[0] if x not in c[0]]
         if only_a and only_b:
-            outcomes.append(_same(a, _renamed(b, only_b[0], only_a[0]), c))
-        if c.n:
-            outcomes.append(_same(a, b, replace(c, events=("zz",) + c.events[1:])))
+            outcomes.append(_same_rows(a, _renamed(b, only_b[0], only_a[0]), c))
+        if c[0]:
+            outcomes.append(_same_rows(a, b, _renamed(c, c[0][0], "zz")))
         # the reserved name on one side, or on all three
         if only_a:
-            outcomes.append(_same(_renamed(a, only_a[0], RESERVED_BOTTOM), b, c))
-        if c.n:
-            shared = c.events[0]
+            outcomes.append(_same_rows(_renamed(a, only_a[0], RESERVED_BOTTOM), b, c))
+        if c[0]:
+            shared = c[0][0]
             outcomes.append(
-                _same(*(_renamed(x, shared, RESERVED_BOTTOM) for x in (a, b, c)))
+                _same_rows(*(_renamed(x, shared, RESERVED_BOTTOM) for x in (a, b, c)))
             )
         for outcome in outcomes:
-            key = outcome[2].split(" at ")[0] if outcome[0] == "raised" else "ok"
+            key = outcome[2].split(" at ")[0].split(":")[0] if outcome[0] == "raised" else "ok"
             seen[key] = seen.get(key, 0) + 1
     for message in (
         "event carriers must intersect exactly in C",
         "order disagrees with C",
         "conflict disagrees with C",
-        "dual of a valid event structure failed",
+        "event structure invalid",
         "order not reflexive",
         "order not transitive",
         "antisymmetry violated",
         f"bottom name {RESERVED_BOTTOM!r} collides with an element",
+        "ok",
     ):
         assert seen.get(message, 0) > 5, (message, seen)
 
 
 def test_raw_sides_fail_at_the_boundary():
-    """Raw sides whose rows still agree with C: the failure lies outside
-    C's carrier, so the checks of the bottomed dual report it.  A side
-    whose order misses a reflexive bit is named there too: the bottomed
-    dual keeps its rows as given."""
-    a = EventStructure.build(["x", "p", "q"], [("x", "p")], [])
-    b = EventStructure.build(["x", "r"], [], [])
-    c = EventStructure.build(["x"], [], [])
+    """Raw sides whose rows still agree with C fail outside C's carrier,
+    which the bridge found when it checked their duals.  They are now
+    rejected where they are built, and the reference bridge rejected
+    each of them as a side, with the same exception type.  A side whose
+    order misses a reflexive bit is named too: the bottomed dual keeps
+    its rows as given."""
+    names = ("x", "p", "q")
+    b = _rows(EventStructure.build(["x", "r"]))
+    c = _rows(EventStructure.build(["x"]))
     raw = {
-        "dual of a valid event structure failed": replace(a, conflict=(0, 0b100, 0)),
-        "order not transitive": replace(a, up=(0b011, 0b110, 0b100)),
-        "order not reflexive": replace(a, up=(0b011, 0b000, 0b100)),
+        "event structure invalid: symmetric": (names, (0b011, 0b010, 0b100), (0, 0b100, 0)),
+        "order not transitive": (names, (0b011, 0b110, 0b100), (0, 0, 0)),
+        "order not reflexive": (names, (0b011, 0b000, 0b100), (0, 0, 0)),
     }
     for message, side in raw.items():
+        with pytest.raises(AxiomViolation) as err:
+            EventStructure.from_rows(*side)
+        assert str(err.value).startswith(message)
         for args in ((side, b, c), (b, side, c)):
-            outcome = _same(*args)
-            assert outcome[:2] == ("raised", AxiomViolation)
-            assert outcome[2].startswith(message)
+            assert _outcome(reference_amalgamate_events, *args)[:2] == ("raised", AxiomViolation)
+    # asymmetric conflict: the report names the failed law
+    with pytest.raises(AxiomViolation) as err:
+        EventStructure.from_rows(("e1", "e2"), (0b01, 0b10), (0b10, 0b00))
+    assert not err.value.report.check("symmetric").passed
 
 
 def _counting(monkeypatch, module, name, calls):
+    if not hasattr(module, name):
+        return
     real = getattr(module, name)
 
     def counting(*args, **kwargs):
@@ -198,6 +276,7 @@ def check_counts(monkeypatch):
     calls = {}
     for module in (core, events):
         _counting(monkeypatch, module, "check_bottomless_axioms", calls)
+        _counting(monkeypatch, module, "_check_order_tables", calls)
     _counting(monkeypatch, events, "check_event_structure", calls)
     real = AmalgamInstance.from_parts.__func__
 
@@ -210,14 +289,18 @@ def check_counts(monkeypatch):
 
 
 def test_each_value_is_checked_once(check_counts, gluings_3):
-    """One amalgamate_events call checks the duals of A and B and
-    nothing else on the event side; contact_to_event checks its input."""
-    for triple in gluings_3[::7]:
-        check_counts.clear()
+    """Values are checked where they are built, so neither an
+    amalgamate_events call nor the gluings of a pair run any axiom or
+    order check; contact_to_event checks its input once."""
+    structures = enumerate_event_structures(3)
+    for triple in gluings_3:
         amalgamate_events(*triple)
-        assert check_counts == {"check_bottomless_axioms": 2}
-    for e in enumerate_event_structures(3):
+    for a in structures:
+        for b in structures:
+            assert list(iter_event_gluings(a, b))
+    assert check_counts == {}
+    for e in structures:
         dual = event_to_contact(e)
         check_counts.clear()
         assert contact_to_event(dual) == e
-        assert check_counts == {"check_bottomless_axioms": 1}
+        assert check_counts == {"check_bottomless_axioms": 1, "_check_order_tables": 1}

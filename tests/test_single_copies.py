@@ -21,8 +21,8 @@ give the same values:
 - ``index`` of the three carrier types, now one lookup in a name map
   each value builds once, against ``tuple.index``.
 
-The event bridge's order check, which the one-sided paths used to skip,
-is tested at the end.
+The order check of event rows, made where an event value is built, is
+tested at the end.
 """
 
 import json
@@ -337,8 +337,8 @@ def reference_rename_gluing(a, b, c, mapping):
     for name in b.events:
         if name not in b_rename:
             b_rename[name] = f"b:{name}"
-    renamed_a = EventStructure(tuple(a_rename[name] for name in a.events), a.up, a.conflict)
-    renamed_b = EventStructure(tuple(b_rename[name] for name in b.events), b.up, b.conflict)
+    renamed_a = EventStructure.from_rows([a_rename[name] for name in a.events], a.up, a.conflict)
+    renamed_b = EventStructure.from_rows([b_rename[name] for name in b.events], b.up, b.conflict)
     return renamed_a, renamed_b, c
 
 
@@ -365,8 +365,8 @@ def test_rename_gluing_on_seeded_gluings_to_four():
     pool = ["e1", "e2", "e3", "e4", "x", "y", "a:x", "b:y"]
     for _ in range(2000):
         a, b = rng.choice(events), rng.choice(events)
-        a = EventStructure(tuple(rng.sample(pool, a.n)), a.up, a.conflict)
-        b = EventStructure(tuple(rng.sample(pool, b.n)), b.up, b.conflict)
+        a = EventStructure.from_rows(rng.sample(pool, a.n), a.up, a.conflict)
+        b = EventStructure.from_rows(rng.sample(pool, b.n), b.up, b.conflict)
         size = rng.randint(0, min(a.n, b.n))
         c = sub_event(a, sorted(rng.sample(range(a.n), size)))
         mapping = rng.sample(range(b.n), size)
@@ -539,33 +539,33 @@ def test_documents_and_dot_are_byte_identical():
 
 
 # ---------------------------------------------------------------------------
-# the event bridge checks the order on its one-sided paths
+# the order is checked where an event value is built, and on the way in
 
 
-def test_event_to_contact_rejects_a_non_transitive_order():
-    # x <= p <= q but not x <= q
-    e = EventStructure(("x", "p", "q"), (0b011, 0b110, 0b100), (0, 0, 0))
-    with pytest.raises(AxiomViolation, match="order not transitive at indices 0, 1"):
-        event_to_contact(e)
-    with pytest.raises(AxiomViolation, match="order not transitive"):
-        event_to_contact(e, with_bottom=True)
+def test_event_rows_reject_a_non_transitive_order():
+    # x <= p <= q but not x <= q; the indices are the bottomed dual's
+    with pytest.raises(AxiomViolation, match="order not transitive at indices 3, 2"):
+        EventStructure.from_rows(("x", "p", "q"), (0b011, 0b110, 0b100), (0, 0, 0))
 
 
-def test_event_to_contact_rejects_a_cycle():
-    e = EventStructure(("x", "y"), (0b11, 0b11), (0, 0))
-    with pytest.raises(CycleError, match="antisymmetry violated at indices 0, 1"):
-        event_to_contact(e)
+def test_event_rows_reject_a_cycle():
+    with pytest.raises(CycleError, match="antisymmetry violated at indices 1, 2"):
+        EventStructure.from_rows(("x", "y"), (0b11, 0b11), (0, 0))
+
+
+# contact_to_event checks b's order through adjoin_bottom, on the bottomed
+# table: the indices are b's positions plus one
 
 
 def test_contact_to_event_rejects_a_non_reflexive_order():
     b = BottomlessContact(("x", "p"), (0b01, 0b00), (0b01, 0b10))
-    with pytest.raises(AxiomViolation, match="order not reflexive at index 1"):
+    with pytest.raises(AxiomViolation, match="order not reflexive at index 2"):
         contact_to_event(b)
 
 
 def test_contact_to_event_rejects_a_non_transitive_order():
     b = BottomlessContact(("x", "p", "q"), (0b001, 0b011, 0b110), (0b111,) * 3)
-    with pytest.raises(AxiomViolation, match="order not transitive at indices 2, 1"):
+    with pytest.raises(AxiomViolation, match="order not transitive at indices 3, 2"):
         contact_to_event(b)
 
 
@@ -683,19 +683,19 @@ def reference_bottomless_witnesses(b):
     return checks
 
 
-def reference_check_event_structure(e):
-    n, names = e.n, e.events
+def reference_check_event_structure(names, up, conflict):
+    n = len(names)
     checks = []
     irr = None
     for i in range(n):
-        if e.conflict[i] >> i & 1:
+        if conflict[i] >> i & 1:
             irr = (names[i],)
             break
     checks.append(AxiomCheck("irreflexive", irr is None, irr))
     sym = None
     for i in range(n):
-        for j in bits(e.conflict[i]):
-            if not e.conflict[j] >> i & 1:
+        for j in bits(conflict[i]):
+            if not conflict[j] >> i & 1:
                 sym = (names[i], names[j])
                 break
         if sym:
@@ -703,9 +703,9 @@ def reference_check_event_structure(e):
     checks.append(AxiomCheck("symmetric", sym is None, sym))
     inh = None
     for i in range(n):
-        for j in bits(e.conflict[i]):
-            if e.up[j] & ~e.conflict[i]:
-                k = next(bits(e.up[j] & ~e.conflict[i]))
+        for j in bits(conflict[i]):
+            if up[j] & ~conflict[i]:
+                k = next(bits(up[j] & ~conflict[i]))
                 inh = (names[i], names[j], names[k])
                 break
         if inh:
@@ -750,9 +750,12 @@ def test_shared_law_loops_on_every_table_to_three():
                 expected = AxiomReport(tuple(reference_bottomless_witnesses(b)))
                 assert check_bottomless_axioms(b) == expected, (up, rows)
                 failing["bottomless"] += not expected.ok
-                e = EventStructure(names, up, rows)
-                expected = reference_check_event_structure(e)
-                assert check_event_structure(e) == expected, (up, rows)
+                expected = reference_check_event_structure(names, up, rows)
+                try:
+                    got = check_event_structure(EventStructure.from_rows(names, up, rows))
+                except AxiomViolation as exc:
+                    got = exc.report
+                assert got == expected, (up, rows)
                 failing["event"] += not expected.ok
     assert min(failing.values()) > 9000
 
@@ -780,7 +783,7 @@ def test_index_matches_tuple_index_on_all_three_types():
         values = [
             (ContactStructure(names, 0, rows, rows, POSET), "element"),
             (BottomlessContact(names, rows, rows), "element"),
-            (EventStructure(names, rows, rows), "event"),
+            (EventStructure.from_rows(names, rows, (0,) * n), "event"),
         ]
         for value, noun in values:
             for name in set(names) | {"q", "", 0, None}:
