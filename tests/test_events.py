@@ -3,7 +3,12 @@ from itertools import permutations
 
 import pytest
 
-from contactposets.core import BottomlessContact, adjoin_bottom, check_bottomless_axioms
+from contactposets.core import (
+    BottomlessContact,
+    adjoin_bottom,
+    check_bottomless_axioms,
+    check_contact_axioms,
+)
 from contactposets.enumeration import automorphisms
 from contactposets.errors import AxiomViolation, PreconditionViolation, UnknownElement
 from contactposets.events import (
@@ -316,6 +321,21 @@ def test_bottomed_dual_is_checked_once(monkeypatch):
         assert len(calls) == 1
         assert rebuilt == e
         assert bottomed == adjoin_bottom(reference_dual(e), RESERVED_BOTTOM)
+
+
+@pytest.mark.parametrize("with_bottom", [False, True])
+def test_invalid_dual_keeps_its_message(with_bottom):
+    # asymmetric conflict would give a dual whose contact is not symmetric;
+    # the rows are rejected where the value is built, naming the failed law
+    events, up = ("e1", "e2"), (0b01, 0b10)
+    with pytest.raises(AxiomViolation) as err:
+        EventStructure.from_rows(events, up, (0b10, 0b00))
+    assert str(err.value) == "event structure invalid: symmetric('e1', 'e2')"
+    assert not err.value.report.check("symmetric").passed
+    # the same conflict made symmetric gives a dual with symmetric contact
+    dual = event_to_contact(EventStructure.from_rows(events, up, (0b10, 0b01)), with_bottom)
+    report = check_contact_axioms(dual) if with_bottom else check_bottomless_axioms(dual)
+    assert report.ok and report.check("Sym").passed
 
 
 def test_bottomed_dual_still_rejects_the_reserved_name():
