@@ -31,7 +31,6 @@ from .core import (
 )
 from .errors import (
     AxiomViolation,
-    ContactError,
     JoinNotPreserved,
     PreconditionViolation,
 )
@@ -93,33 +92,19 @@ class AmalgamInstance:
         """Build a literal instance from two abstract embeddings of C by
         renaming the non-shared parts of A and B apart.
 
-        from_parts decides whether the maps are embeddings.  Once each
-        renamed side carries C's names at exactly the images of its map,
-        its bottom and row checks, and the join closure of the image on
-        a semilattice side, hold iff the map is an order-reflecting
-        embedding (verify_map's judgement).  So verify_map runs only when
-        that fast path fails, and the old order of checks then raises
-        what it always raised.
+        The caller's maps must be order-reflecting embeddings (verify_map),
+        and the renamed sides then go through from_parts.  The library's
+        own gluings are renamed apart unchecked (core._glued_apart).
         """
-        fresh_a = _fresh_names(a.names, into_a, "a")
-        fresh_b = _fresh_names(b.names, into_b, "b")
-        if _lands(c, into_a, fresh_a) and _lands(c, into_b, fresh_b):
-            try:
-                return cls.from_parts(a.rename(fresh_a), b.rename(fresh_b), c)
-            except ContactError:
-                pass
         for host, emb in ((a, into_a), (b, into_b)):
             checked = verify_map(c, host, emb)
             if not (checked.report.is_embedding and checked.report.order_reflecting):
                 raise PreconditionViolation("the given maps are not embeddings")
-        return cls.from_parts(a.rename(fresh_a), b.rename(fresh_b), c)
-
-
-def _lands(c: ContactStructure, emb: dict[str, str], fresh: dict[str, str]) -> bool:
-    """Does the renaming put each of C's names on its image under emb?
-    Then the images are distinct elements of the host, and the renamed
-    host holds C's names at exactly those positions."""
-    return all(fresh.get(emb.get(name)) == name for name in c.names)
+        return cls.from_parts(
+            a.rename(_fresh_names(a.names, into_a, "a")),
+            b.rename(_fresh_names(b.names, into_b, "b")),
+            c,
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -841,10 +841,28 @@ def _fresh_names(
 ) -> dict[str, str]:
     """Renaming a carrier apart from another along a common part: each
     image of emb takes the name it is the image of, every other name is
-    prefixed with tag.  Both the contact instances and the event gluings
-    rename their sides with it."""
+    prefixed with tag.  Used by _glued_apart and from_embeddings only."""
     back = {image: name for name, image in emb.items()}
     return {name: back.get(name, f"{tag}:{name}") for name in names}
+
+
+def _glued_apart(
+    a: ContactStructure,
+    b: ContactStructure,
+    c: ContactStructure,
+    chosen: Sequence[int],
+    image: Sequence[int],
+) -> tuple[ContactStructure, ContactStructure, ContactStructure]:
+    """The renamed-apart triple (a', b', c) of a gluing, unchecked: c is a
+    restricted to the positions chosen, and b's position image[k] holds
+    c's k-th element.  rename raises UnknownElement when a side holds x
+    off c and its tagged name on c.  contact_amalgam's inclusion check is
+    the one check of the instance."""
+    sides = []
+    for host, positions, tag in ((a, chosen, "a"), (b, image, "b")):
+        emb = {name: host.names[j] for name, j in zip(c.names, positions)}
+        sides.append(host.rename(_fresh_names(host.names, emb, tag)))
+    return sides[0], sides[1], c
 
 
 def _image_positions(source: _Carrier, target: _Carrier, mapping: Mapping) -> tuple:

@@ -734,20 +734,26 @@ def induced_embeddings(
 def gluings_up_to_iso(
     a: ContactStructure, b: ContactStructure
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """One gluing of b onto a per isomorphism class of instances: pairs
-    (C's positions in a, ascending; their images' positions in b).
+    """One gluing of b onto a per isomorphism class of instances: _gluings
+    with both automorphism groups (McKay, "Isomorph-free exhaustive
+    generation", 1998)."""
+    return _gluings(a, b, automorphisms(a), automorphisms(b))
 
-    Gluings that automorphisms of a and b carry onto each other give
-    isomorphic instances, so one per orbit of Aut(a) x Aut(b) keeps a
-    sweep exhaustive up to isomorphism (McKay, "Isomorph-free exhaustive
-    generation", 1998).  A carrier subset is kept when its mask is the
-    least of its orbit under Aut(a).  An embedding of C into b is kept
-    when its index map is the least of its orbit under the subset's
-    stabiliser in Aut(a), acting on C, times Aut(b).  Subsets and maps
-    come from _carrier_positions and the memoised _embedding_table, read
-    with a's kind on both sides as induced_embeddings reads them.
+
+def _gluings(
+    a: ContactStructure,
+    b: ContactStructure,
+    auts_a: Sequence[Sequence[int]],
+    auts_b: Sequence[Sequence[int]],
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The one gluing generator: pairs (C's positions in a, ascending;
+    their images' positions in b), one per orbit of auts_a x auts_b; the
+    identity groups keep every gluing.  A subset is kept when its mask is
+    least in its orbit under auts_a, a map of C into b when it is least
+    under the subset's stabiliser in auts_a, acting on C, times auts_b.
+    Subsets come size by size from _carrier_positions, each with its maps
+    in a row from the memoised _embedding_table (a's kind on both sides).
     """
-    auts_a, auts_b = automorphisms(a), automorphisms(b)
     b_rows = _Rows(b.bottom, tuple(b.up), tuple(b.contact), a.kind)
     for size in range(1, min(a.n, b.n) + 1):
         for chosen in _carrier_positions(a, size, a.kind):

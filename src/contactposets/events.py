@@ -20,8 +20,10 @@ from .core import (
     BottomlessContact,
     ContactStructure,
     _adjoin_checked_bottom,
-    _fresh_names,
+    _glued_apart,
+    _index_elements,
     _law,
+    _law_checks,
     _ref_witness,
     _require_laws,
     _restriction,
@@ -70,8 +72,9 @@ class EventStructure:
         cls, events: Sequence[str], up: Sequence[int], conflict: Sequence[int]
     ) -> "EventStructure":
         """The value with these rows (bit j of up[i] says event i <= event
-        j), checked once: the event laws on the rows, then, as the
-        bottomed dual is built, the reserved name and the dual order."""
+        j), checked once: distinct names and the event laws on the rows,
+        then the reserved name and the order of the bottomed dual."""
+        _index_elements(events)
         _require_laws(_event_laws(events, up, conflict), "event structure invalid")
         full = (1 << len(events)) - 1
         flipped = BottomlessContact(
@@ -98,51 +101,60 @@ class EventStructure:
     def conflict(self) -> tuple[int, ...]:
         return tuple((self.dual.full_mask & ~row) >> 1 for row in self.dual.contact[1:])
 
-    def index(self, name: str) -> int:
+    def _position(self, name: str) -> int:
         try:
             position = self.dual._name_map()[name]
         except (KeyError, TypeError):
             position = 0
         if not position:
             raise UnknownElement(f"unknown event {name!r}")
-        return position - 1
+        return position
+
+    def index(self, name: str) -> int:
+        return self._position(name) - 1
 
     def leq(self, x: str, y: str) -> bool:
-        i, j = self.index(x) + 1, self.index(y) + 1
+        i, j = self._position(x), self._position(y)
         return bool(self.dual.up[j] >> i & 1)
 
     def in_conflict(self, x: str, y: str) -> bool:
-        i, j = self.index(x) + 1, self.index(y) + 1
+        i, j = self._position(x), self._position(y)
         return not self.dual.contact[i] >> j & 1
 
 
 def check_event_structure(e: EventStructure) -> AxiomReport:
-    """Validate irreflexivity, symmetry and conflict inheritance."""
-    return _event_laws(e.events, e.up, e.conflict)
+    """Validate irreflexivity, symmetry and conflict inheritance.  Read
+    through the duality, Ref, Sym and Ext of the dual imply them, so the
+    fused row pass on the dual goes first (core._law_checks) and the
+    loops on the event views run only on its failure."""
+    return AxiomReport(_law_checks(
+        e.dual, 0, _EVENT_LAWS, lambda _: _event_laws(e.events, e.up, e.conflict).checks
+    ))
+
+
+_EVENT_LAWS = ("irreflexive", "symmetric", "inheritance")
 
 
 def _event_laws(
     names: Sequence[str], up: Sequence[int], conflict: Sequence[int]
 ) -> AxiomReport:
-    checks = (
+    witnesses = (
         # irreflexive conflict is Ref* of its complement, the dual's contact
-        _law("irreflexive", _ref_witness([~row for row in conflict], names, None)),
-        _law("symmetric", _sym_witness(conflict, names)),
-        _law("inheritance", _upset_witness(conflict, up, names)),
+        _ref_witness([~row for row in conflict], names, None),
+        _sym_witness(conflict, names),
+        _upset_witness(conflict, up, names),
     )
-    return AxiomReport(checks)
+    return AxiomReport(tuple(map(_law, _EVENT_LAWS, witnesses)))
 
 
 # ---------------------------------------------------------------------------
 # the duality
 
 
-def event_to_contact(
-    e: EventStructure, with_bottom: bool = False
-) -> BottomlessContact | ContactStructure:
+def event_to_contact(e: EventStructure) -> BottomlessContact:
     """Dualize the causal order and complement conflict: the stored dual
-    without its reserved bottom, or with_bottom the stored dual itself."""
-    return e.dual if with_bottom else drop_bottom(e.dual)
+    without its reserved bottom.  The dual itself is e.dual."""
+    return drop_bottom(e.dual)
 
 
 def contact_to_event(b: BottomlessContact) -> EventStructure:
@@ -237,29 +249,12 @@ def iter_event_gluings(
 
     A sub-event structure on S is dual to the substructure on S plus the
     reserved bottom, so the gluings are those of the stored duals
-    (enumeration.gluings_up_to_iso); the bottom is position 0 on both
-    sides and in every chosen part.
+    (enumeration.gluings_up_to_iso), renamed apart as the contact ones
+    (core._glued_apart); c is built once per chosen part.
     """
+    last = None
     for chosen, image in gluings_up_to_iso(a.dual, b.dual):
-        c = EventStructure(_restriction(a.dual, chosen))
-        yield _rename_gluing(a, b, c, [j - 1 for j in image[1:]])
-
-
-def _rename_gluing(
-    a: EventStructure,
-    b: EventStructure,
-    c: EventStructure,
-    mapping: Sequence[int],
-) -> tuple[EventStructure, EventStructure, EventStructure]:
-    """Rename apart so the carriers intersect exactly in c's events;
-    mapping[k] is b's position of c's k-th event.  The names are set on
-    the duals as _fresh_names gives them, unchecked."""
-    into_a = {name: name for name in c.events}
-    into_b = {name: b.events[j] for name, j in zip(c.events, mapping)}
-    names_a = (RESERVED_BOTTOM, *_fresh_names(a.events, into_a, "a").values())
-    names_b = (RESERVED_BOTTOM, *_fresh_names(b.events, into_b, "b").values())
-    return (
-        EventStructure(ContactStructure(names_a, 0, a.dual.up, a.dual.contact)),
-        EventStructure(ContactStructure(names_b, 0, b.dual.up, b.dual.contact)),
-        c,
-    )
+        if chosen != last:
+            last, c = chosen, EventStructure(_restriction(a.dual, chosen))
+        a2, b2, _ = _glued_apart(a.dual, b.dual, c.dual, chosen, image)
+        yield EventStructure(a2), EventStructure(b2), c

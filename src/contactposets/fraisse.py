@@ -22,6 +22,7 @@ from .core import (
     POSET,
     SEMILATTICE,
     ContactStructure,
+    _glued_apart,
     _restriction,
     bits,
     close_under,
@@ -33,6 +34,7 @@ from .core import (
 from .enumeration import (
     AgeCatalog,
     _carrier_positions,
+    _gluings,
     canonical_key,
     canonical_table_key,
     carrier_subsets,
@@ -420,14 +422,14 @@ class ClassPropertiesReport:
 def iter_gluings(
     a: ContactStructure, b: ContactStructure
 ) -> Iterator[AmalgamInstance]:
-    """Every way of gluing b onto a along a common induced substructure."""
-    for size in range(1, min(a.n, b.n) + 1):
-        for chosen in _carrier_positions(a, size, a.kind):
-            c = _restriction(a, chosen)
-            for emb in induced_embeddings(c, b):
-                yield AmalgamInstance.from_embeddings(
-                    a, b, c, {name: name for name in c.names}, emb
-                )
+    """Every way of gluing b onto a along a common induced substructure:
+    _gluings with the identity groups, renamed apart unchecked.  C is
+    built once per carrier subset and shared by its gluings."""
+    last = None
+    for chosen, image in _gluings(a, b, [tuple(range(a.n))], [tuple(range(b.n))]):
+        if chosen != last:
+            last, c = chosen, _restriction(a, chosen)
+        yield AmalgamInstance(*_glued_apart(a, b, c, chosen, image))
 
 
 def _run_instance(inst: AmalgamInstance, kind: str) -> str | None:
@@ -466,16 +468,9 @@ def check_class_properties(
                     )
     jep_failures = []
     for a in catalog.items:
+        c = _restriction(a, [a.bottom])
         for b in catalog.items:
-            bottom = a.names[a.bottom]
-            c = ContactStructure((bottom,), 0, (1,), (0,), catalog.kind)
-            inst = AmalgamInstance.from_embeddings(
-                a,
-                b,
-                c,
-                {bottom: bottom},
-                {bottom: b.names[b.bottom]},
-            )
+            inst = AmalgamInstance(*_glued_apart(a, b, c, [a.bottom], [b.bottom]))
             problem = _run_instance(inst, catalog.kind)
             if problem:
                 jep_failures.append(problem)
@@ -522,14 +517,14 @@ def random_instance(
         subsets = list(_carrier_positions(a, size, a.kind))
         if not subsets:
             continue
-        c = _restriction(a, rng.choice(subsets))
+        chosen = rng.choice(subsets)
+        c = _restriction(a, chosen)
         embeddings = list(induced_embeddings(c, b))
         if not embeddings:
             continue
         emb = rng.choice(embeddings)
-        return AmalgamInstance.from_embeddings(
-            a, b, c, {name: name for name in c.names}, emb
-        )
+        image = [b.index(emb[name]) for name in c.names]
+        return AmalgamInstance(*_glued_apart(a, b, c, chosen, image))
     return None
 
 

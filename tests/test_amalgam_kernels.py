@@ -56,7 +56,6 @@ from contactposets.events import (
     EventStructure,
     amalgamate_events,
     enumerate_event_structures,
-    event_to_contact,
     iter_event_gluings,
 )
 from contactposets.fraisse import iter_gluings, random_instance
@@ -583,7 +582,7 @@ def test_event_verdicts_match_reference():
             for a2, b2, c in iter_event_gluings(a, b):
                 result = amalgamate_events(a2, b2, c)
                 inst = AmalgamInstance.from_parts(
-                    *(event_to_contact(x, with_bottom=True) for x in (a2, b2, c))
+                    *(x.dual for x in (a2, b2, c))
                 )
                 expected = reference_superamalgamation(inst, result.contact_amalgam)
                 assert result.superamalgamation_ok == _routed_everywhere(expected)

@@ -12,6 +12,7 @@ built, by the row constructor, with the same exception type.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -44,7 +45,7 @@ def _flipped(names, up, rows):
 
 
 def reference_bottomed_dual(side):
-    """event_to_contact(e, with_bottom=True) as it was, on raw rows."""
+    """The stored bottomed dual as the bridge once built it, on raw rows."""
     dual = BottomlessContact(*_flipped(*side))
     report = core.check_bottomless_axioms(dual)
     if not report.ok:
@@ -304,3 +305,41 @@ def test_each_value_is_checked_once(check_counts, gluings_3):
         check_counts.clear()
         assert contact_to_event(dual) == e
         assert check_counts == {"check_bottomless_axioms": 1, "_check_order_tables": 1}
+
+
+# ---------------------------------------------------------------------------
+# check_event_structure: the fused row pass on the dual, then the loops
+
+
+def _raw_event(rng, n):
+    """A bottomed dual with random rows: position 0 is the reserved
+    bottom, below everything and touching nothing, or not."""
+    full = (1 << (n + 1)) - 1
+    up = [full if rng.random() < 0.8 else rng.getrandbits(n + 1)]
+    contact = [0 if rng.random() < 0.8 else rng.getrandbits(n + 1)]
+    for i in range(1, n + 1):
+        up.append(rng.getrandbits(n + 1) | 1 << i)
+        contact.append(rng.getrandbits(n + 1))
+    names = (RESERVED_BOTTOM,) + tuple(f"e{i}" for i in range(1, n + 1))
+    return EventStructure(core.ContactStructure(names, 0, tuple(up), tuple(contact)))
+
+
+def test_event_check_matches_the_loops():
+    """Every event structure with at most 4 events, their one-bit
+    mutants and seeded raw duals: the report of check_event_structure
+    equals that of the per-law loops on the event views."""
+    rng = random.Random(2311)
+    valid = enumerate_event_structures(4)
+    values = list(valid)
+    for e in valid:
+        d = e.dual
+        for field in ("up", "contact"):
+            i, j = rng.randrange(d.n), rng.randrange(d.n)
+            values.append(EventStructure(replace(d, **{field: _flip(getattr(d, field), i, j)})))
+    values += [_raw_event(rng, rng.randint(0, 4)) for _ in range(3000)]
+    verdicts = {True: 0, False: 0}
+    for e in values:
+        report = events.check_event_structure(e)
+        assert report == events._event_laws(e.events, e.up, e.conflict)
+        verdicts[report.ok] += 1
+    assert verdicts[True] > len(valid) and verdicts[False] > 1000

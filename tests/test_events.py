@@ -72,7 +72,7 @@ class TestDuality:
 
     def test_with_bottom(self):
         e = EventStructure.build(["e1", "e2"], [("e1", "e2")])
-        s = event_to_contact(e, with_bottom=True)
+        s = e.dual
         assert s.names[0] == RESERVED_BOTTOM
         assert s.contact[0] == 0
 
@@ -208,7 +208,7 @@ class TestAmalgamation:
 class TestGluingHelpers:
     def test_automorphisms_of_antichain(self):
         e = EventStructure.build(["x", "y", "z"])
-        assert len(automorphisms(event_to_contact(e, with_bottom=True))) == 6
+        assert len(automorphisms(e.dual)) == 6
 
     def test_sub_event(self):
         e = EventStructure.build(["e1", "e2", "e3"], [("e1", "e2")], [("e2", "e3")])
@@ -301,7 +301,7 @@ def reference_dual(e):
 
 def test_bottomed_dual_is_checked_once(monkeypatch):
     """The dual is checked once, where the value is built from rows;
-    with_bottom then checks nothing and gives what adjoining the reserved
+    reading it then checks nothing and gives what adjoining the reserved
     bottom to the checked bottomless dual gives."""
     from contactposets import core
 
@@ -317,7 +317,7 @@ def test_bottomed_dual_is_checked_once(monkeypatch):
         calls.clear()
         rebuilt = EventStructure.from_rows(e.events, e.up, e.conflict)
         assert len(calls) == 1
-        bottomed = event_to_contact(rebuilt, with_bottom=True)
+        bottomed = rebuilt.dual
         assert len(calls) == 1
         assert rebuilt == e
         assert bottomed == adjoin_bottom(reference_dual(e), RESERVED_BOTTOM)
@@ -333,7 +333,8 @@ def test_invalid_dual_keeps_its_message(with_bottom):
     assert str(err.value) == "event structure invalid: symmetric('e1', 'e2')"
     assert not err.value.report.check("symmetric").passed
     # the same conflict made symmetric gives a dual with symmetric contact
-    dual = event_to_contact(EventStructure.from_rows(events, up, (0b10, 0b01)), with_bottom)
+    e = EventStructure.from_rows(events, up, (0b10, 0b01))
+    dual = e.dual if with_bottom else event_to_contact(e)
     report = check_contact_axioms(dual) if with_bottom else check_bottomless_axioms(dual)
     assert report.ok and report.check("Sym").passed
 

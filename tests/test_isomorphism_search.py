@@ -21,7 +21,7 @@ from contactposets.enumeration import (
     enumerate_posets_with_bottom,
     isomorphisms,
 )
-from contactposets.events import enumerate_event_structures, event_to_contact
+from contactposets.events import enumerate_event_structures
 
 
 def reference_is_isomorphism(s, t, perm):
@@ -69,7 +69,7 @@ def test_carriers_match_brute_force():
 @pytest.fixture(scope="module")
 def catalog_items():
     semilattices = AgeCatalog.build(7, SEMILATTICE).items
-    duals = [event_to_contact(e, with_bottom=True) for e in enumerate_event_structures(4)]
+    duals = [e.dual for e in enumerate_event_structures(4)]
     return AgeCatalog.build(6, POSET).items + semilattices + tuple(duals)
 
 

@@ -35,11 +35,11 @@ from contactposets.enumeration import (
     enumerate_posets,
 )
 from contactposets.events import (
-    _rename_gluing,
     enumerate_event_structures,
     iter_event_gluings,
     sub_event,
 )
+from test_single_copies import glued_apart_events
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +107,7 @@ def reference_event_gluings(a, b):
                 if canon_map in seen_maps:
                     continue
                 seen_maps.add(canon_map)
-                yield _rename_gluing(a, b, c, mapping)
+                yield glued_apart_events(a, b, c, chosen, mapping)
 
 
 def _orbit_keys(a, b, gluings):

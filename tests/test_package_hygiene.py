@@ -15,6 +15,11 @@ And JSON is written in one place: only ``io`` calls ``json.dump`` or
 And names are looked up one way: only ``core`` calls ``index_map``
 (each value builds its own map once, on its first lookup), and no
 module scans a carrier with ``.names.index`` or ``.events.index``.
+
+And gluings are renamed apart one way: ``_fresh_names`` is called only
+by ``core._glued_apart``, the unchecked builder of every generated
+gluing, and by ``AmalgamInstance.from_embeddings``, which checks the
+maps a caller supplies.
 """
 
 import ast
@@ -160,3 +165,35 @@ def test_one_name_lookup_path(path):
         assert [kind for kind, _ in found] == ["index_map"]
     else:
         assert found == []
+
+
+def _callers(tree, callee):
+    """(module-level function or class.method, line) of each call of callee."""
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef):
+            scopes = [(top.name, top)]
+        elif isinstance(top, ast.ClassDef):
+            scopes = [(f"{top.name}.{node.name}", node) for node in top.body
+                      if isinstance(node, ast.FunctionDef)]
+        else:
+            scopes = [(None, top)]
+        for scope, node in scopes:
+            for call in ast.walk(node):
+                if not isinstance(call, ast.Call):
+                    continue
+                func = call.func
+                if (isinstance(func, ast.Name) and func.id == callee
+                        or isinstance(func, ast.Attribute) and func.attr == callee):
+                    yield scope, call.lineno
+
+
+def test_one_renaming_apart():
+    found = {
+        (path.name, scope)
+        for path in MODULES
+        for scope, _ in _callers(ast.parse(path.read_text(encoding="utf-8")), "_fresh_names")
+    }
+    assert found == {
+        ("core.py", "_glued_apart"),
+        ("amalgam.py", "AmalgamInstance.from_embeddings"),
+    }

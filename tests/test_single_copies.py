@@ -9,7 +9,8 @@ give the same values:
   ``AmalgamInstance.from_parts``);
 - ``core.overlap_relation``, now the minimal-nonzero kernel, against the
   pairwise scan it replaced;
-- ``events._rename_gluing``, now two calls to ``core._fresh_names``;
+- ``events._rename_gluing``, now the one unchecked renaming-apart of
+  every gluing, ``core._glued_apart``, on the stored duals;
 - ``enumeration._carrier_positions`` and ``core._require_join_closed``,
   now sharing ``core._join_escape``;
 - ``gallery._contact_embedding``, now one row compare;
@@ -68,12 +69,13 @@ from contactposets.enumeration import (
 )
 from contactposets.errors import AxiomViolation, CycleError, NotJoinClosed, UnknownElement
 from contactposets.events import (
+    RESERVED_BOTTOM,
     EventStructure,
-    _rename_gluing,
     check_event_structure,
     contact_to_event,
     enumerate_event_structures,
     event_to_contact,
+    iter_event_gluings,
     sub_event,
 )
 from contactposets.fraisse import (
@@ -342,17 +344,26 @@ def reference_rename_gluing(a, b, c, mapping):
     return renamed_a, renamed_b, c
 
 
+def glued_apart_events(a, b, c, chosen, mapping):
+    """The renamed-apart event triple: core._glued_apart on the stored
+    duals, c being a's events at the indices chosen and mapping[k] b's
+    index of c's k-th event."""
+    a2, b2, c2 = core._glued_apart(
+        a.dual, b.dual, c.dual, [0] + [i + 1 for i in chosen], [0] + [j + 1 for j in mapping]
+    )
+    return EventStructure(a2), EventStructure(b2), EventStructure(c2)
+
+
 def test_rename_gluing_on_every_gluing_to_three():
     events = enumerate_event_structures(3)
     count = 0
     for a in events:
-        ca = event_to_contact(a, with_bottom=True)
         for b in events:
-            cb = event_to_contact(b, with_bottom=True)
-            for chosen, image in gluings_up_to_iso(ca, cb):
-                c = sub_event(a, [i - 1 for i in chosen[1:]])
+            for chosen, image in gluings_up_to_iso(a.dual, b.dual):
+                chosen = [i - 1 for i in chosen[1:]]
+                c = sub_event(a, chosen)
                 mapping = [j - 1 for j in image[1:]]
-                assert _rename_gluing(a, b, c, mapping) == (
+                assert glued_apart_events(a, b, c, chosen, mapping) == (
                     reference_rename_gluing(a, b, c, mapping)
                 )
                 count += 1
@@ -360,17 +371,57 @@ def test_rename_gluing_on_every_gluing_to_three():
 
 
 def test_rename_gluing_on_seeded_gluings_to_four():
+    """Side names drawn from a pool that holds x and y with their tagged
+    names a:x and b:y.  Where the reference renaming gives two events one
+    name, which EventStructure.from_rows rejects, the builder raises."""
     rng = random.Random(1313)
     events = enumerate_event_structures(4)
     pool = ["e1", "e2", "e3", "e4", "x", "y", "a:x", "b:y"]
+    collisions = 0
     for _ in range(2000):
         a, b = rng.choice(events), rng.choice(events)
         a = EventStructure.from_rows(rng.sample(pool, a.n), a.up, a.conflict)
         b = EventStructure.from_rows(rng.sample(pool, b.n), b.up, b.conflict)
         size = rng.randint(0, min(a.n, b.n))
-        c = sub_event(a, sorted(rng.sample(range(a.n), size)))
+        chosen = sorted(rng.sample(range(a.n), size))
+        c = sub_event(a, chosen)
         mapping = rng.sample(range(b.n), size)
-        assert _rename_gluing(a, b, c, mapping) == reference_rename_gluing(a, b, c, mapping)
+        try:
+            expected = reference_rename_gluing(a, b, c, mapping)
+        except UnknownElement as exc:
+            assert str(exc).startswith("duplicate element name")
+            with pytest.raises(UnknownElement, match="renaming collapses element names"):
+                glued_apart_events(a, b, c, chosen, mapping)
+            collisions += 1
+            continue
+        assert glued_apart_events(a, b, c, chosen, mapping) == expected
+    assert collisions > 50
+
+
+def test_tagged_name_collisions_raise_on_contact_and_event_gluings():
+    """A side holding x off the common part and its tagged name on it
+    would give two elements one name: contact and event gluings raise
+    alike, and so do the caller's maps, and event rows with a repeated
+    name are rejected where the value is built."""
+    message = "renaming collapses element names"
+    for tagged, ours, theirs in [
+        (["0", "a:x", "x"], ["0", "a:x"], ["0", "y"]),
+        (["0", "b:y"], ["0", "b:y"], ["0", "z", "y"]),
+    ]:
+        a = ContactStructure.build(tagged, "0", contact=[(x, x) for x in tagged[1:]])
+        b = ContactStructure.build(theirs, "0", contact=[(x, x) for x in theirs[1:]])
+        with pytest.raises(UnknownElement, match=message):
+            list(iter_gluings(a, b))
+        c = induced_substructure(a, ours)
+        into_b = dict(zip(ours, ["0", theirs[1]]))
+        with pytest.raises(UnknownElement, match=message):
+            AmalgamInstance.from_embeddings(a, b, c, {x: x for x in ours}, into_b)
+        e = EventStructure.build(tagged[1:])
+        f = EventStructure.build(theirs[1:])
+        with pytest.raises(UnknownElement, match=message):
+            list(iter_event_gluings(e, f))
+    with pytest.raises(UnknownElement, match="duplicate element name 'x'"):
+        EventStructure.from_rows(["x", "x"], (0b01, 0b10), (0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -780,10 +831,11 @@ def test_index_matches_tuple_index_on_all_three_types():
     for names in [("x", "y", "x"), ("x", "x"), ("a", "b", "c", "b", "a"), ()]:
         n = len(names)
         rows = tuple(1 << i for i in range(n))
+        dual = tuple(1 << i for i in range(n + 1))
         values = [
             (ContactStructure(names, 0, rows, rows, POSET), "element"),
             (BottomlessContact(names, rows, rows), "element"),
-            (EventStructure.from_rows(names, rows, (0,) * n), "event"),
+            (EventStructure(ContactStructure((RESERVED_BOTTOM,) + names, 0, dual, dual)), "event"),
         ]
         for value, noun in values:
             for name in set(names) | {"q", "", 0, None}:
@@ -818,7 +870,7 @@ def test_each_value_builds_its_name_map_once(monkeypatch):
     instances = [inst for a in items[::3] for b in items[::3] for inst in iter_gluings(a, b)]
     assert len(instances) > 50
     for inst in instances:
-        contact_amalgam(inst)
+        verify_superamalgamation(inst, contact_amalgam(inst))
     for inst in instances:
         fetched.clear()
         d = contact_amalgam(inst)
