@@ -856,8 +856,8 @@ def _glued_apart(
     """The renamed-apart triple (a', b', c) of a gluing, unchecked: c is a
     restricted to the positions chosen, and b's position image[k] holds
     c's k-th element.  rename raises UnknownElement when a side holds x
-    off c and its tagged name on c.  contact_amalgam's inclusion check is
-    the one check of the instance."""
+    off c and its tagged name on c.  The amalgam the triple goes to checks
+    it, by contact_amalgam's inclusion check."""
     sides = []
     for host, positions, tag in ((a, chosen, "a"), (b, image, "b")):
         emb = {name: host.names[j] for name, j in zip(c.names, positions)}
