@@ -6,8 +6,9 @@ superamalgamation witness is a lowest bit, ``cor3``'s join check reads
 the family's joins in one memoised subset sweep and the event bridge
 compares pulled-back rows.  The instance boundary checks each gluing
 once: ``from_parts`` compares C's rows with each side's,
-``from_embeddings`` leaves the embedding test to it, and
-``contact_amalgam`` reads its inclusions off rows.  Each is compared
+``from_embeddings`` verifies the caller's maps before it, the library's
+own gluings are renamed apart unchecked, and ``contact_amalgam`` reads
+its inclusions off rows.  Each is compared
 here with the loop it replaced, or with a plain count, kept below as
 the reference.
 """
