@@ -422,7 +422,9 @@ def semilattice_amalgam(inst: AmalgamInstance) -> SemilatticeAmalgam:
     where both sides land as semilattice embeddings.
 
     contact_amalgam has just validated d, so d goes straight to the
-    family builder, whose map d -> F is verified.  A side's map is its
+    family builder, whose map d -> F is verified.  F is built from its
+    member masks; its provenance is built only if a caller reads it,
+    which the limit stages never do.  A side's map is its
     row-checked inclusion into d followed by that map: it carries that
     map's report plus one join scan into F (core._preserves_joins).  F
     is union-closed and x goes to the complement of its up-set, so a

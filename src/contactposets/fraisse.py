@@ -26,7 +26,6 @@ from .core import (
     _restriction,
     bits,
     close_under,
-    induced_substructure,
     join_table,
     mask_image,
     verify_map,
@@ -37,7 +36,6 @@ from .enumeration import (
     _gluings,
     canonical_key,
     canonical_table_key,
-    carrier_subsets,
     induced_embeddings,
 )
 from .errors import PreconditionViolation
@@ -320,7 +318,9 @@ def _amalgamate_extension(
     The instance is built unchecked: C is the stage restricted to the
     copy (core._restriction), and t is renamed onto the copy's names
     plus fresh.  contact_amalgam's inclusion check, which compares both
-    sides' rows with the amalgam's, is the one check of it.
+    sides' rows with the amalgam's, is the one check of it.  A
+    semilattice stage grows into the family's structure, renamed; the
+    family's provenance is never read, so it is never built.
     """
     rename = {into[s_name]: f[s_name] for s_name in into}
     (free,) = set(t.names) - set(rename)
@@ -455,14 +455,16 @@ def check_class_properties(
 
     HP and JEP are exhaustive over the catalog.  AP is exhaustive over
     gluings of items up to ap_exhaustive_bound elements and sampled with
-    a seeded generator above that.
+    a seeded generator above that.  An HP piece is a restriction of a
+    valid item to carrier positions (core._restriction), valid without
+    an axiom check.
     """
     hp_failures = []
     for item in catalog.items:
         for size in range(1, item.n + 1):
-            for subset in carrier_subsets(item, size):
-                piece = induced_substructure(item, subset)
-                if catalog.find(piece) is None:
+            for chosen in _carrier_positions(item, size, item.kind):
+                if catalog.find(_restriction(item, chosen)) is None:
+                    subset = tuple(item.names[i] for i in chosen)
                     hp_failures.append(
                         f"substructure {subset} of {canonical_key(item)} not in catalog"
                     )

@@ -2,15 +2,17 @@
 
 All constructions share one target shape: a family of subsets of a
 universe ordered by inclusion, with the overlap relation of that order
-as contact.  Families remember a provenance entry per set, and the
-embedding maps come back fully verified.
+as contact.  A family is built from its member masks: its names, rows
+and the embedding map come from those, and the map comes back fully
+verified.  Each set's provenance is built the first time it is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import and_, or_
-from typing import Callable, Sequence
+from typing import Callable, Collection, Mapping, Sequence
 
 from .core import (
     POSET,
@@ -36,19 +38,49 @@ class Origin:
     refs: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class SetFamilyStructure:
     """A family of subsets of a universe, ordered by inclusion.
 
     sets[i] is a bitmask over universe positions; structure is the same
     family viewed as a contact structure whose contact table is the
     family's own overlap relation.
+
+    provenance[i] says where sets[i] came from.  It is built the first
+    time it is read (or ==, hash or repr needs it) by origins, one of
+    the provenance builders, which maps each mask to its origins.  A
+    caller that reads only the sets and the structure, as the limit
+    stages do, builds no Origin.  Equality, hash and repr are those of
+    a frozen dataclass with the fields universe, sets, provenance and
+    structure.
     """
 
     universe: tuple[str, ...]
     sets: tuple[int, ...]
-    provenance: tuple[tuple[Origin, ...], ...]
     structure: ContactStructure
+    origins: Callable[[], Mapping[int, Sequence[Origin]]]
+
+    @cached_property
+    def provenance(self) -> tuple[tuple[Origin, ...], ...]:
+        origins = self.origins()
+        return tuple(tuple(origins.get(mask, ())) for mask in self.sets)
+
+    def _fields(self) -> tuple:
+        return (self.universe, self.sets, self.provenance, self.structure)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"SetFamilyStructure(universe={self.universe!r}, sets={self.sets!r}, "
+            f"provenance={self.provenance!r}, structure={self.structure!r})"
+        )
 
     def members(self, position: int) -> tuple[str, ...]:
         return tuple(self.universe[i] for i in bits(self.sets[position]))
@@ -58,7 +90,14 @@ class SetFamilyStructure:
 
 
 def _set_name(universe: Sequence[str], mask: int) -> str:
-    return "{" + ",".join(universe[i] for i in bits(mask)) + "}"
+    """The member's name, "{" + its elements + "}"; the bits are walked
+    inline, since every member of every family is named."""
+    members = []
+    while mask:
+        low = mask & -mask
+        members.append(universe[low.bit_length() - 1])
+        mask ^= low
+    return "{" + ",".join(members) + "}"
 
 
 def _holders(sets: Sequence[int]) -> Callable[[int], int]:
@@ -86,7 +125,9 @@ def _holders(sets: Sequence[int]) -> Callable[[int], int]:
     return holders
 
 
-def overlap_of_family(sets: Sequence[int]) -> list[int]:
+def overlap_of_family(
+    sets: Sequence[int], holders: Callable[[int], int] | None = None
+) -> list[int]:
     """Overlap table of an inclusion-ordered family, recomputed from the
     family membership alone: x and y touch iff some nonempty member sits
     inside both.
@@ -97,11 +138,14 @@ def overlap_of_family(sets: Sequence[int]) -> list[int]:
     ORs its holder mask into the rows of its holders.  A member is
     minimal when no smaller one found so far lies inside it; members are
     visited by size, and only a smaller distinct member can lie strictly
-    inside.  Large ones get a subset-sum sweep over the universe masks.
+    inside.  holders is the family's _holders table, when the caller
+    has built it already (family_structure reads its order rows there).
+    Large families get a subset-sum sweep over the universe masks.
     """
     m = len(sets)
     if m <= 64:
-        holders = _holders(sets)
+        if holders is None:
+            holders = _holders(sets)
         rows = [0] * m
         minimal: list[int] = []
         for q in sorted({q for q in sets if q}, key=int.bit_count):
@@ -132,33 +176,43 @@ def overlap_of_family(sets: Sequence[int]) -> list[int]:
 
 def family_structure(
     universe: Sequence[str],
-    masks: Sequence[int],
-    provenance: dict[int, list[Origin]],
+    masks: Collection[int],
+    origins: Callable[[], Mapping[int, Sequence[Origin]]],
     kind: str,
 ) -> SetFamilyStructure:
     """Assemble the inclusion order plus overlap contact over the masks.
 
     Masks are sorted by size then bit pattern, which makes every family
     deterministic; the empty set must be present as the bottom.  Row i
-    of the inclusion order is the holder mask of set i (_holders).
+    of the inclusion order is the holder mask of set i (_holders), and
+    the one holder table serves the overlap too.  origins, a provenance
+    builder, runs only when the family's provenance is read.
     """
-    ordered = sorted(set(masks), key=lambda m: (bin(m).count("1"), m))
+    ordered = sorted(set(masks), key=lambda m: (m.bit_count(), m))
     if ordered[0] != 0:
         raise AxiomViolation("set family is missing its empty bottom")
     holders = _holders(ordered)
     up = [holders(mask) for mask in ordered]
-    contact = overlap_of_family(ordered)
+    contact = overlap_of_family(ordered, holders)
     names = tuple(_set_name(universe, mask) for mask in ordered)
     structure = ContactStructure(names, 0, tuple(up), tuple(contact), kind)
     report = check_contact_axioms(structure)
     if not report.ok:
         raise AxiomViolation("set family failed the contact axioms", report)
-    return SetFamilyStructure(
-        tuple(universe),
-        tuple(ordered),
-        tuple(tuple(provenance.get(mask, ())) for mask in ordered),
-        structure,
-    )
+    return SetFamilyStructure(tuple(universe), tuple(ordered), structure, origins)
+
+
+def _onto_members(
+    s: ContactStructure, family: SetFamilyStructure, images: Sequence[int]
+) -> StructureMap:
+    """The map sending element a of s to the family member images[a],
+    verified (verify_map).  Images are read by position, {mask:
+    position}, and named by the family's own names, so no member name
+    is built twice."""
+    position = {mask: i for i, mask in enumerate(family.sets)}
+    names = family.structure.names
+    mapping = {s.names[a]: names[position[images[a]]] for a in range(s.n)}
+    return verify_map(s, family.structure, mapping)
 
 
 # ---------------------------------------------------------------------------
@@ -172,30 +226,55 @@ def _nonbelow_masks(s: ContactStructure) -> list[int]:
 
 def _image_family(
     s: ContactStructure, phi: Sequence[int], union_closed: bool
-) -> tuple[list[int], dict[int, list[Origin]]]:
-    provenance: dict[int, list[Origin]] = {}
-    masks: list[int] = []
+) -> Collection[int]:
+    """The member masks of the image family: each element's image phi[a],
+    the intersection of the images of each contact pair, and with
+    union_closed every union of those (core.close_under).
 
-    def add(mask: int, origin: Origin) -> None:
-        if mask not in provenance:
-            provenance[mask] = []
-            masks.append(mask)
-        provenance[mask].append(origin)
-
+    Only an incomparable contact pair can add a member.  phi(x) is the
+    complement of x's up-set, so phi is monotone: a <= b gives phi(a)
+    inside phi(b), and phi(a) & phi(b) = phi(a), an image already.  So
+    the pairs walked are those with a < b (as positions) and neither
+    above the other.  Where each member came from is left to
+    _image_origins, which runs only when provenance is read.
+    """
+    up, contact = s.up, s.contact
+    members = dict.fromkeys(phi)
     for a in range(s.n):
-        add(phi[a], Origin("element-image", (s.names[a],)))
-    for a in range(s.n):
-        for b in bits(s.contact[a]):
-            if b < a:
-                continue
-            add(
-                phi[a] & phi[b],
-                Origin("pair-intersection", (s.names[a], s.names[b])),
-            )
+        image = phi[a]
+        partners = contact[a] & ~up[a] & -(2 << a)
+        while partners:
+            low = partners & -partners
+            b = low.bit_length() - 1
+            if not up[b] >> a & 1:
+                members[image & phi[b]] = None
+            partners ^= low
     if union_closed:
-        for u in close_under(masks, masks, or_) - provenance.keys():
-            add(u, Origin("union"))
-    return masks, provenance
+        return close_under(members, members, or_)
+    return members.keys()
+
+
+def _image_origins(
+    s: ContactStructure, phi: Sequence[int], masks: Collection[int]
+) -> dict[int, list[Origin]]:
+    """Provenance builder of the image family over masks: per member, its
+    element images, then its contact-pair intersections in (a, b >= a)
+    order, comparable pairs included; a member that is neither is a
+    union."""
+    origins: dict[int, list[Origin]] = {}
+    for a in range(s.n):
+        origins.setdefault(phi[a], []).append(
+            Origin("element-image", (s.names[a],))
+        )
+    for a in range(s.n):
+        for b in bits(s.contact[a] >> a << a):
+            origins.setdefault(phi[a] & phi[b], []).append(
+                Origin("pair-intersection", (s.names[a], s.names[b]))
+            )
+    for mask in masks:
+        if mask not in origins:
+            origins[mask] = [Origin("union")]
+    return origins
 
 
 def overlap_poset_embedding(
@@ -246,13 +325,11 @@ def _image_embedding(
     """The image family of s (_image_family), tagged kind, and the map
     sending each element to its image, verified."""
     phi = _nonbelow_masks(s)
-    masks, provenance = _image_family(s, phi, union_closed)
-    family = family_structure(s.names, masks, provenance, kind)
-    mapping = {
-        s.names[a]: _set_name(s.names, phi[a]) for a in range(s.n)
-    }
-    total = verify_map(s, family.structure, mapping)
-    return family, total
+    masks = _image_family(s, phi, union_closed)
+    family = family_structure(
+        s.names, masks, lambda: _image_origins(s, phi, masks), kind
+    )
+    return family, _onto_members(s, family, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +350,10 @@ def powerset_embedding(
     """
     family, phi_map = overlap_poset_embedding(s)
     q_structure = family.structure
-    nonempty = [mask for mask in family.sets if mask]
+    # the empty set sits first (family_structure), the members follow
+    nonempty = family.sets[1:]
     u = len(nonempty)
-    universe = tuple(q_structure.names[family.sets.index(mask)] for mask in nonempty)
+    universe = q_structure.names[1:]
 
     def down_in_family(qmask: int) -> int:
         out = 0
@@ -284,22 +362,28 @@ def powerset_embedding(
                 out |= 1 << pos
         return out
 
-    provenance: dict[int, list[Origin]] = {
-        mask: [Origin("union")] for mask in range(1 << u)
-    }
-    for i in range(q_structure.n):
-        image = down_in_family(family.sets[i])
-        provenance[image].insert(
-            0, Origin("element-image", (q_structure.names[i],))
-        )
-    target = family_structure(universe, list(range(1 << u)), provenance, SEMILATTICE)
-    psi = {
-        q_structure.names[i]: _set_name(universe, down_in_family(family.sets[i]))
-        for i in range(q_structure.n)
-    }
-    psi_map = verify_map(q_structure, target.structure, psi)
+    images = [down_in_family(mask) for mask in family.sets]
+    target = family_structure(
+        universe,
+        range(1 << u),
+        lambda: _powerset_origins(q_structure.names, images, u),
+        SEMILATTICE,
+    )
+    psi_map = _onto_members(q_structure, target, images)
     total = compose_maps(phi_map, psi_map)
     return target, total
+
+
+def _powerset_origins(
+    names: Sequence[str], images: Sequence[int], u: int
+) -> dict[int, list[Origin]]:
+    """Provenance builder of the powerset of u members: every set is a
+    union, and the image of each stage-one set (named names[i], image
+    images[i]) is an element image too, the later sets first."""
+    origins = {mask: [Origin("union")] for mask in range(1 << u)}
+    for name, image in zip(names, images):
+        origins[image].insert(0, Origin("element-image", (name,)))
+    return origins
 
 
 def is_boolean_family(family: SetFamilyStructure) -> bool:
@@ -345,23 +429,32 @@ def macneille_completion(
     """
     down = s.down_masks()
     cuts = close_under((s.full_mask, *down), down, and_)
-    provenance: dict[int, list[Origin]] = {mask: [Origin("cut")] for mask in cuts}
-    for a in range(s.n):
-        provenance[down[a]].append(Origin("element-image", (s.names[a],)))
-    family = _cut_family(s, sorted(cuts), provenance, down[s.bottom])
-    chi = {s.names[a]: _set_name(s.names, down[a]) for a in range(s.n)}
-    total = verify_map(s, family.structure, chi)
+    family = _cut_family(
+        s, cuts, lambda: _cut_origins(s, cuts, down), down[s.bottom]
+    )
+    total = _onto_members(s, family, down)
     _check_cut_bounds(s, family, down)
     return family, total
 
 
+def _cut_origins(
+    s: ContactStructure, cuts: Collection[int], down: Sequence[int]
+) -> dict[int, list[Origin]]:
+    """Provenance builder of the cut lattice: every member is a cut, and
+    the principal down-set of each element is its image too."""
+    origins = {mask: [Origin("cut")] for mask in cuts}
+    for a in range(s.n):
+        origins[down[a]].append(Origin("element-image", (s.names[a],)))
+    return origins
+
+
 def _cut_family(
     s: ContactStructure,
-    masks: list[int],
-    provenance: dict[int, list[Origin]],
+    masks: Collection[int],
+    origins: Callable[[], Mapping[int, Sequence[Origin]]],
     bottom_cut: int,
 ) -> SetFamilyStructure:
-    ordered = sorted(set(masks), key=lambda m: (bin(m).count("1"), m))
+    ordered = sorted(set(masks), key=lambda m: (m.bit_count(), m))
     if ordered[0] != bottom_cut:
         raise AxiomViolation("least cut is not the bottom's down-set")
     m = len(ordered)
@@ -376,12 +469,7 @@ def _cut_family(
         raise AxiomViolation("cut lattice failed the contact axioms", report)
     if not is_lattice(structure):
         raise AxiomViolation("completion is not a lattice")
-    return SetFamilyStructure(
-        tuple(s.names),
-        tuple(ordered),
-        tuple(tuple(provenance.get(mask, ())) for mask in ordered),
-        structure,
-    )
+    return SetFamilyStructure(tuple(s.names), tuple(ordered), structure, origins)
 
 
 def _check_cut_bounds(

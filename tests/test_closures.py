@@ -16,7 +16,8 @@ from itertools import combinations
 
 import pytest
 
-from contactposets import enumeration
+from contactposets import enumeration, represent
+from contactposets.amalgam import contact_amalgam
 from contactposets.core import (
     POSET,
     SEMILATTICE,
@@ -29,12 +30,18 @@ from contactposets.core import (
     verify_map,
 )
 from contactposets.enumeration import AgeCatalog, automorphisms, isomorphisms
-from contactposets.fraisse import generated_subsemilattice
+from contactposets.fraisse import (
+    build_limit_stage,
+    generated_subsemilattice,
+    random_instance,
+)
 from contactposets.represent import (
     Origin,
     _check_cut_bounds,
     _cut_family,
+    _image_embedding,
     _image_family,
+    _image_origins,
     _nonbelow_masks,
     _set_name,
     macneille_completion,
@@ -96,7 +103,7 @@ def reference_macneille_completion(s):
     provenance = {mask: [Origin("cut")] for mask in cuts}
     for a in range(s.n):
         provenance[down[a]].append(Origin("element-image", (s.names[a],)))
-    family = _cut_family(s, sorted(cuts), provenance, down[s.bottom])
+    family = _cut_family(s, sorted(cuts), lambda: provenance, down[s.bottom])
     chi = {s.names[a]: _set_name(s.names, down[a]) for a in range(s.n)}
     total = verify_map(s, family.structure, chi)
     _check_cut_bounds(s, family, down)
@@ -192,12 +199,59 @@ def test_close_under_is_the_least_closed_superset():
 
 
 def test_image_family_matches_reference(posets_5, semilattice_catalog_6):
+    """The masks, and the provenance read off the built family."""
     for s in posets_5 + semilattice_catalog_6.items:
-        masks, provenance = _image_family(s, _nonbelow_masks(s), True)
+        masks = _image_family(s, _nonbelow_masks(s), True)
         want_masks, want_provenance = reference_image_family(s, True)
         assert sorted(masks) == sorted(want_masks)
         assert len(masks) == len(set(masks))
-        assert provenance == want_provenance, s
+        family, _ = _image_embedding(s, True, SEMILATTICE)
+        provenance = dict(zip(family.sets, family.provenance))
+        want = {mask: tuple(origins) for mask, origins in want_provenance.items()}
+        assert provenance == want, s
+
+
+def _same_masks(s, union_closed):
+    masks = _image_family(s, _nonbelow_masks(s), union_closed)
+    want_masks, _ = reference_image_family(s, union_closed)
+    return sorted(masks) == sorted(want_masks)
+
+
+def test_image_family_on_the_semilattice_stage(monkeypatch):
+    """The mask set of every amalgam d the 64-element semilattice leg
+    pushes into its family, against the reference, which adds a pair
+    intersection for comparable contact pairs too."""
+    seen = []
+    real = represent._image_family
+
+    def recording(s, phi, union_closed):
+        seen.append((s, union_closed))
+        return real(s, phi, union_closed)
+
+    monkeypatch.setattr(represent, "_image_family", recording)
+    catalog = AgeCatalog.build(3, SEMILATTICE)
+    build_limit_stage(SEMILATTICE, 2, 64, catalog=catalog, max_elements=64)
+    monkeypatch.undo()
+    assert len(seen) == 63
+    assert max(s.n for s, _ in seen) == 64
+    for s, union_closed in seen:
+        assert union_closed
+        assert _same_masks(s, True), s
+
+
+def test_image_family_on_random_amalgams(poset_catalog_6, semilattice_catalog_6):
+    """200 seeded random_instance draws over the catalogs up to 6
+    elements, their amalgams with and without the union closure."""
+    rng = random.Random(24)
+    drawn = 0
+    for catalog in (poset_catalog_6, semilattice_catalog_6):
+        for _ in range(100):
+            inst = random_instance(catalog, rng)
+            d = contact_amalgam(inst)
+            assert _same_masks(d, False), d
+            assert _same_masks(d, True), d
+            drawn += 1
+    assert drawn == 200
 
 
 def test_macneille_completion_matches_reference(posets_5, semilattice_catalog_6):
@@ -211,7 +265,8 @@ def test_union_closure_of_boolean_lattices(k, members):
     compared on the 32-element one and the 64-element count is pinned
     from its output."""
     s = _boolean_lattice(k)
-    masks, provenance = _image_family(s, _nonbelow_masks(s), True)
+    masks = _image_family(s, _nonbelow_masks(s), True)
+    provenance = _image_origins(s, _nonbelow_masks(s), masks)
     assert len(masks) == len(provenance) == members
     if k == 5:
         want_masks, want_provenance = reference_image_family(s, True)

@@ -1,7 +1,14 @@
 import pytest
 
-from contactposets.core import POSET, SEMILATTICE, ContactStructure, verify_map
-from contactposets.enumeration import AgeCatalog, canonical_key
+from contactposets import core, fraisse
+from contactposets.core import (
+    POSET,
+    SEMILATTICE,
+    ContactStructure,
+    induced_substructure,
+    verify_map,
+)
+from contactposets.enumeration import AgeCatalog, canonical_key, carrier_subsets
 from contactposets.fraisse import (
     ABOVE_MAXIMAL,
     MISS_CAUSES,
@@ -189,6 +196,43 @@ class TestClassProperties:
     def test_semilattice_age_to_three(self, semilattice_catalog_3):
         report = check_class_properties(semilattice_catalog_3, ap_exhaustive_bound=3)
         assert report.ok
+
+    @pytest.mark.parametrize("kind", [POSET, SEMILATTICE])
+    def test_hp_runs_no_axiom_check(self, monkeypatch, kind):
+        """The HP pieces are unchecked restrictions: with the amalgam
+        pipelines stubbed out, the whole report runs 0 axiom checks and
+        comes out as before."""
+        catalog = AgeCatalog.build(4, kind)
+        want = check_class_properties(catalog)
+        calls = []
+        real = core.check_contact_axioms
+
+        def counting(s, *args, **kwargs):
+            calls.append(s)
+            return real(s, *args, **kwargs)
+
+        monkeypatch.setattr(core, "check_contact_axioms", counting)
+        monkeypatch.setattr(fraisse, "_run_instance", lambda inst, kind: None)
+        assert check_class_properties(catalog) == want
+        assert calls == []
+
+    def test_hp_failures_keep_their_message(self, poset_catalog_4):
+        """A catalog without the 2-chains fails HP on every item that
+        holds one, named as the checked pieces named it."""
+        items = tuple(item for item in poset_catalog_4.items if item.n != 2)
+        catalog = AgeCatalog(4, POSET, items)
+        want = []
+        for item in items:
+            for size in range(1, item.n + 1):
+                for subset in carrier_subsets(item, size):
+                    if catalog.find(induced_substructure(item, subset)) is None:
+                        want.append(
+                            f"substructure {subset} of {canonical_key(item)} not in catalog"
+                        )
+        report = check_class_properties(catalog, ap_exhaustive_bound=0, ap_samples=0)
+        assert not report.hp_ok
+        assert report.hp_failures == tuple(want)
+        assert "substructure ('0', 'e1') of " in want[0]
 
     def test_hp_witness_chain_inside_m3(self, poset_catalog_4):
         from contactposets.core import induced_substructure

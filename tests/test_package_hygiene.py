@@ -20,6 +20,10 @@ And gluings are renamed apart one way: ``_fresh_names`` is called only
 by ``core._glued_apart``, the unchecked builder of every generated
 gluing, and by ``AmalgamInstance.from_embeddings``, which checks the
 maps a caller supplies.
+
+And a set family's provenance is built on read: ``Origin`` is called
+only by the provenance builders in ``represent``, which a family runs
+the first time its provenance is read, so the mask path builds none.
 """
 
 import ast
@@ -196,4 +200,17 @@ def test_one_renaming_apart():
     assert found == {
         ("core.py", "_glued_apart"),
         ("amalgam.py", "AmalgamInstance.from_embeddings"),
+    }
+
+
+def test_origins_only_in_the_provenance_builders():
+    found = {
+        (path.name, scope)
+        for path in MODULES
+        for scope, _ in _callers(ast.parse(path.read_text(encoding="utf-8")), "Origin")
+    }
+    assert found == {
+        ("represent.py", "_image_origins"),
+        ("represent.py", "_powerset_origins"),
+        ("represent.py", "_cut_origins"),
     }

@@ -228,6 +228,31 @@ def test_stage_outputs_unchanged(final_stages, kind):
     assert hashlib.sha256(text.encode()).hexdigest() == STAGE_DIGESTS[kind]
 
 
+def test_stage_path_builds_no_provenance(monkeypatch):
+    """The limit stages and the semilattice amalgam read a family's
+    masks and rows only.  With represent.Origin refusing to be built, a
+    semilattice stage grows to 32 elements and every gluing of
+    semilattices up to 3 elements amalgamates; reading a family's
+    provenance then fails, so the refusal is in force."""
+
+    def refuse(*args):
+        raise AssertionError("provenance built")
+
+    monkeypatch.setattr(represent, "Origin", refuse)
+    catalog = AgeCatalog.build(3, SEMILATTICE)
+    stage = build_limit_stage(SEMILATTICE, 2, 64, catalog=catalog, max_elements=32)
+    assert (stage.structure.n, len(stage.log), stage.budget_exceeded) == (32, 31, True)
+    amalgams = []
+    for a in catalog.items:
+        for b in catalog.items:
+            for inst in iter_gluings(a, b):
+                amalgams.append(amalgam.semilattice_amalgam(inst))
+    assert len(amalgams) == 19
+    assert all(result.superamalgamation.ok for result in amalgams)
+    with pytest.raises(AssertionError, match="provenance built"):
+        amalgams[-1].family.provenance
+
+
 def test_semilattice_amalgam_validates_the_amalgam_once(monkeypatch):
     """contact_amalgam checks d; the family builder does not check it
     again, while the public join_preserving_embedding still checks its
