@@ -34,8 +34,8 @@ STDOUT = "stdout"
 ENUMERATE_BOUNDS = {POSET: 7, SEMILATTICE: 8}
 # The largest `fraisse --cap` per kind.  A stage searches every catalog
 # item one larger than the cap for one-point extensions: with one sweep
-# of a 2-element stage, poset cap 5 takes 8-10 s and cap 6 over 30 s,
-# semilattice cap 6 11-12 s.
+# of a 2-element stage (2 cores, Python 3.11), poset cap 5 takes 8-11 s
+# and cap 6 over 40 s, semilattice cap 6 13-14 s.
 FRAISSE_CAP_BOUNDS = {POSET: 5, SEMILATTICE: 6}
 
 

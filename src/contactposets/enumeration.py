@@ -205,8 +205,12 @@ def isomorphic(s: ContactStructure, t: ContactStructure) -> bool:
 
 
 def automorphisms(s: ContactStructure) -> list[tuple[int, ...]]:
-    """All bottom-fixing self-isomorphisms, as index permutations."""
-    return list(isomorphisms(s, s))
+    """All bottom-fixing self-isomorphisms, as index permutations: the
+    memoised embeddings of s into itself.  The key takes the poset kind,
+    since the group does not depend on the kind, and the one subset of
+    n points needs no join check."""
+    rows = _rows(s, POSET)
+    return list(_embedding_table(rows, rows))
 
 
 def _bottom_colors(s) -> tuple[int, ...]:
@@ -224,8 +228,9 @@ def isomorphisms(
     """All bottom-preserving isomorphisms s -> t as index maps.
 
     s_colors are s's refined colours (_bottom_colors(s)); a caller that
-    matches one source against many targets computes them once.  Only
-    n, kind, bottom and the rows of s and t are read.
+    matches one source against many targets computes them once, and a
+    target with the source's bottom and rows reuses them.  Only n, kind,
+    bottom and the rows of s and t are read.
 
     Precondition: both orders are reflexive, both contacts symmetric,
     and either every element but the bottom touches itself on both sides
@@ -238,7 +243,8 @@ def isomorphisms(
         return
     if s_colors is None:
         s_colors = _bottom_colors(s)
-    t_colors = s_colors if t is s else _bottom_colors(t)
+    same = t.bottom == s.bottom and t.up == s.up and t.contact == s.contact
+    t_colors = s_colors if same else _bottom_colors(t)
     if sorted(s_colors) != sorted(t_colors):
         return
     slots: dict[int, list[int]] = {}
@@ -663,8 +669,8 @@ def _carrier_positions(t, size: int, kind: str) -> Iterator[tuple[int, ...]]:
 
 class _Rows(NamedTuple):
     """The name-free part of a structure, all that its embeddings depend
-    on: the memo key of induced_embeddings.  It reads like a structure
-    to isomorphisms and join_table."""
+    on: the memo key of _embedding_table.  It reads like a structure to
+    isomorphisms and join_table."""
 
     bottom: int
     up: tuple[int, ...]
@@ -674,6 +680,18 @@ class _Rows(NamedTuple):
     @property
     def n(self) -> int:
         return len(self.up)
+
+
+def _rows(s, kind: str) -> _Rows:
+    """The memo key of s searched as kind: its bottom and rows."""
+    return _Rows(s.bottom, tuple(s.up), tuple(s.contact), kind)
+
+
+def _piece(t, chosen: Sequence[int], kind: str) -> _Rows:
+    """t's rows restricted to the chosen positions (ascending, with the
+    bottom) by core.restrict, unchecked."""
+    up, contact = restrict(chosen, t.up, t.contact)
+    return _Rows(chosen.index(t.bottom), up, contact, kind)
 
 
 def _degree_profile(up: Sequence[int], contact: Sequence[int]) -> list[int]:
@@ -688,9 +706,11 @@ def _embedding_table(s: _Rows, t: _Rows) -> tuple[tuple[int, ...], ...]:
     """Embeddings of s onto induced substructures of t as index maps
     (entry i is t's position of s's element i), subset by
     subset in carrier_subsets order and, within a subset, in the order
-    isomorphisms finds them.  Memoised by rows, so renamed copies of the
-    same pair share one entry; bounded, module-level and cleared with
-    the other caches.
+    isomorphisms finds them.  The one map search: automorphism groups,
+    gluings, one-point extensions and the gallery's lattice embeddings
+    read it too.  Memoised by rows, so renamed copies of the same pair
+    share one entry; bounded, module-level and cleared with the other
+    caches.
 
     s's colours and degree profile are computed once.  A piece is t's
     rows restricted to the subset (core.restrict) and not re-validated:
@@ -705,10 +725,9 @@ def _embedding_table(s: _Rows, t: _Rows) -> tuple[tuple[int, ...], ...]:
     profile = _degree_profile(s.up, s.contact)
     found = []
     for chosen in _carrier_positions(t, s.n, s.kind):
-        up, contact = restrict(chosen, t.up, t.contact)
-        if _degree_profile(up, contact) != profile:
+        piece = _piece(t, chosen, s.kind)
+        if _degree_profile(piece.up, piece.contact) != profile:
             continue
-        piece = _Rows(chosen.index(t.bottom), up, contact, s.kind)
         for perm in isomorphisms(s, piece, colors):
             found.append(tuple([chosen[p] for p in perm]))
     return tuple(found)
@@ -724,10 +743,8 @@ def induced_embeddings(
     maps of the pair, searched once and memoised by rows
     (_embedding_table).
     """
-    s_rows = _Rows(s.bottom, tuple(s.up), tuple(s.contact), s.kind)
-    t_rows = _Rows(t.bottom, tuple(t.up), tuple(t.contact), s.kind)
     s_names, t_names = s.names, t.names
-    for f in _embedding_table(s_rows, t_rows):
+    for f in _embedding_table(_rows(s, s.kind), _rows(t, s.kind)):
         yield {name: t_names[j] for name, j in zip(s_names, f)}
 
 
@@ -754,7 +771,7 @@ def _gluings(
     Subsets come size by size from _carrier_positions, each with its maps
     in a row from the memoised _embedding_table (a's kind on both sides).
     """
-    b_rows = _Rows(b.bottom, tuple(b.up), tuple(b.contact), a.kind)
+    b_rows = _rows(b, a.kind)
     for size in range(1, min(a.n, b.n) + 1):
         for chosen in _carrier_positions(a, size, a.kind):
             mask = sum(1 << i for i in chosen)
@@ -766,9 +783,7 @@ def _gluings(
                 for alpha, image in zip(auts_a, images)
                 if image == mask
             ]
-            up, contact = restrict(chosen, a.up, a.contact)
-            c_rows = _Rows(chosen.index(a.bottom), up, contact, a.kind)
-            for f in _embedding_table(c_rows, b_rows):
+            for f in _embedding_table(_piece(a, chosen, a.kind), b_rows):
                 if all(
                     tuple([beta[f[k]] for k in sigma]) >= f
                     for sigma in stabiliser

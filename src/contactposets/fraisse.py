@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .amalgam import (
     AmalgamInstance,
@@ -33,9 +33,11 @@ from .core import (
 from .enumeration import (
     AgeCatalog,
     _carrier_positions,
+    _embedding_table,
     _gluings,
+    _rows,
+    automorphisms,
     canonical_key,
-    canonical_table_key,
     induced_embeddings,
 )
 from .errors import PreconditionViolation
@@ -43,15 +45,6 @@ from .errors import PreconditionViolation
 
 # ---------------------------------------------------------------------------
 # one-point extensions
-
-
-def _marked_key(t: ContactStructure, image: Sequence[int]) -> tuple:
-    """Canonical key of t with the embedded copy marked pointwise."""
-    colors = [0] * t.n
-    for position, element in enumerate(image):
-        colors[element] = position + 1
-    key, _ = canonical_table_key(t.n, (t.up, t.contact), tuple(colors))
-    return (t.kind,) + key
 
 
 def one_point_extensions(
@@ -62,20 +55,25 @@ def one_point_extensions(
     Pairs (t, into) with t a catalog item one element larger and into an
     embedding of s onto an induced substructure of t; two pairs count as
     the same extension when an isomorphism of the targets commutes with
-    the inclusions.
+    the inclusions.  Catalog items are pairwise non-isomorphic, so that
+    isomorphism is an automorphism of t, and the first index map of each
+    orbit under automorphisms(t) is kept, in _embedding_table's order.
     """
     out = []
-    seen = set()
+    s_rows = _rows(s, s.kind)
     for t in catalog.items:
         if t.n != s.n + 1:
             continue
-        for mapping in induced_embeddings(s, t):
-            image = [t.index(mapping[name]) for name in s.names]
-            key = _marked_key(t, image)
-            if key in seen:
+        maps = _embedding_table(s_rows, _rows(t, s.kind))
+        if not maps:
+            continue
+        group = automorphisms(t)
+        seen = set()
+        for f in maps:
+            if f in seen:
                 continue
-            seen.add(key)
-            out.append((t, mapping))
+            seen.update(tuple([alpha[j] for j in f]) for alpha in group)
+            out.append((t, {name: t.names[j] for name, j in zip(s.names, f)}))
     return out
 
 
@@ -521,12 +519,10 @@ def random_instance(
             continue
         chosen = rng.choice(subsets)
         c = _restriction(a, chosen)
-        embeddings = list(induced_embeddings(c, b))
-        if not embeddings:
+        maps = _embedding_table(_rows(c, c.kind), _rows(b, c.kind))
+        if not maps:
             continue
-        emb = rng.choice(embeddings)
-        image = [b.index(emb[name]) for name in c.names]
-        return AmalgamInstance(*_glued_apart(a, b, c, chosen, image))
+        return AmalgamInstance(*_glued_apart(a, b, c, chosen, rng.choice(maps)))
     return None
 
 

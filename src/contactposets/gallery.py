@@ -9,7 +9,7 @@ that forces the failure at every size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .amalgam import AmalgamInstance, contact_amalgam, semilattice_amalgam, verify_superamalgamation
 from .core import (
@@ -26,6 +26,8 @@ from .core import (
     restrict,
 )
 from .enumeration import (
+    _embedding_table,
+    _rows,
     all_contact_tables,
     enumerate_distributive_lattices,
     lattice_operations,
@@ -194,58 +196,30 @@ class FailureReport:
 
 def _lattice_zero_embeddings(
     a: ContactStructure, d: ContactStructure
-) -> Iterator[tuple[int, ...]]:
-    """Injections preserving bottom, binary joins and meets, in the
-    order itertools.permutations gives the non-bottom targets.
+) -> list[tuple[int, ...]]:
+    """Injections preserving bottom, binary joins and meets, ascending,
+    which is the order itertools.permutations gives the non-bottom
+    targets.
 
-    The non-bottom points of a take their images one at a time, each
-    trying the unused targets in order, which is that order.  The joins
-    and meets of a, and the join and meet tables of d (core.join_table,
-    core.meet_table), are built once.  Each law (i v j, i ^ j for a pair
-    i < j: the diagonal holds in any order, and both operations are
-    symmetric) is checked as soon as its three points have images, so a
-    partial map that breaks one is never extended; a full map passes
-    every law.  A source that is not a lattice has no such map.
+    An injection that keeps the bottom and the joins is an embedding of
+    a's contact-free rows onto a join-closed subset of d's, so the maps
+    are the memoised embedding table of those rows
+    (enumeration._embedding_table, both searched as semilattices), kept
+    when they carry each meet of a (core.meet_table) to the meet in d.
+    A source that is not a lattice has no such map.
     """
     operations = lattice_operations(a)
     if operations is None:
-        return
-    a_join, a_meet = operations
-    d_joins, d_meets = join_table(d), meet_table(d)
-    d_up, d_down = d.up, d.down_masks()
-    slots = [i for i in range(a.n) if i != a.bottom]
-    others = [i for i in range(d.n) if i != d.bottom]
-    depth_of = {slot: depth for depth, slot in enumerate(slots)}
-    depth_of[a.bottom] = 0
-    laws: list[list[tuple[int, int, int, bool]]] = [[] for _ in slots]
-    for i in range(a.n):
-        for j in range(i + 1, a.n):
-            for k, is_join in ((a_join[i][j], True), (a_meet[i][j], False)):
-                last = max(depth_of[i], depth_of[j], depth_of[k])
-                laws[last].append((i, j, k, is_join))
-    f = [d.bottom] * a.n
-    used = [False] * d.n
-
-    def holds(i: int, j: int, k: int, is_join: bool) -> bool:
-        if is_join:
-            return d_joins.get(d_up[f[i]] & d_up[f[j]]) == f[k]
-        return d_meets.get(d_down[f[i]] & d_down[f[j]]) == f[k]
-
-    def extend(depth: int) -> Iterator[tuple[int, ...]]:
-        if depth == len(slots):
-            yield tuple(f)
-            return
-        slot = slots[depth]
-        for target in others:
-            if used[target]:
-                continue
-            f[slot] = target
-            if all(holds(*law) for law in laws[depth]):
-                used[target] = True
-                yield from extend(depth + 1)
-                used[target] = False
-
-    yield from extend(0)
+        return []
+    a_meet = operations[1]
+    d_meets, d_down = meet_table(d), d.down_masks()
+    meets = [(i, j, a_meet[i][j]) for i in range(a.n) for j in range(i + 1, a.n)]
+    a_rows, d_rows = (_rows(x.with_contact([0] * x.n), SEMILATTICE) for x in (a, d))
+    return sorted(
+        f
+        for f in _embedding_table(a_rows, d_rows)
+        if all(d_meets.get(d_down[f[i]] & d_down[f[j]]) == f[k] for i, j, k in meets)
+    )
 
 
 def check_distributive_amalgam_failure(bound: int) -> FailureReport:

@@ -197,7 +197,8 @@ def structure_to_dot(
 
     Solid edges point cover-upward; mode "extra" dashes only contact
     pairs beyond overlap, "none" suppresses them.  Reflexive pairs are
-    never drawn.
+    never drawn.  Ids are the names in double quotes, with "\\" and '"'
+    escaped.
     """
     if contact_mode not in ("full", "extra", "none"):
         raise ParseError(f"unknown contact mode {contact_mode!r}")
@@ -206,14 +207,15 @@ def structure_to_dot(
     style = "conflict" if event else "contact"
     if contact_mode == "extra" and style == "contact":
         rows = [row & ~base for row, base in zip(rows, overlap_relation(s))]
+    ids = ['"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"' for name in names]
     lines = ["digraph structure {", "  rankdir=BT;"]
-    for name in names:
-        lines.append(f'  "{name}";')
+    for node in ids:
+        lines.append(f"  {node};")
     for low, high in cover_pairs(up):
-        lines.append(f'  "{names[low]}" -> "{names[high]}";')
+        lines.append(f"  {ids[low]} -> {ids[high]};")
     if contact_mode != "none":
-        for x, y in _pairs(names, rows, 1):
-            lines.append(f'  "{x}" -> "{y}" [dir=none, style=dashed, class={style}];')
+        for x, y in _pairs(ids, rows, 1):
+            lines.append(f"  {x} -> {y} [dir=none, style=dashed, class={style}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

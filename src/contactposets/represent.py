@@ -89,15 +89,21 @@ class SetFamilyStructure:
         return self.sets.index(mask)
 
 
-def _set_name(universe: Sequence[str], mask: int) -> str:
-    """The member's name, "{" + its elements + "}"; the bits are walked
-    inline, since every member of every family is named."""
-    members = []
-    while mask:
-        low = mask & -mask
-        members.append(universe[low.bit_length() - 1])
-        mask ^= low
-    return "{" + ",".join(members) + "}"
+def _member_names(universe: Sequence[str], masks: Sequence[int]) -> tuple[str, ...]:
+    """Each member's name, "{" + its elements + "}", with "\\" and ","
+    escaped in the element names (once per universe), so distinct
+    members get distinct names; other names are unchanged.  The bits
+    are walked inline, since every member of every family is named."""
+    escaped = [name.replace("\\", "\\\\").replace(",", "\\,") for name in universe]
+    names = []
+    for mask in masks:
+        members = []
+        while mask:
+            low = mask & -mask
+            members.append(escaped[low.bit_length() - 1])
+            mask ^= low
+        names.append("{" + ",".join(members) + "}")
+    return tuple(names)
 
 
 def _holders(sets: Sequence[int]) -> Callable[[int], int]:
@@ -194,7 +200,7 @@ def family_structure(
     holders = _holders(ordered)
     up = [holders(mask) for mask in ordered]
     contact = overlap_of_family(ordered, holders)
-    names = tuple(_set_name(universe, mask) for mask in ordered)
+    names = _member_names(universe, ordered)
     structure = ContactStructure(names, 0, tuple(up), tuple(contact), kind)
     report = check_contact_axioms(structure)
     if not report.ok:
@@ -460,7 +466,7 @@ def _cut_family(
     m = len(ordered)
     holders = _holders(ordered)
     up = [holders(mask) for mask in ordered]
-    names = tuple(_set_name(s.names, mask) for mask in ordered)
+    names = _member_names(s.names, ordered)
     skeleton = ContactStructure(names, 0, tuple(up), tuple([0] * m), SEMILATTICE)
     contact = overlap_relation(skeleton)
     structure = skeleton.with_contact(contact)

@@ -114,6 +114,21 @@ class TestEmbedCommand:
         assert len(bundle["target"]["sets"]) == 4
         assert bundle["report"]["is_embedding"] is True
 
+    def test_prop2_with_commas_in_names(self, tmp_path):
+        """Element "a,b" beside a, b and c: the family's members are
+        named apart, so {0,a,b,c} names one member."""
+        nonzero = ["a", "b", "a,b", "c"]
+        s = ContactStructure.build(
+            ["0", *nonzero], "0", [("0", x) for x in nonzero],
+            [(x, y) for x in nonzero for y in nonzero],
+        )
+        path = tmp_path / "commas.json"
+        save_structure(str(path), s)
+        out_path = tmp_path / "bundle.json"
+        assert main(["embed", str(path), "--theorem", "prop2", "--out", str(out_path)]) == 0
+        bundle = json.loads(out_path.read_text())
+        assert bundle["report"]["is_embedding"] is True
+
     def test_4a_on_chain(self, tmp_path, chain3):
         path = tmp_path / "chain.json"
         save_structure(str(path), chain3)
@@ -371,6 +386,16 @@ class TestExportDot:
         assert main(["export-dot", str(path), "--contact", "none"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("digraph")
+
+    def test_quotes_and_backslashes_escaped(self):
+        s = ContactStructure.build(
+            ["0", 'a"b', "c\\"], "0", [("0", 'a"b'), ('a"b', "c\\")], [], close=True
+        )
+        lines = structure_to_dot(s, "none").splitlines()
+        assert lines[2:] == [
+            '  "0";', '  "a\\"b";', '  "c\\\\";',
+            '  "0" -> "a\\"b";', '  "a\\"b" -> "c\\\\";', "}",
+        ]
 
     def test_event_export(self, tmp_path):
         e = EventStructure.build(["e1", "e2"], [("e1", "e2")], [])

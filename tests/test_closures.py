@@ -42,8 +42,8 @@ from contactposets.represent import (
     _image_embedding,
     _image_family,
     _image_origins,
+    _member_names,
     _nonbelow_masks,
-    _set_name,
     macneille_completion,
 )
 
@@ -104,7 +104,7 @@ def reference_macneille_completion(s):
     for a in range(s.n):
         provenance[down[a]].append(Origin("element-image", (s.names[a],)))
     family = _cut_family(s, sorted(cuts), lambda: provenance, down[s.bottom])
-    chi = {s.names[a]: _set_name(s.names, down[a]) for a in range(s.n)}
+    chi = dict(zip(s.names, _member_names(s.names, down)))
     total = verify_map(s, family.structure, chi)
     _check_cut_bounds(s, family, down)
     return family, total
@@ -328,6 +328,8 @@ def test_free_pair_upsets_match_reference(n):
 
 
 def test_automorphisms_refine_once(monkeypatch, posets_5):
+    """A cold search refines once, and the memoised group a repeat call
+    reads refines nothing."""
     calls = []
     real = enumeration._bottom_colors
 
@@ -337,8 +339,12 @@ def test_automorphisms_refine_once(monkeypatch, posets_5):
 
     monkeypatch.setattr(enumeration, "_bottom_colors", counting)
     for s in posets_5:
+        enumeration._embedding_table.cache_clear()
         calls.clear()
         group = automorphisms(s)
         assert len(calls) == 1
+        calls.clear()
+        assert automorphisms(s) == group
+        assert calls == []
         copy = ContactStructure(s.names, s.bottom, s.up, s.contact, s.kind)
         assert group == list(isomorphisms(s, copy))

@@ -138,7 +138,9 @@ def test_source_kind_splits_the_memo():
 def test_memo_is_bounded_and_cleared():
     info = _embedding_table.cache_info()
     assert info.maxsize is not None and 0 < info.maxsize <= 4096
+    # building the catalog memoises its carriers' groups
     items = AgeCatalog.build(3, POSET).items
+    _embedding_table.cache_clear()
     for s in items:
         for t in items:
             list(induced_embeddings(s, t))

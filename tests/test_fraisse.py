@@ -8,7 +8,13 @@ from contactposets.core import (
     induced_substructure,
     verify_map,
 )
-from contactposets.enumeration import AgeCatalog, canonical_key, carrier_subsets
+from contactposets.enumeration import (
+    AgeCatalog,
+    canonical_key,
+    canonical_table_key,
+    carrier_subsets,
+    induced_embeddings,
+)
 from contactposets.fraisse import (
     ABOVE_MAXIMAL,
     MISS_CAUSES,
@@ -22,6 +28,26 @@ from contactposets.fraisse import (
     trivial_stage,
 )
 from contactposets.gallery import m3
+
+
+def reference_one_point_extensions(s, catalog):
+    """Every embedding of s into each one-point-larger item, kept when
+    the canonical key of the item with the copy marked pointwise is
+    new."""
+    out = []
+    seen = set()
+    for t in catalog.items:
+        if t.n != s.n + 1:
+            continue
+        for mapping in induced_embeddings(s, t):
+            colors = [0] * t.n
+            for position, name in enumerate(s.names):
+                colors[t.index(mapping[name])] = position + 1
+            key = canonical_table_key(t.n, (t.up, t.contact), tuple(colors))[0]
+            if key not in seen:
+                seen.add(key)
+                out.append((t, mapping))
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +78,19 @@ class TestOnePointExtensions:
     def test_maximal_size_has_none(self, poset_catalog_3):
         for item in poset_catalog_3.by_size(3):
             assert one_point_extensions(item, poset_catalog_3) == []
+
+    @pytest.mark.parametrize("kind,cap,types", [(POSET, 4, 302), (SEMILATTICE, 5, 284)])
+    def test_orbits_match_marked_keys(self, kind, cap, types):
+        """The same (t, into) list, in the same order, as the dedup by
+        marked canonical keys it replaced."""
+        catalog = AgeCatalog.build(cap + 1, kind)
+        found = 0
+        for s in catalog.items:
+            if s.n <= cap:
+                got = one_point_extensions(s, catalog)
+                assert got == reference_one_point_extensions(s, catalog), s
+                found += len(got)
+        assert found == types
 
 
 class TestStageBuilding:

@@ -191,26 +191,34 @@ def _callers(tree, callee):
                     yield scope, call.lineno
 
 
-def test_one_renaming_apart():
-    found = {
+def _callers_everywhere(callee):
+    return {
         (path.name, scope)
         for path in MODULES
-        for scope, _ in _callers(ast.parse(path.read_text(encoding="utf-8")), "_fresh_names")
+        for scope, _ in _callers(ast.parse(path.read_text(encoding="utf-8")), callee)
     }
-    assert found == {
+
+
+def test_one_renaming_apart():
+    assert _callers_everywhere("_fresh_names") == {
         ("core.py", "_glued_apart"),
         ("amalgam.py", "AmalgamInstance.from_embeddings"),
     }
 
 
 def test_origins_only_in_the_provenance_builders():
-    found = {
-        (path.name, scope)
-        for path in MODULES
-        for scope, _ in _callers(ast.parse(path.read_text(encoding="utf-8")), "Origin")
-    }
-    assert found == {
+    assert _callers_everywhere("Origin") == {
         ("represent.py", "_image_origins"),
         ("represent.py", "_powerset_origins"),
         ("represent.py", "_cut_origins"),
+    }
+
+
+def test_one_map_search():
+    """Every map search reads the memoised embedding table: it is the one
+    caller of isomorphisms, and tables are canonicalised raw only inside
+    enumeration."""
+    assert _callers_everywhere("isomorphisms") == {("enumeration.py", "_embedding_table")}
+    assert {name for name, _ in _callers_everywhere("canonical_table_key")} == {
+        "enumeration.py"
     }

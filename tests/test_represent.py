@@ -2,14 +2,16 @@ import pytest
 
 from contactposets.core import (
     POSET,
+    SEMILATTICE,
     ContactStructure,
     compose_maps,
     overlap_relation,
 )
-from contactposets.enumeration import is_lattice
+from contactposets.enumeration import AgeCatalog, is_lattice
 from contactposets.errors import NotSemilattice
 from contactposets.gallery import m3
 from contactposets.represent import (
+    _member_names,
     complete_lattice_embedding,
     is_boolean_family,
     join_preserving_embedding,
@@ -218,3 +220,36 @@ class TestCompositionInvariant:
             completion, chi = macneille_completion(family.structure)
             composed = compose_maps(phi, chi)
             assert composed.report.is_embedding
+
+
+class TestMemberNames:
+    def test_plain_names_unchanged(self):
+        assert _member_names(["0", "e1", "e2"], [0, 1, 3, 7]) == (
+            "{}", "{0}", "{0,e1}", "{0,e1,e2}",
+        )
+
+    def test_commas_and_backslashes_escaped(self):
+        assert _member_names(["a,b", "c\\", "d"], [7]) == ("{a\\,b,c\\\\,d}",)
+
+    @pytest.mark.parametrize(
+        "others", [["a", "b", "a,b", "c"], ["a\\", "b", "a\\,b", "c\\\\"]]
+    )
+    def test_renamed_catalogs_embed(self, others):
+        """Every item of both catalogs <= 5 with its non-bottom elements
+        renamed so that joined names could collide: each construction
+        names its members apart and embeds."""
+        constructions = {
+            POSET: [overlap_poset_embedding, join_preserving_embedding, powerset_embedding],
+            SEMILATTICE: [overlap_semilattice_embedding, complete_lattice_embedding],
+        }
+        checked = 0
+        for kind, build in constructions.items():
+            for s in AgeCatalog.build(5, kind).items:
+                renamed = s.rename(dict(zip(s.names, ["0"] + others)))
+                for construction in build:
+                    family, total = construction(renamed)
+                    names = family.structure.names
+                    assert len(set(names)) == len(names), (renamed, construction)
+                    assert total.report.is_embedding, (renamed, construction)
+                    checked += 1
+        assert checked == 3 * 79 + 2 * 17
