@@ -1,8 +1,9 @@
 """Differential tests of the table-driven lattice kernels.
 
 ``core.meet_table`` answers meets by down-row lookup; the enumeration's
-lattice predicates and the gallery's lattice-embedding search read the
-join and meet of every pair off one table pair; the additive embedding
+lattice predicates read the join and meet of every pair off one table
+pair, and the gallery's lattice embeddings are the memoised embedding
+table of the contact-free orders, filtered by meets; the additive embedding
 search kept in ``additive_search`` walks ``induced_embeddings``; and
 ``represent._check_cut_bounds`` walks the subsets depth-first, carrying
 bounds on both sides.  Each is compared here with the per-call scan it
