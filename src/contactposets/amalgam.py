@@ -424,12 +424,13 @@ def semilattice_amalgam(inst: AmalgamInstance) -> SemilatticeAmalgam:
     contact_amalgam has just validated d, so d goes straight to the
     family builder, whose map d -> F is verified.  F is built from its
     member masks; its provenance is built only if a caller reads it,
-    which the limit stages never do.  A side's map is its
-    row-checked inclusion into d followed by that map: it carries that
-    map's report plus one join scan into F (core._preserves_joins).  F
-    is union-closed and x goes to the complement of its up-set, so a
-    side's join survives in F iff it survives in d.  d's existing joins
-    are preserved by construction, which join_preserving_embedding checks.
+    which the limit stages never do.  A side's map is its row-checked
+    inclusion into d followed by that map: it carries that map's report
+    plus one join scan into F (core._preserves_joins, which tests each
+    image by F's up-rows).  F is union-closed and x goes to the
+    complement of its up-set, so a side's join survives in F iff it
+    survives in d.  d's existing joins are preserved by construction,
+    which join_preserving_embedding checks.
     """
     for side in (inst.a, inst.b, inst.c):
         if side.kind != SEMILATTICE:

@@ -179,12 +179,11 @@ def normalize_order(
             if acc != up[i]:
                 up[i] = acc
                 changed = True
-    for i in range(n):
-        for j in bits(up[i]):
-            if j != i and up[j] >> i & 1:
-                raise CycleError(
-                    f"antisymmetry violated: {elements[i]!r} and {elements[j]!r}"
-                )
+    failure = order_failure(up)
+    if failure is not None:
+        # the closure is reflexive and transitive, so only a cycle fails
+        i, j, _ = failure
+        raise CycleError(f"antisymmetry violated: {elements[i]!r} and {elements[j]!r}")
     return tuple(up)
 
 
@@ -392,7 +391,9 @@ def join_table(s: ContactStructure) -> dict[int, int]:
     then an upper bound below every upper bound, and conversely the
     least upper bound k lies in the set and everything above k bounds
     both.  So join(i, j) == table.get(up[i] & up[j]), None when the join
-    is missing.  On a duplicate row the lowest index is kept.
+    is missing.  On a duplicate row the lowest index is kept.  The table
+    is built only to find a join: a known k is tested by its row, as
+    up[k] == up[i] & up[j].
     """
     table: dict[int, int] = {}
     for k, row in enumerate(s.up):
@@ -409,7 +410,8 @@ def meet_table(s: ContactStructure) -> dict[int, int]:
     lower bound, and conversely the greatest lower bound k lies in the
     set and everything below k bounds both.  So meet(i, j) ==
     table.get(down[i] & down[j]), None when the meet is missing.  On a
-    duplicate row the lowest index is kept.
+    duplicate row the lowest index is kept.  A known k is tested by its
+    row, as down[k] == down[i] & down[j].
     """
     table: dict[int, int] = {}
     for k, row in enumerate(s.down_masks()):
@@ -956,16 +958,17 @@ def _preserves_joins(
     source: ContactStructure, target: ContactStructure, f: Sequence[int]
 ) -> bool:
     """Whether the positions f send every join of source to the join of
-    the images; a pair of source without a join fails.  Joins are looked
-    up in the join tables of both sides (see join_table); both lookups
-    are symmetric in i and j, so the pairs i <= j decide it."""
+    the images; a pair of source without a join fails.  Each join is
+    found in the source's join table (see join_table), and its image is
+    tested by its row: f[k] is the join of f[i] and f[j] iff its up-row
+    is the intersection of theirs.  Both are symmetric in i and j, so
+    the pairs i <= j decide it."""
     source_joins = join_table(source)
-    target_joins = join_table(target)
     s_up, t_up = source.up, target.up
     n = source.n
     return all(
         (sj := source_joins.get(s_up[i] & s_up[j])) is not None
-        and f[sj] == target_joins.get(t_up[f[i]] & t_up[f[j]])
+        and t_up[f[sj]] == t_up[f[i]] & t_up[f[j]]
         for i in range(n)
         for j in range(i, n)
     )

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+from .amalgam import AmalgamInstance, contact_amalgam, verify_superamalgamation
 from .core import (
     AxiomReport,
     BottomlessContact,
@@ -189,8 +190,6 @@ def amalgamate_events(
     instance as they stand.  contact_amalgam checks the amalgam and both
     inclusions, and its result is the amalgam's bottomed dual.
     """
-    from .amalgam import AmalgamInstance, contact_amalgam, verify_superamalgamation
-
     if set(a.events) & set(b.events) != set(c.events):
         raise PreconditionViolation("event carriers must intersect exactly in C")
     _require_common_part(a, c)

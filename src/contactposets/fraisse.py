@@ -90,15 +90,13 @@ def embeds_extension(
     an order-reflecting embedding, as verify_map judges it.
 
     Checked once per call, on the anchored points: injectivity, the
-    bottom, order and contact in both directions, and joins.  A join of
-    two anchored points that is x is deferred: it fixes the up-row the
-    candidate must have.  Only the pairs with x are left per candidate.
-    x's column (a <= x, a touches x, for anchored a) is folded into one
-    candidate mask before the loop; its row, its diagonal, its joins
-    with the anchored points and the deferred up-row are checked per
-    candidate.  k is the join of i and j iff up[k] == up[i] & up[j] (see
-    core.join_table; up-rows are distinct in a partial order), and a
-    diagonal pair joins to itself on both sides, so it is skipped.
+    bottom, and order and contact in both directions.  x's column (a <=
+    x, a touches x, for anchored a) is folded into one candidate mask
+    before the loop; its row and its diagonal are checked per candidate.
+    t's joins are found once, in join_table(t), and each candidate scans
+    them all: the map keeps the join k of i and j iff up[g[k]] ==
+    up[g[i]] & up[g[j]] in the stage (see core.join_table).  A diagonal
+    pair joins to itself on both sides, so it is skipped.
     """
     anchored = {into[s_name]: f[s_name] for s_name in into}
     free = [name for name in t.names if name not in anchored]
@@ -131,27 +129,15 @@ def embeds_extension(
     row_up, row_contact = pushed(t.up[x]), pushed(t.contact[x])
     self_up, self_contact = t.up[x] >> x & 1, t.contact[x] >> x & 1
 
-    required = None
-    joins_with_x = []
+    joins = []
     if t.kind == SEMILATTICE and stage.kind == SEMILATTICE:
         t_joins = join_table(t)
-        for pos, i in enumerate(rest):
-            for j in rest[pos + 1:]:
+        for i in range(t.n):
+            for j in range(i + 1, t.n):
                 k = t_joins.get(t.up[i] & t.up[j])
-                bounds = up[g[i]] & up[g[j]]
                 if k is None:
                     return False
-                if k == x:
-                    if required is not None and required != bounds:
-                        return False
-                    required = bounds
-                elif up[g[k]] != bounds:
-                    return False
-        for j in rest:
-            k = t_joins.get(t.up[x] & t.up[j])
-            if k is None:
-                return False
-            joins_with_x.append((g[j], None if k == x else g[k]))
+                joins.append((i, j, k))
     for c in bits(candidates):
         row = up[c]
         if (
@@ -159,12 +145,10 @@ def embeds_extension(
             or contact[c] & image != row_contact
             or (row >> c & 1) != self_up
             or (contact[c] >> c & 1) != self_contact
-            or required is not None and row != required
         ):
             continue
-        if all(
-            up[c if k is None else k] == row & up[j] for j, k in joins_with_x
-        ):
+        g[x] = c
+        if all(up[g[k]] == up[g[i]] & up[g[j]] for i, j, k in joins):
             return True
     return False
 
@@ -291,11 +275,11 @@ def build_limit_stage(
             if exceeded:
                 break
             fresh = f"p{len(log) + 1}"
-            structure, exceeded = _amalgamate_extension(
-                structure, f, t, into, fresh, max_elements
-            )
+            grown = _amalgamate_extension(structure, f, t, into, fresh)
+            exceeded = grown.n > max_elements
             if exceeded:
                 break
+            structure = grown
             log.append(Realization(sub, tuple(sorted(f.items())), t, fresh))
         if len(log) == grown_from:
             break
@@ -308,10 +292,8 @@ def _amalgamate_extension(
     t: ContactStructure,
     into: dict[str, str],
     fresh: str,
-    max_elements: int,
-) -> tuple[ContactStructure, bool]:
-    """Glue one extension onto the stage; returns the grown stage and
-    whether the growth budget was exceeded.
+) -> ContactStructure:
+    """Glue one extension onto the stage; returns the grown stage.
 
     The instance is built unchecked: C is the stage restricted to the
     copy (core._restriction), and t is renamed onto the copy's names
@@ -327,12 +309,9 @@ def _amalgamate_extension(
     copy = sorted(stage.index(name) for name in f.values())
     inst = AmalgamInstance(stage, b_side, _restriction(stage, copy))
     if stage.kind == POSET:
-        grown = contact_amalgam(inst)
-        return grown, grown.n > max_elements
+        return contact_amalgam(inst)
     result = semilattice_amalgam(inst)
     family_structure = result.family.structure
-    if family_structure.n > max_elements:
-        return stage, True
     names = family_structure.names
     renames = {names[k]: name for name, k in zip(stage.names, result.from_a.mapping)}
     renames.setdefault(names[result.from_b.mapping[b_side.index(fresh)]], fresh)
@@ -344,7 +323,7 @@ def _amalgamate_extension(
             while f"q{counter}" in used:
                 counter += 1
             renames[name] = f"q{counter}"
-    return family_structure.rename(renames), False
+    return family_structure.rename(renames)
 
 
 def check_extension_property(

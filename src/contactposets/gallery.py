@@ -19,8 +19,6 @@ from .core import (
     _additivity_check,
     check_contact_axioms,
     close_contact,
-    join_table,
-    meet_table,
     normalize_order,
     overlap_relation,
     restrict,
@@ -99,12 +97,11 @@ def complements(s: ContactStructure, x: int) -> list[int]:
     top = next((i for i in range(s.n) if _is_top(s, i)), None)
     if top is None:
         return []
-    joins, meets, up, down = join_table(s), meet_table(s), s.up, s.down_masks()
+    up, down = s.up, s.down_masks()
     return [
         y
         for y in range(s.n)
-        if joins.get(up[x] & up[y]) == top
-        and meets.get(down[x] & down[y]) == s.bottom
+        if up[top] == up[x] & up[y] and down[s.bottom] == down[x] & down[y]
     ]
 
 
@@ -205,20 +202,21 @@ def _lattice_zero_embeddings(
     a's contact-free rows onto a join-closed subset of d's, so the maps
     are the memoised embedding table of those rows
     (enumeration._embedding_table, both searched as semilattices), kept
-    when they carry each meet of a (core.meet_table) to the meet in d.
+    when they carry each meet of a to the meet in d, tested by d's
+    down-rows (see core.meet_table).
     A source that is not a lattice has no such map.
     """
     operations = lattice_operations(a)
     if operations is None:
         return []
     a_meet = operations[1]
-    d_meets, d_down = meet_table(d), d.down_masks()
+    d_down = d.down_masks()
     meets = [(i, j, a_meet[i][j]) for i in range(a.n) for j in range(i + 1, a.n)]
     a_rows, d_rows = (_rows(x.with_contact([0] * x.n), SEMILATTICE) for x in (a, d))
     return sorted(
         f
         for f in _embedding_table(a_rows, d_rows)
-        if all(d_meets.get(d_down[f[i]] & d_down[f[j]]) == f[k] for i, j, k in meets)
+        if all(d_down[f[k]] == d_down[f[i]] & d_down[f[j]] for i, j, k in meets)
     )
 
 

@@ -21,7 +21,7 @@ from .core import (
     cover_pairs,
     overlap_relation,
 )
-from .errors import ContactError, ParseError
+from .errors import BudgetExceeded, ContactError, ParseError
 from .events import EventStructure
 from .represent import SetFamilyStructure
 
@@ -231,9 +231,7 @@ def report_lines(entries: list[tuple[str, bool, str]]) -> str:
 
 def exit_code_for(exc: ContactError) -> int:
     """Exit-code contract: 1 verification, 2 parse, 3 budget."""
-    from .errors import BudgetExceeded, ParseError as PE
-
-    if isinstance(exc, PE):
+    if isinstance(exc, ParseError):
         return 2
     if isinstance(exc, BudgetExceeded):
         return 3

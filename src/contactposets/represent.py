@@ -91,10 +91,13 @@ class SetFamilyStructure:
 
 def _member_names(universe: Sequence[str], masks: Sequence[int]) -> tuple[str, ...]:
     """Each member's name, "{" + its elements + "}", with "\\" and ","
-    escaped in the element names (once per universe), so distinct
-    members get distinct names; other names are unchanged.  The bits
-    are walked inline, since every member of every family is named."""
-    escaped = [name.replace("\\", "\\\\").replace(",", "\\,") for name in universe]
+    escaped in the element names (once per universe) and the empty name
+    written "\\e", which no escaped name holds, so distinct members get
+    distinct names; other names are unchanged.  The bits are walked
+    inline, since every member of every family is named."""
+    escaped = [
+        name.replace("\\", "\\\\").replace(",", "\\,") or "\\e" for name in universe
+    ]
     names = []
     for mask in masks:
         members = []
@@ -485,7 +488,7 @@ def _check_cut_bounds(
     a subset has a join (a meet, for a nonempty subset) in s, the target
     takes the images to the image of that join (meet).  Element a's
     image is the family member down[a]; the subsets are walked by
-    _bound_sweep, which reads the target's joins and meets.
+    _bound_sweep, which tests each image by its row.
     """
     pos = {mask: i for i, mask in enumerate(family.sets)}
     lost = _bound_sweep(s, family.structure, [pos[row] for row in down], True)
@@ -508,9 +511,10 @@ def _bound_sweep(
     index down with "left out" before "taken", so they come in
     increasing mask order as a plain count would give them.  Each step
     carries the subset's upper bounds in s and in the target, plus its
-    lower bounds with meets, so a leaf costs a lookup per join and meet
-    table (core.join_table, core.meet_table).  Without meets a subtree
-    with no upper bound left in s holds no join and is skipped.
+    lower bounds with meets, so a leaf finds the join (meet) in s's
+    table and tests its image by its row (core.join_table).  Without
+    meets a subtree with no upper bound left in s holds no join and is
+    skipped.
 
     A state already expanded is skipped too: a leaf's verdict depends
     only on its state (k, the bounds, whether the subset is empty), and
@@ -518,15 +522,12 @@ def _bound_sweep(
     one walked without a failure.  The first failure is the one a plain
     count finds, and a chain costs O(n^3) states, not 2^n.
     """
-    s_joins, t_joins = join_table(s), join_table(target)
-    s_up, t_up = s.up, target.up
+    s_joins, s_up, t_up = join_table(s), s.up, target.up
     every, t_every = s.full_mask, target.full_mask
     if meets:
-        s_meets, t_meets = meet_table(s), meet_table(target)
-        s_down, t_down = s.down_masks(), target.down_masks()
+        s_meets, s_down, t_down = meet_table(s), s.down_masks(), target.down_masks()
     else:
-        s_meets = t_meets = {}
-        s_down, t_down = [every] * s.n, [t_every] * target.n
+        s_meets, s_down, t_down = {}, [every] * s.n, [t_every] * target.n
     seen = set()
     stack = [(s.n, 0, every, t_every, every, t_every)]
     while stack:
@@ -547,10 +548,10 @@ def _bound_sweep(
             stack.append((k, subset, ub, t_ub, lb, t_lb))
             continue
         join = s_joins.get(ub)
-        if join is not None and t_joins.get(t_ub) != image[join]:
+        if join is not None and t_up[image[join]] != t_ub:
             return "join", [s.names[a] for a in bits(subset)]
         meet = s_meets.get(lb)
-        if meet is not None and subset and t_meets.get(t_lb) != image[meet]:
+        if meet is not None and subset and t_down[image[meet]] != t_lb:
             return "meet", [s.names[a] for a in bits(subset)]
     return None
 

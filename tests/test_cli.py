@@ -129,6 +129,18 @@ class TestEmbedCommand:
         bundle = json.loads(out_path.read_text())
         assert bundle["report"]["is_embedding"] is True
 
+    @pytest.mark.parametrize("theorem", ["prop2", "cor3"])
+    def test_empty_bottom_name(self, tmp_path, theorem):
+        """A 2-chain whose bottom is named "": the member holding only the
+        bottom is named apart from the empty member, so both embed."""
+        s = ContactStructure.build(["", "a"], "", [("", "a")], [("a", "a")], SEMILATTICE)
+        path = tmp_path / "chain.json"
+        save_structure(str(path), s)
+        out_path = tmp_path / "bundle.json"
+        assert main(["embed", str(path), "--theorem", theorem, "--out", str(out_path)]) == 0
+        bundle = json.loads(out_path.read_text())
+        assert bundle["report"]["is_embedding"] is True
+
     def test_4a_on_chain(self, tmp_path, chain3):
         path = tmp_path / "chain.json"
         save_structure(str(path), chain3)

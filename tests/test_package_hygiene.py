@@ -24,6 +24,14 @@ maps a caller supplies.
 And a set family's provenance is built on read: ``Origin`` is called
 only by the provenance builders in ``represent``, which a family runs
 the first time its provenance is read, so the mask path builds none.
+
+And a join or meet table is built only to find a join or meet: an
+element already known is tested by its row (k is the join of i and j
+iff ``up[k] == up[i] & up[j]``, their meet iff ``down[k] == down[i] &
+down[j]``).  So the calls of ``join_table`` and ``meet_table`` are
+counted per caller: each map check builds the table of its source
+only, and the gallery builds none.  A new caller is a decision to be
+made here, not a table that comes back unnoticed.
 """
 
 import ast
@@ -222,3 +230,32 @@ def test_one_map_search():
     assert {name for name, _ in _callers_everywhere("canonical_table_key")} == {
         "enumeration.py"
     }
+
+
+def _call_counts(callee):
+    return Counter(
+        (path.name, scope)
+        for path in MODULES
+        for scope, _ in _callers(ast.parse(path.read_text(encoding="utf-8")), callee)
+    )
+
+
+def test_join_and_meet_tables_only_find():
+    """Known joins and meets are tested by their rows, so no target-side
+    table is built: _preserves_joins and _bound_sweep build the source's
+    tables only, and embeds_extension t's (the extension, not the stage)."""
+    assert _call_counts("join_table") == Counter({
+        ("core.py", "is_semilattice_order"): 1,
+        ("core.py", "_additivity_check"): 1,
+        ("core.py", "_require_join_closed"): 1,
+        ("core.py", "_preserves_joins"): 1,
+        ("enumeration.py", "lattice_operations"): 1,
+        ("enumeration.py", "_carrier_positions"): 1,
+        ("fraisse.py", "embeds_extension"): 1,
+        ("fraisse.py", "generated_subsemilattice"): 1,
+        ("represent.py", "_bound_sweep"): 1,
+    })
+    assert _call_counts("meet_table") == Counter({
+        ("enumeration.py", "lattice_operations"): 1,
+        ("represent.py", "_bound_sweep"): 1,
+    })

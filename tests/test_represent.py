@@ -231,6 +231,13 @@ class TestMemberNames:
     def test_commas_and_backslashes_escaped(self):
         assert _member_names(["a,b", "c\\", "d"], [7]) == ("{a\\,b,c\\\\,d}",)
 
+    def test_empty_name_is_a_token_of_its_own(self):
+        """The empty name is written \\e, which no escaped name holds, so
+        the member holding only it is not named like the empty member."""
+        assert _member_names(["", "a", "\\e"], [0, 1, 3, 4, 5]) == (
+            "{}", "{\\e}", "{\\e,a}", "{\\\\e}", "{\\e,\\\\e}",
+        )
+
     @pytest.mark.parametrize(
         "others", [["a", "b", "a,b", "c"], ["a\\", "b", "a\\,b", "c\\\\"]]
     )
