@@ -199,11 +199,212 @@ def _glue(inst: AmalgamInstance) -> tuple[list[str], list[int], list[int], list[
     return names, up, contact, into_b
 
 
+def _grow(inst: AmalgamInstance) -> ContactStructure:
+    """contact_amalgam(inst) for one growth step of a limit stage, in
+    O(n) masks: A is a checked structure S of n points, C is S
+    restricted to some of them, and B is C plus one point x outside S.
+
+    S keeps positions 0..n-1 and x takes position n.  By _glue's
+    definition x's up-row is x plus the S up-rows of the C points above
+    x in B, and an S row gains x's bit iff it meets the C points below
+    x, so x's column is their down-set in S, plus x.  B agrees with S on
+    C (the inclusion compare checks it), so every other bit of an S row
+    is S's own.  own(u) is u's contact row in S or B; d
+    touches x iff reach[d], the own rows of the points below d, meets
+    x's column.  So x's contact row is the up-closure of the own rows
+    of x's column, and x's contact column the up-closure of the points
+    whose own row meets x's column.  The two are built apart, so that
+    Sym compares independent masks.  _grown checks the result.
+    """
+    a, b = inst.a, inst.b
+    n, at_a, in_c = a.n, a._name_map(), set(inst.c.names)
+    into_b = [at_a[name] if name in in_c else n for name in b.names]
+    (fresh,) = [i for i, k in enumerate(into_b) if k == n]
+    up_b, contact_b = _lift(into_b, n + 1, b.up, b.contact)
+    bit = 1 << n
+    under = 0
+    for k in into_b:
+        if k != n and up_b[k] & bit:
+            under |= 1 << k
+    up_x = bit | up_b[n]
+    mids = up_b[n] & ~bit
+    while mids:
+        low = mids & -mids
+        up_x |= a.up[low.bit_length() - 1]
+        mids ^= low
+    up = list(a.up)
+    below = bit
+    for s, row in enumerate(a.up):
+        if row & under:
+            up[s] = row | bit
+            below |= 1 << s
+    up.append(up_x)
+
+    own = [*a.contact, 0]
+    for k in into_b:
+        own[k] |= contact_b[k]
+    reach = 0
+    rest = below
+    while rest:
+        low = rest & -rest
+        reach |= own[low.bit_length() - 1]
+        rest ^= low
+    row = 0
+    while reach:
+        low = reach & -reach
+        row |= up[low.bit_length() - 1]
+        reach ^= low
+    column = 0
+    for u, mask in enumerate(own):
+        if mask & below:
+            column |= up[u]
+    contact = list(a.contact)
+    rest = column & ~bit
+    while rest:
+        low = rest & -rest
+        contact[low.bit_length() - 1] |= bit
+        rest ^= low
+    contact.append(row)
+    return _grown(inst, [*a.names, b.names[fresh]], up, contact, into_b)
+
+
+def _grown(
+    inst: AmalgamInstance,
+    names: Sequence[str],
+    up: Sequence[int],
+    contact: Sequence[int],
+    into_b: Sequence[int],
+) -> ContactStructure:
+    """_grow's rows checked as contact_amalgam checks its own, on the
+    tuples that hold x, the last position.
+
+    A is a structure the library built and checked, and every order and
+    contact law is universal in at most three variables.  The inclusion
+    compare shows A's rows come back unchanged apart from x's bit, so a
+    failing tuple holds x: _order_through and _laws_through test those
+    alone.  When one says no, the full check runs on the rows, so the
+    AxiomViolation raised is contact_amalgam's, message and report.
+    """
+    x = len(up) - 1
+    bottom = inst.a.index(inst.c.names[inst.c.bottom])
+    result = ContactStructure(tuple(names), bottom, tuple(up), tuple(contact), POSET)
+    if not _order_through(up, x):
+        _assert_partial_order(up, names)
+    if not _laws_through(up, contact, x, bottom):
+        _require_axioms(result)
+    _require_inclusions(inst, result, into_b)
+    return result
+
+
+def _order_through(up: Sequence[int], x: int) -> bool:
+    """Are the up-rows a partial order on every tuple that holds x?
+
+    Reflexive at x and antisymmetric through x: x's row and column
+    share x and nothing else.  Transitive with x first (x's row is
+    up-closed), in the middle (each row of x's column holds x's row)
+    and last (x's column is down-closed: a row that meets it is in it).
+    """
+    row, bit = up[x], 1 << x
+    column = 0
+    for i, mask in enumerate(up):
+        if mask >> x & 1:
+            column |= 1 << i
+    if row & column != bit:
+        return False
+    rest = row
+    while rest:
+        low = rest & -rest
+        if up[low.bit_length() - 1] & ~row:
+            return False
+        rest ^= low
+    for mask in up:
+        if (mask & row != row) if mask >> x & 1 else mask & column:
+            return False
+    return True
+
+
+def _laws_through(
+    up: Sequence[int], contact: Sequence[int], x: int, bottom: int
+) -> bool:
+    """Given _order_through's yes, do Sym, Emp, Ref, Ext and Inh hold on
+    every tuple that holds x, which is not the bottom?  The tuples are
+    those _rows_valid walks.
+
+    Sym: x's contact row equals its contact column.  Emp: x does not
+    touch the bottom.  Ext, contact rows growing along the order: x's
+    row lies inside the rows above x, the rows below x inside x's row,
+    and x's column is an up-set.  Inh at x: x's up-row lies inside the
+    contact rows above x, x's own among them, so x touches itself
+    (Ref).  Inh at a point m below x, off the bottom, follows: m's
+    up-row is x plus S's part, which lies inside m's contact row by S's
+    own Inh, and so inside x's row.
+    """
+    row, bit = contact[x], 1 << x
+    touching = below = 0
+    for i, mask in enumerate(contact):
+        if mask >> x & 1:
+            touching |= 1 << i
+        if up[i] >> x & 1:
+            below |= 1 << i
+    if row != touching or row >> bottom & 1:
+        return False
+    need = row | up[x]
+    rest = up[x]
+    while rest:
+        low = rest & -rest
+        if need & ~contact[low.bit_length() - 1]:
+            return False
+        rest ^= low
+    rest = below
+    while rest:
+        low = rest & -rest
+        if contact[low.bit_length() - 1] & ~row:
+            return False
+        rest ^= low
+    rest = touching
+    while rest:
+        low = rest & -rest
+        if up[low.bit_length() - 1] & ~touching:
+            return False
+        rest ^= low
+    return True
+
+
 def _assert_partial_order(up: Sequence[int], names: Sequence[str]) -> None:
     failure = order_failure(up)
     if failure is not None:
         i, j, law = failure
         raise AxiomViolation(f"amalgam order not {law} at {names[i]!r}, {names[j]!r}")
+
+
+def _require_axioms(result: ContactStructure) -> None:
+    report = check_contact_axioms(result)
+    if not report.ok:
+        raise AxiomViolation("amalgamated contact failed the axioms", report)
+
+
+def _require_inclusions(
+    inst: AmalgamInstance, result: ContactStructure, into_b: Sequence[int]
+) -> None:
+    """The inclusions of A and B must be embeddings, which is the
+    restriction property of the construction: each side's order and
+    contact rows come back at its positions (the row form of
+    verify_map's test) and its bottom is the amalgam's.  A sits at the
+    first positions, so its rows come back under one mask; B's are
+    pulled back through its positions."""
+    a, b = inst.a, inst.b
+    up, contact, bottom = result.up, result.contact, result.bottom
+    a_mask = a.full_mask
+    if (
+        a.bottom != bottom
+        or into_b[b.bottom] != bottom
+        or any(
+            up[x] & a_mask != a.up[x] or contact[x] & a_mask != a.contact[x]
+            for x in range(a.n)
+        )
+        or restrict(into_b, up, contact) != [tuple(b.up), tuple(b.contact)]
+    ):
+        raise AxiomViolation("inclusion into the amalgam is not an embedding")
 
 
 def order_amalgam(inst: AmalgamInstance) -> tuple[tuple[str, ...], tuple[int, ...]]:
@@ -222,31 +423,16 @@ def order_amalgam(inst: AmalgamInstance) -> tuple[tuple[str, ...], tuple[int, ..
 def contact_amalgam(inst: AmalgamInstance) -> ContactStructure:
     """Amalgamated contact structure on the union carrier (_glue).
 
-    The result must pass the contact axioms, and the inclusions of A and
-    B are verified as embeddings, which is the restriction property of
-    the construction: each side's order and contact rows come back at
-    its positions (the row form of verify_map's test) and its bottom is
-    the amalgam's.  A sits at the first positions, so its rows come back
-    under one mask; B's are pulled back through its positions.
+    The result must pass the contact axioms in full, and the inclusions
+    of A and B are verified as embeddings (_require_inclusions).  This
+    is the check for instances a caller builds, whose sides may be
+    broken; the limit stages' growth steps go through _grow instead.
     """
-    a, b = inst.a, inst.b
     names, up, contact, into_b = _glue(inst)
-    bottom = a.index(inst.c.names[inst.c.bottom])
+    bottom = inst.a.index(inst.c.names[inst.c.bottom])
     result = ContactStructure(tuple(names), bottom, tuple(up), tuple(contact), POSET)
-    report = check_contact_axioms(result)
-    if not report.ok:
-        raise AxiomViolation("amalgamated contact failed the axioms", report)
-    a_mask = a.full_mask
-    if (
-        a.bottom != bottom
-        or into_b[b.bottom] != bottom
-        or any(
-            up[x] & a_mask != a.up[x] or contact[x] & a_mask != a.contact[x]
-            for x in range(a.n)
-        )
-        or restrict(into_b, up, contact) != [tuple(b.up), tuple(b.contact)]
-    ):
-        raise AxiomViolation("inclusion into the amalgam is not an embedding")
+    _require_axioms(result)
+    _require_inclusions(inst, result, into_b)
     return result
 
 
@@ -421,21 +607,30 @@ def semilattice_amalgam(inst: AmalgamInstance) -> SemilatticeAmalgam:
     so it is pushed join-preservingly into a union-closed overlap family
     where both sides land as semilattice embeddings.
 
-    contact_amalgam has just validated d, so d goes straight to the
-    family builder, whose map d -> F is verified.  F is built from its
-    member masks; its provenance is built only if a caller reads it,
-    which the limit stages never do.  A side's map is its row-checked
-    inclusion into d followed by that map: it carries that map's report
-    plus one join scan into F (core._preserves_joins, which tests each
-    image by F's up-rows).  F is union-closed and x goes to the
-    complement of its up-set, so a side's join survives in F iff it
-    survives in d.  d's existing joins are preserved by construction,
-    which join_preserving_embedding checks.
+    d is contact_amalgam's, checked in full (_semilattice_over).
     """
     for side in (inst.a, inst.b, inst.c):
         if side.kind != SEMILATTICE:
             raise PreconditionViolation("all three structures must be semilattices")
-    d = contact_amalgam(inst)
+    return _semilattice_over(inst, contact_amalgam(inst))
+
+
+def _semilattice_over(inst: AmalgamInstance, d: ContactStructure) -> SemilatticeAmalgam:
+    """The semilattice amalgam of inst over its poset amalgam d, which
+    the caller has validated: contact_amalgam's result, or on a limit
+    stage's growth step _grow's, which is the same value.
+
+    d goes straight to the family builder, whose map d -> F is
+    verified.  F is built from its member masks; its provenance is built
+    only if a caller reads it, which the limit stages never do.  A
+    side's map is its row-checked inclusion into d followed by that
+    map: it carries that map's report plus one join scan into F
+    (core._preserves_joins, which tests each image by F's up-rows).  F
+    is union-closed and x goes to the complement of its up-set, so a
+    side's join survives in F iff it survives in d.  d's existing joins
+    are preserved by construction, which join_preserving_embedding
+    checks.
+    """
     family, into = _image_embedding(d, True, SEMILATTICE)
     side_maps = []
     for tag, side in (("A", inst.a), ("B", inst.b)):

@@ -14,6 +14,8 @@ from typing import Iterable, Iterator
 
 from .amalgam import (
     AmalgamInstance,
+    _grow,
+    _semilattice_over,
     contact_amalgam,
     semilattice_amalgam,
     verify_superamalgamation,
@@ -297,10 +299,14 @@ def _amalgamate_extension(
 
     The instance is built unchecked: C is the stage restricted to the
     copy (core._restriction), and t is renamed onto the copy's names
-    plus fresh.  contact_amalgam's inclusion check, which compares both
-    sides' rows with the amalgam's, is the one check of it.  A
-    semilattice stage grows into the family's structure, renamed; the
-    family's provenance is never read, so it is never built.
+    plus fresh.  Its poset amalgam is amalgam._grow's, which builds
+    only the fresh point's row and column and checks only the tuples
+    that hold it: the stage was checked when it was built, and the
+    inclusion compare, which matches both sides' rows with the
+    amalgam's, shows its rows come back unchanged.  That compare is the
+    one check of the instance.  A semilattice stage grows into the
+    family's structure over that amalgam, renamed; the family's
+    provenance is never read, so it is never built.
     """
     rename = {into[s_name]: f[s_name] for s_name in into}
     (free,) = set(t.names) - set(rename)
@@ -308,9 +314,10 @@ def _amalgamate_extension(
     b_side = t.rename(rename)
     copy = sorted(stage.index(name) for name in f.values())
     inst = AmalgamInstance(stage, b_side, _restriction(stage, copy))
+    grown = _grow(inst)
     if stage.kind == POSET:
-        return contact_amalgam(inst)
-    result = semilattice_amalgam(inst)
+        return grown
+    result = _semilattice_over(inst, grown)
     family_structure = result.family.structure
     names = family_structure.names
     renames = {names[k]: name for name, k in zip(stage.names, result.from_a.mapping)}

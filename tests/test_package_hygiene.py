@@ -32,6 +32,15 @@ down[j]``).  So the calls of ``join_table`` and ``meet_table`` are
 counted per caller: each map check builds the table of its source
 only, and the gallery builds none.  A new caller is a decision to be
 made here, not a table that comes back unnoticed.
+
+And an amalgam's rows are built two ways, each with one caller set:
+``_glue`` builds every row and serves ``order_amalgam`` and
+``contact_amalgam``, which check the result in full; the one-point
+kernel ``_grow`` builds only the new point's row and column and checks
+only the tuples that hold it, which is sound only when A is a stage the
+library built and checked.  So ``_grow`` is called by
+``fraisse._amalgamate_extension`` alone: a second caller would be a
+second code path that trusts its A unchecked.
 """
 
 import ast
@@ -259,3 +268,11 @@ def test_join_and_meet_tables_only_find():
         ("enumeration.py", "lattice_operations"): 1,
         ("represent.py", "_bound_sweep"): 1,
     })
+
+
+def test_two_row_builders_with_fixed_callers():
+    assert _callers_everywhere("_glue") == {
+        ("amalgam.py", "order_amalgam"),
+        ("amalgam.py", "contact_amalgam"),
+    }
+    assert _callers_everywhere("_grow") == {("fraisse.py", "_amalgamate_extension")}

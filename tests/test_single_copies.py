@@ -35,6 +35,7 @@ import pytest
 from contactposets import fraisse
 from contactposets.amalgam import (
     AmalgamInstance,
+    _grow,
     contact_amalgam,
     semilattice_amalgam,
     verify_superamalgamation,
@@ -240,7 +241,7 @@ STAGE_SETTINGS = [
 @pytest.fixture
 def checked_instances(monkeypatch):
     """Run every instance the stage builder glues through from_parts
-    first; count them."""
+    first; count them.  A growth step glues through the kernel _grow."""
     seen = []
 
     def checking(amalgamate):
@@ -252,6 +253,7 @@ def checked_instances(monkeypatch):
 
     monkeypatch.setattr(fraisse, "contact_amalgam", checking(contact_amalgam))
     monkeypatch.setattr(fraisse, "semilattice_amalgam", checking(semilattice_amalgam))
+    monkeypatch.setattr(fraisse, "_grow", checking(_grow))
     return seen
 
 

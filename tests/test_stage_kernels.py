@@ -7,6 +7,13 @@ set families (cut lattices included) build their inclusion and small
 overlap tables from holder masks.  Each is compared here with the loop
 it replaced, kept below as the reference.  A digest pins the outputs of
 both limit-stage legs.
+
+A growth step of a limit stage goes through ``amalgam._grow``, which
+builds the fresh point's row and column only and checks only the tuples
+that hold it.  It is compared with ``contact_amalgam`` on every
+one-point gluing of at most 4 points and on every growth step of the
+stages below, and its checks with ``contact_amalgam``'s on its result
+with one bit flipped.
 """
 
 import hashlib
@@ -14,7 +21,7 @@ import random
 
 import pytest
 
-from contactposets import amalgam, represent
+from contactposets import amalgam, fraisse, represent
 from contactposets.core import (
     POSET,
     SEMILATTICE,
@@ -417,3 +424,169 @@ def test_cut_family_inclusion_matches_scan():
     for s in AgeCatalog.build(6, SEMILATTICE).items:
         family = complete_lattice_embedding(s)[0]
         assert list(family.structure.up) == reference_inclusion(list(family.sets))
+
+
+# ---------------------------------------------------------------------------
+# the one-point growth kernel
+
+
+def test_grow_matches_contact_amalgam_on_one_point_gluings():
+    """Every labelled gluing of at most 4 points of both kinds in which
+    B has one point outside C."""
+    seen = {POSET: 0, SEMILATTICE: 0}
+    for kind in seen:
+        items = AgeCatalog.build(4, kind).items
+        for a in items:
+            for b in items:
+                for inst in iter_gluings(a, b):
+                    if inst.b.n == inst.c.n + 1:
+                        assert amalgam._grow(inst) == amalgam.contact_amalgam(inst)
+                        seen[kind] += 1
+    assert seen == {POSET: 896, SEMILATTICE: 86}
+
+
+GROWTH_SETTINGS = [
+    # kind, catalog bound, cap, sweeps, max_elements, final size
+    pytest.param(POSET, 3, 2, 50, 64, 64, id="criterion-7-poset"),
+    pytest.param(SEMILATTICE, 3, 2, 50, 64, 64, id="criterion-7-semilattice"),
+    pytest.param(POSET, 3, 2, 64, 128, 128, id="bench-poset"),
+    pytest.param(SEMILATTICE, 3, 2, 64, 64, 64, id="bench-semilattice"),
+    pytest.param(POSET, 3, 2, 9, 10_000, 370, id="sweep-chain-cap-2"),
+    pytest.param(POSET, 4, 3, 3, 10_000, 42, id="sweep-chain-cap-3"),
+]
+
+
+@pytest.mark.parametrize("kind,bound,cap,sweeps,max_elements,size", GROWTH_SETTINGS)
+def test_grow_matches_contact_amalgam_on_growth_steps(
+    monkeypatch, kind, bound, cap, sweeps, max_elements, size
+):
+    steps = []
+
+    def compared(inst):
+        grown = amalgam._grow(inst)
+        assert grown == amalgam.contact_amalgam(inst)
+        steps.append(inst)
+        return grown
+
+    monkeypatch.setattr(fraisse, "_grow", compared)
+    catalog = AgeCatalog.build(bound, kind)
+    stage = build_limit_stage(kind, cap, sweeps, catalog=catalog,
+                              max_elements=max_elements)
+    assert stage.structure.n == size
+    assert len(steps) == len(stage.log) == size - 1
+
+
+def reference_amalgam_checks(inst, names, up, contact):
+    """contact_amalgam's checks after _glue on the rows given, the
+    inclusions read by name: the first order failure, then the axioms,
+    then both sides' rows and bottoms at their names."""
+    amalgam._assert_partial_order(up, names)
+    bottom = inst.a.index(inst.c.names[inst.c.bottom])
+    result = ContactStructure(tuple(names), bottom, tuple(up), tuple(contact), POSET)
+    report = check_contact_axioms(result)
+    if not report.ok:
+        raise AxiomViolation("amalgamated contact failed the axioms", report)
+    for side in (inst.a, inst.b):
+        at = [result.index(name) for name in side.names]
+        if at[side.bottom] != bottom or any(
+            (up[at[i]] >> at[j] & 1) != (side.up[i] >> j & 1)
+            or (contact[at[i]] >> at[j] & 1) != (side.contact[i] >> j & 1)
+            for i in range(side.n)
+            for j in range(side.n)
+        ):
+            raise AxiomViolation(INCLUSION)
+    return result
+
+
+INCLUSION = "inclusion into the amalgam is not an embedding"
+
+
+def raised_with_report(check, *args):
+    """(type, message, report) of the AxiomViolation check raises, or
+    None."""
+    try:
+        check(*args)
+    except AxiomViolation as exc:
+        return type(exc), str(exc), exc.report
+    return None
+
+
+def _growth_steps(monkeypatch, kind, max_elements, count, seed):
+    """count seeded growth steps of a cap-2 stage, as (instance, grown),
+    chosen among the steps onto at least 8 points."""
+    steps = []
+
+    def kept(inst):
+        grown = amalgam._grow(inst)
+        steps.append((inst, grown))
+        return grown
+
+    monkeypatch.setattr(fraisse, "_grow", kept)
+    build_limit_stage(kind, 2, 64, catalog=AgeCatalog.build(3, kind),
+                      max_elements=max_elements)
+    monkeypatch.undo()
+    return random.Random(seed).sample(steps[7:], count)
+
+
+def test_grow_checks_match_contact_amalgam_on_flipped_bits(monkeypatch):
+    """Each bit of x's up row, x's up column (an S up-row at x's bit),
+    x's contact row and x's contact column, flipped alone on seeded
+    growth steps, and each pair of x's contact row and column flipped
+    together, which passes Sym and so reaches the later laws: _grown
+    raises exactly what contact_amalgam's checks raise on the same
+    rows, and each x-tuple check says no exactly when the full check
+    does.  A flip of an S row off x's bit breaks S's own tuples, which
+    the x-tuple checks skip: both raise, and mostly the inclusion
+    compare is what catches it."""
+    outcomes = {}
+    steps = (_growth_steps(monkeypatch, POSET, 128, 4, 2711)
+             + _growth_steps(monkeypatch, SEMILATTICE, 64, 4, 2712))
+    rng = random.Random(2713)
+    for inst, grown in steps:
+        names, x, bottom = grown.names, grown.n - 1, grown.bottom
+        into_b = [grown.index(name) for name in inst.b.names]
+        flips = [
+            (target, table, row, column)
+            for target, table, lines in (
+                ("up row", "up", [(x, j) for j in range(grown.n)]),
+                ("up column", "up", [(i, x) for i in range(x)]),
+                ("contact row", "contact", [(x, j) for j in range(grown.n)]),
+                ("contact column", "contact", [(i, x) for i in range(x)]),
+                ("contact pair", "contact", [(x, j) for j in range(x)]),
+                ("S row", rng.choice(["up", "contact"]),
+                 [(rng.randrange(x), rng.randrange(x)) for _ in range(4)]),
+            )
+            for row, column in lines
+        ]
+        for target, table, row, column in flips:
+            rows = {"up": list(grown.up), "contact": list(grown.contact)}
+            rows[table][row] ^= 1 << column
+            if target == "contact pair":
+                rows[table][column] ^= 1 << row
+            up, contact = rows["up"], rows["contact"]
+            expected = raised_with_report(reference_amalgam_checks, inst, names, up, contact)
+            got = raised_with_report(amalgam._grown, inst, names, up, contact, into_b)
+            if target == "S row":
+                assert expected is not None and got is not None
+            else:
+                assert got == expected
+                order = amalgam._order_through(up, x)
+                assert order == (order_failure(up) is None)
+                if order:
+                    assert amalgam._laws_through(up, contact, x, bottom) == (
+                        _rows_valid(up, contact, bottom))
+            key = (target, None if got is None else got[1].split(" at ")[0])
+            outcomes[key] = outcomes.get(key, 0) + 1
+    for target in ("up row", "up column", "contact row", "contact column", "contact pair"):
+        assert outcomes.get((target, None), 0) < sum(
+            count for (t, _), count in outcomes.items() if t == target)
+    messages = {message for _, message in outcomes}
+    assert messages >= {
+        None,
+        "amalgam order not reflexive",
+        "amalgam order not antisymmetric",
+        "amalgam order not transitive",
+        "amalgamated contact failed the axioms",
+        INCLUSION,
+    }
+    assert outcomes[("S row", INCLUSION)] > 16
