@@ -209,12 +209,12 @@ def _grow(inst: AmalgamInstance) -> ContactStructure:
     x in B, and an S row gains x's bit iff it meets the C points below
     x, so x's column is their down-set in S, plus x.  B agrees with S on
     C (the inclusion compare checks it), so every other bit of an S row
-    is S's own.  own(u) is u's contact row in S or B; d
-    touches x iff reach[d], the own rows of the points below d, meets
-    x's column.  So x's contact row is the up-closure of the own rows
-    of x's column, and x's contact column the up-closure of the points
-    whose own row meets x's column.  The two are built apart, so that
-    Sym compares independent masks.  _grown checks the result.
+    is S's own.  own(u) is u's contact row in S or B; d touches x iff
+    reach[d], the own rows of the points below d, meets x's column.  So
+    x's contact row is the up-closure of the own rows of x's column, and
+    x's contact column the up-closure of the points whose own row meets
+    x's column.  The two are built apart, so that Sym compares
+    independent masks.  _grown checks the result.
     """
     a, b = inst.a, inst.b
     n, at_a, in_c = a.n, a._name_map(), set(inst.c.names)
