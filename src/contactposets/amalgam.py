@@ -19,12 +19,16 @@ from .core import (
     ContactStructure,
     StructureMap,
     _fresh_names,
+    _own_name_map,
     _preserves_joins,
     _pull_back,
     _require_join_closed,
     _runs,
+    _verify_positions,
+    bits,
     check_contact_axioms,
     induced_substructure,
+    join_table,
     order_failure,
     restrict,
     verify_map,
@@ -34,7 +38,7 @@ from .errors import (
     JoinNotPreserved,
     PreconditionViolation,
 )
-from .represent import SetFamilyStructure, _image_embedding
+from .represent import SetFamilyStructure, _holders, _image_embedding, _image_family
 
 
 @dataclass(frozen=True)
@@ -214,7 +218,8 @@ def _grow(inst: AmalgamInstance) -> ContactStructure:
     x's contact row is the up-closure of the own rows of x's column, and
     x's contact column the up-closure of the points whose own row meets
     x's column.  The two are built apart, so that Sym compares
-    independent masks.  _grown checks the result.
+    independent masks.  _grown checks the result, which carries its own
+    name map, S's plus x's name (core._own_name_map).
     """
     a, b = inst.a, inst.b
     n, at_a, in_c = a.n, a._name_map(), set(inst.c.names)
@@ -265,7 +270,11 @@ def _grow(inst: AmalgamInstance) -> ContactStructure:
         contact[low.bit_length() - 1] |= bit
         rest ^= low
     contact.append(row)
-    return _grown(inst, [*a.names, b.names[fresh]], up, contact, into_b)
+    result = _grown(inst, [*a.names, b.names[fresh]], up, contact, into_b)
+    positions = dict(at_a)
+    positions.setdefault(b.names[fresh], n)
+    _own_name_map(result, positions)
+    return result
 
 
 def _grown(
@@ -617,19 +626,26 @@ def semilattice_amalgam(inst: AmalgamInstance) -> SemilatticeAmalgam:
 
 def _semilattice_over(inst: AmalgamInstance, d: ContactStructure) -> SemilatticeAmalgam:
     """The semilattice amalgam of inst over its poset amalgam d, which
-    the caller has validated: contact_amalgam's result, or on a limit
-    stage's growth step _grow's, which is the same value.
+    the caller has validated: contact_amalgam's result, or the growth
+    kernel's d when _grow_semilattice's checks say no and this path
+    raises the error.
 
-    d goes straight to the family builder, whose map d -> F is
-    verified.  F is built from its member masks; its provenance is built
-    only if a caller reads it, which the limit stages never do.  A
+    d goes straight to the family builder: F is the union closure of
+    the images phi(a), the complement of a's up-set, and of phi(a) &
+    phi(b) per incomparable contact pair, and the map d -> F is
+    verified.  Contact between images is d's: a generator of F inside
+    phi(a) & phi(b) is phi(c) with c below both, or phi(c) & phi(e)
+    with c touching e and each of a and b above c or e, so a touches b
+    by Ext; conversely phi(a) & phi(b) is itself a generator when a
+    touches b.  F's provenance is built only if a caller reads it.  A
     side's map is its row-checked inclusion into d followed by that
     map: it carries that map's report plus one join scan into F
     (core._preserves_joins, which tests each image by F's up-rows).  F
-    is union-closed and x goes to the complement of its up-set, so a
-    side's join survives in F iff it survives in d.  d's existing joins
-    are preserved by construction, which join_preserving_embedding
-    checks.
+    is union-closed and phi(s) | phi(t) is phi(u) iff up(u) = up(s) &
+    up(t), so a side's join survives in F iff it survives in d.  Where
+    d has no join of two elements, their images' union is a member of
+    F that is no image.  d's existing joins are preserved by
+    construction, which join_preserving_embedding checks.
     """
     family, into = _image_embedding(d, True, SEMILATTICE)
     side_maps = []
@@ -648,3 +664,142 @@ def _semilattice_over(inst: AmalgamInstance, d: ContactStructure) -> Semilattice
         inst, family.structure.up, from_a.mapping, from_b.mapping
     )
     return SemilatticeAmalgam(inst, d, family, into, from_a, from_b, report)
+
+
+def _grow_semilattice(inst: AmalgamInstance, d: ContactStructure) -> ContactStructure:
+    """The semilattice a limit stage grows into on one growth step: the
+    subsemilattice of _semilattice_over's family F generated by the
+    stage S and the extension B = C + x, built by rows from _grow's
+    checked amalgam d.  F, its union closure, holder tables, member
+    names and axiom check are not built.
+
+    phi(a) is the complement of a's up-set in d, so a <= b iff phi(a) is
+    inside phi(b), and F is the union closure of the images and of
+    phi(a) & phi(b) per contact pair; two members touch iff a nonempty
+    generator (an image or a pair intersection) lies inside both, as a
+    union inside both holds each of its parts.  Contact between images
+    is d's.  If a touches b, phi(a) & phi(b) is a generator inside both
+    (phi(a) itself when a <= b), nonempty since a and b are not the
+    bottom.  Conversely a generator inside both is phi(c), with c below
+    a and b and touching itself, or phi(c) & phi(e) with c touching e,
+    where each of a and b lies above c or e; by Ext a touches b.
+
+    Members.  phi(s) | phi(t) is phi(u) iff u's up-row is up(s) & up(t),
+    that is iff u is the join of s and t in d.  S's joins survive in d
+    (checked below), so a union of images is phi(a) or phi(s) | phi(x)
+    for some s of S whose join with x is missing in d, and a union
+    holding such a member is one again.  So the generated part is the
+    images plus phi(s) | phi(x), the complement of up(s) & up(x), per
+    missing join (s, x), sorted by (size, mask) as F sorts its members.
+    A join in d is found in d's join table.  An added member u, the
+    complement of an up-set, gets its row and column from the masks
+    (_with_added).  Images keep their names, and each added member is
+    named qN, N counting up past every name in use.  The rows are
+    reordered by runs (core.restrict), and the result gets its own name
+    map.
+
+    Checks, on the tuples that hold x.  S's joins survive iff S's points
+    below x are closed under S's joins: a join of s and t, both below x
+    or not, keeps its row outside x's bit, and x's bit is in up(s) &
+    up(t) iff both are below x.  Those points are a down-set of S (x's
+    column is down-closed, which _grow checked), so they are closed
+    under joins iff they have a greatest element: one test of the AND
+    of their up-rows.  B's joins are scanned in full
+    (core._preserves_joins; B has at most cap + 1 points), and the map
+    d -> result passes verify_map.  A no re-runs _semilattice_over, so
+    the error raised is its own.
+    """
+    x = inst.a.n
+    up, contact, full = d.up, d.contact, d.full_mask
+    below, bounds = 0, full
+    for s, row in enumerate(up[:x]):
+        if row >> x & 1:
+            below |= 1 << s
+            bounds &= row
+    joins, up_x = join_table(d), up[x]
+    missing = list(dict.fromkeys(
+        common for row in up[:x] if (common := row & up_x) not in joins
+    ))
+    sets = [full & ~row for row in up] + [full & ~common for common in missing]
+    up, contact = _with_added(d, sets, missing)
+    order = sorted(range(len(sets)), key=lambda i: (sets[i].bit_count(), sets[i]))
+    position = [0] * len(order)
+    for k, i in enumerate(order):
+        position[i] = k
+    up, contact = restrict(order, up, contact)
+    names = _generated_names(d.names, order)
+    result = ContactStructure(names, position[d.bottom], up, contact, SEMILATTICE)
+    positions = {name: position[i] for name, i in d._name_map().items()}
+    if missing:
+        positions.update((names[k], k) for k, i in enumerate(order) if i > x)
+    _own_name_map(result, positions)
+    report = _verify_positions(d, result, tuple(position[: x + 1])).report
+    into_b = [position[d.index(name)] for name in inst.b.names]
+    if not (
+        bounds & below
+        and report.is_embedding
+        and report.order_reflecting
+        and _preserves_joins(inst.b, result, into_b)
+    ):
+        _semilattice_over(inst, d)
+    return result
+
+
+def _with_added(
+    d: ContactStructure, sets: Sequence[int], missing: Sequence[int]
+) -> tuple[list[int], list[int]]:
+    """d's up and contact rows with a row and a column for each added
+    member, in missing's order after d's positions.  sets holds every
+    member's mask, the images first; missing holds the up-set U of each
+    added member, whose mask is U's complement.
+
+    u holds phi(a) iff U lies inside up(a), and lies inside phi(a) iff
+    up(a) lies inside U, that is iff a is in U (U is an up-set); of two
+    added members, u lies inside v iff v's up-set lies inside u's.  u
+    touches a member iff some nonempty generator of F (an image or a
+    pair intersection, represent._image_family) lies inside both: the
+    holders of the generators inside u (represent._holders over sets).
+    """
+    n = d.n
+    up, contact = list(d.up), list(d.contact)
+    if not missing:
+        return up, contact
+    holders = _holders(sets)
+    generators = [g for g in _image_family(d, sets[:n], False) if g]
+    for k, common in enumerate(missing):
+        bit = 1 << n + k
+        row = common
+        for j, other in enumerate(missing):
+            if not other & ~common:
+                row |= 1 << n + j
+        for a in range(n):
+            if not common & ~up[a]:
+                up[a] |= bit
+        up.append(row)
+        touching = 0
+        for g in generators:
+            if not g & ~sets[n + k]:
+                touching |= holders(g)
+        for a in bits(touching & (1 << n) - 1):
+            contact[a] |= bit
+        contact.append(touching)
+    return up, contact
+
+
+def _generated_names(d_names: Sequence[str], order: Sequence[int]) -> tuple[str, ...]:
+    """The names of _grow_semilattice's members in their order: d's
+    element i keeps d's name, and each added member takes the next qN
+    whose name is not in use, N counting up from 1."""
+    if len(order) == len(d_names):
+        return tuple(d_names[i] for i in order)
+    used = set(d_names)
+    names, counter = [], 0
+    for i in order:
+        if i < len(d_names):
+            names.append(d_names[i])
+            continue
+        counter += 1
+        while f"q{counter}" in used:
+            counter += 1
+        names.append(f"q{counter}")
+    return tuple(names)

@@ -1,7 +1,11 @@
 """Command-line surface.
 
 Exit codes are a stable contract: 0 success, 1 verification failure,
-2 parse or format error, 3 exhausted budget.
+2 parse or format error, 3 exhausted budget.  A budget is a bound on
+the size of the work (``fraisse --max-elements``, ``--cap``,
+``enumerate --size``, ``gallery --failure-bound``).  A ``fraisse
+--budget`` of sweeps is not one: a run that spends its sweeps before a
+fixpoint exits 0, and its bundle and summary say ``fixpoint: false``.
 """
 
 from __future__ import annotations
@@ -262,11 +266,14 @@ def cmd_fraisse(args: argparse.Namespace) -> int:
         args.kind, args.cap, args.budget, max_elements=args.max_elements
     )
     report = fr.check_extension_property(stage, args.cap)
+    # every (copy, extension) pair realized: one more sweep adds nothing
+    fixpoint = report.realized == report.total
     bundle = {
         "kind": args.kind,
         "stage": formats.structure_to_doc(stage.structure),
         "sweeps": stage.stage,
         "budget_exceeded": stage.budget_exceeded,
+        "fixpoint": fixpoint,
         "log": [
             {
                 "substructure": formats.structure_to_doc(entry.sub),
@@ -287,7 +294,8 @@ def cmd_fraisse(args: argparse.Namespace) -> int:
     _emit(bundle, args.out)
     print(
         f"stage size {stage.structure.n}, sweeps {stage.stage}, "
-        f"extension fraction {report.fraction:.4f}",
+        f"extension fraction {report.fraction:.4f}, "
+        f"fixpoint {str(fixpoint).lower()}",
         file=sys.stderr,
     )
     return 3 if stage.budget_exceeded else 0
@@ -409,8 +417,11 @@ COMMANDS: dict[str, Command] = {
     "fraisse": Command("build a limit stage", cmd_fraisse, (
         _arg("--kind", choices=CONTACT_KINDS, default=POSET),
         _arg("--cap", type=_positive_int, default=2, help="substructure size cap"),
-        _arg("--budget", type=_positive_int, default=8, help="number of sweeps"),
-        _arg("--max-elements", type=_positive_int, default=64),
+        _arg("--budget", type=_positive_int, default=8,
+             help="number of sweeps; a run that spends them before a fixpoint "
+             "exits 0 and reports fixpoint false"),
+        _arg("--max-elements", type=_positive_int, default=64,
+             help="stage size bound; a stage that would outgrow it exits 3"),
         _OUT,
     )),
     "enumerate": Command("catalog structures up to isomorphism", cmd_enumerate, (

@@ -257,6 +257,15 @@ def _shared_index_map(names: tuple[str, ...]) -> dict[str, int]:
     return index_map(names)
 
 
+def _own_name_map(s: "_Carrier", positions: dict[str, int]) -> None:
+    """Give s its own name -> position map, positions, which must equal
+    index_map(s.names): a builder that has the map at hand hands it
+    over, and it stays out of the shared memo.  A limit stage's names
+    tuple is new at every growth step, so a memo entry per step would
+    hold one map per stage size, memory quadratic in the stage."""
+    object.__setattr__(s, "_positions", positions)
+
+
 class _Carrier:
     """What ContactStructure and BottomlessContact share: names, order
     rows and contact rows.  The name -> position map is fetched on a
@@ -929,7 +938,14 @@ def verify_map(
     definition does, for every map, injective or not.  Join
     preservation is one _preserves_joins scan.
     """
-    f = _image_positions(source, target, mapping)
+    return _verify_positions(source, target, _image_positions(source, target, mapping))
+
+
+def _verify_positions(
+    source: ContactStructure, target: ContactStructure, f: Sequence[int]
+) -> StructureMap:
+    """verify_map of the map sending source position i to target
+    position f[i]."""
     n = source.n
     injective = len(set(f)) == n
     bottom = f[source.bottom] == target.bottom

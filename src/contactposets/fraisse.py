@@ -15,7 +15,7 @@ from typing import Iterable, Iterator
 from .amalgam import (
     AmalgamInstance,
     _grow,
-    _semilattice_over,
+    _grow_semilattice,
     contact_amalgam,
     semilattice_amalgam,
     verify_superamalgamation,
@@ -299,14 +299,17 @@ def _amalgamate_extension(
 
     The instance is built unchecked: C is the stage restricted to the
     copy (core._restriction), and t is renamed onto the copy's names
-    plus fresh.  Its poset amalgam is amalgam._grow's, which builds
+    plus fresh.  Its poset amalgam d is amalgam._grow's, which builds
     only the fresh point's row and column and checks only the tuples
     that hold it: the stage was checked when it was built, and the
     inclusion compare, which matches both sides' rows with the
     amalgam's, shows its rows come back unchanged.  That compare is the
     one check of the instance.  A semilattice stage grows into the
-    family's structure over that amalgam, renamed; the family's
-    provenance is never read, so it is never built.
+    subsemilattice that the stage and t generate in the union-closed
+    image family of d (amalgam._grow_semilattice), built by rows from d
+    without the family: the stage's points keep their names and the
+    fresh point its own, and each point added for a join missing in d
+    is named qN.  Each grown stage carries its own name map.
     """
     rename = {into[s_name]: f[s_name] for s_name in into}
     (free,) = set(t.names) - set(rename)
@@ -317,20 +320,7 @@ def _amalgamate_extension(
     grown = _grow(inst)
     if stage.kind == POSET:
         return grown
-    result = _semilattice_over(inst, grown)
-    family_structure = result.family.structure
-    names = family_structure.names
-    renames = {names[k]: name for name, k in zip(stage.names, result.from_a.mapping)}
-    renames.setdefault(names[result.from_b.mapping[b_side.index(fresh)]], fresh)
-    used = set(renames.values())
-    counter = 0
-    for name in names:
-        if name not in renames:
-            counter += 1
-            while f"q{counter}" in used:
-                counter += 1
-            renames[name] = f"q{counter}"
-    return family_structure.rename(renames)
+    return _grow_semilattice(inst, grown)
 
 
 def check_extension_property(

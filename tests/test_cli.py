@@ -342,6 +342,42 @@ class TestFraisseCommand:
         assert by_cause["above-maximal"] > 0
         assert sum(by_cause.values()) == report["misses"] > 0
 
+    @pytest.mark.parametrize("cap, budget, fixpoint, fraction", [
+        ("1", "5", True, "1.0000"),
+        ("2", "1", False, "0.2000"),
+    ])
+    def test_sweeps_spent_before_a_fixpoint_exit_0(
+        self, cap, budget, fixpoint, fraction, tmp_path, capsys
+    ):
+        """A --budget of sweeps is not an exhausted budget: a run that
+        spends it before a fixpoint exits 0 and says fixpoint false, in
+        the bundle and on the summary line."""
+        out_path = tmp_path / "stage.json"
+        argv = ["fraisse", "--cap", cap, "--budget", budget, "--out", str(out_path)]
+        assert main(argv) == 0
+        bundle = json.loads(out_path.read_text())
+        assert bundle["fixpoint"] is fixpoint
+        assert bundle["budget_exceeded"] is False
+        assert (bundle["extension_property"]["misses"] == 0) is fixpoint
+        assert capsys.readouterr().err.endswith(
+            f"extension fraction {fraction}, fixpoint {str(fixpoint).lower()}\n")
+
+    def test_semilattice_stage_past_64_points(self, tmp_path, capsys):
+        """A semilattice stage grows by rows past 64 points; building
+        the whole image family of each amalgam ended in an
+        OverflowError there."""
+        out_path = tmp_path / "stage.json"
+        argv = ["fraisse", "--kind", "semilattice", "--cap", "2", "--budget", "50",
+                "--max-elements", "100", "--out", str(out_path)]
+        start = time.perf_counter()
+        assert main(argv) == 0
+        assert time.perf_counter() - start < 1
+        bundle = json.loads(out_path.read_text())
+        assert len(bundle["stage"]["elements"]) == 100
+        err = capsys.readouterr().err
+        assert err.startswith("stage size 100, sweeps 50,")
+        assert "Traceback" not in err
+
 
 class TestGalleryCommand:
     def test_small_bounds(self, capsys):

@@ -16,7 +16,7 @@ from itertools import combinations
 
 import pytest
 
-from contactposets import enumeration, represent
+from contactposets import amalgam, enumeration, fraisse, represent
 from contactposets.amalgam import contact_amalgam
 from contactposets.core import (
     POSET,
@@ -218,25 +218,26 @@ def _same_masks(s, union_closed):
 
 
 def test_image_family_on_the_semilattice_stage(monkeypatch):
-    """The mask set of every amalgam d the 64-element semilattice leg
-    pushes into its family, against the reference, which adds a pair
-    intersection for comparable contact pairs too."""
+    """The mask set of the union-closed image family of every amalgam d
+    the 64-element semilattice leg grows through, against the
+    reference, which adds a pair intersection for comparable contact
+    pairs too.  The stage path no longer builds that family, so the d's
+    are collected from the growth kernel _grow."""
     seen = []
-    real = represent._image_family
 
-    def recording(s, phi, union_closed):
-        seen.append((s, union_closed))
-        return real(s, phi, union_closed)
+    def recording(inst):
+        d = amalgam._grow(inst)
+        seen.append(d)
+        return d
 
-    monkeypatch.setattr(represent, "_image_family", recording)
+    monkeypatch.setattr(fraisse, "_grow", recording)
     catalog = AgeCatalog.build(3, SEMILATTICE)
     build_limit_stage(SEMILATTICE, 2, 64, catalog=catalog, max_elements=64)
     monkeypatch.undo()
     assert len(seen) == 63
-    assert max(s.n for s, _ in seen) == 64
-    for s, union_closed in seen:
-        assert union_closed
-        assert _same_masks(s, True), s
+    assert max(d.n for d in seen) == 64
+    for d in seen:
+        assert _same_masks(d, True), d
 
 
 def test_image_family_on_random_amalgams(poset_catalog_6, semilattice_catalog_6):

@@ -40,7 +40,9 @@ kernel ``_grow`` builds only the new point's row and column and checks
 only the tuples that hold it, which is sound only when A is a stage the
 library built and checked.  So ``_grow`` is called by
 ``fraisse._amalgamate_extension`` alone: a second caller would be a
-second code path that trusts its A unchecked.
+second code path that trusts its A unchecked.  So is its semilattice
+companion ``_grow_semilattice``, which trusts ``_grow``'s amalgam and
+checks only the joins that hold the new point.
 """
 
 import ast
@@ -252,8 +254,12 @@ def _call_counts(callee):
 def test_join_and_meet_tables_only_find():
     """Known joins and meets are tested by their rows, so no target-side
     table is built: _preserves_joins and _bound_sweep build the source's
-    tables only, and embeds_extension t's (the extension, not the stage)."""
+    tables only, embeds_extension t's (the extension, not the stage),
+    and _grow_semilattice the amalgam d's (the grown stage, the source
+    of its map into the semilattice), to find the missing joins with
+    the fresh point."""
     assert _call_counts("join_table") == Counter({
+        ("amalgam.py", "_grow_semilattice"): 1,
         ("core.py", "is_semilattice_order"): 1,
         ("core.py", "_additivity_check"): 1,
         ("core.py", "_require_join_closed"): 1,
@@ -276,3 +282,6 @@ def test_two_row_builders_with_fixed_callers():
         ("amalgam.py", "contact_amalgam"),
     }
     assert _callers_everywhere("_grow") == {("fraisse.py", "_amalgamate_extension")}
+    assert _callers_everywhere("_grow_semilattice") == {
+        ("fraisse.py", "_amalgamate_extension")
+    }

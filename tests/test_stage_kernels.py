@@ -14,10 +14,20 @@ that hold it.  It is compared with ``contact_amalgam`` on every
 one-point gluing of at most 4 points and on every growth step of the
 stages below, and its checks with ``contact_amalgam``'s on its result
 with one bit flipped.
+
+A semilattice stage then grows through ``amalgam._grow_semilattice``,
+which builds the subsemilattice of the union-closed image family F of
+that amalgam generated by the stage and the extension, without F.  It
+is compared with F restricted to the generated masks, computed from the
+definitions, on every step of both cap-2 semilattice legs, of a cap-3
+stage to 40 points and of 164 steps that miss a join with the fresh
+point, and with ``_semilattice_over``'s errors on amalgams changed on
+the fresh point.
 """
 
 import hashlib
 import random
+from operator import or_
 
 import pytest
 
@@ -30,21 +40,33 @@ from contactposets.core import (
     _check_order_tables,
     _contact_witnesses,
     _rows_valid,
+    _restriction,
     bits,
     check_bottomless_axioms,
     check_contact_axioms,
+    close_under,
     is_semilattice_order,
+    join_table,
     order_failure,
 )
-from contactposets.enumeration import AgeCatalog, enumerate_posets_with_bottom
-from contactposets.errors import AxiomViolation, CycleError
+from contactposets.enumeration import (
+    AgeCatalog,
+    enumerate_posets_with_bottom,
+    induced_embeddings,
+)
+from contactposets.errors import AxiomViolation, ContactError, CycleError
 from contactposets.events import enumerate_event_structures, event_to_contact
 from contactposets.fraisse import (
+    _amalgamate_extension,
     build_limit_stage,
     check_extension_property,
+    embeds_extension,
     iter_gluings,
+    one_point_extensions,
 )
 from contactposets.represent import (
+    _image_embedding,
+    _nonbelow_masks,
     complete_lattice_embedding,
     join_preserving_embedding,
     overlap_of_family,
@@ -590,3 +612,278 @@ def test_grow_checks_match_contact_amalgam_on_flipped_bits(monkeypatch):
         INCLUSION,
     }
     assert outcomes[("S row", INCLUSION)] > 16
+
+
+# ---------------------------------------------------------------------------
+# the semilattice growth kernel
+
+
+def reference_generated(d):
+    """The subsemilattice of d's union-closed image family F that the
+    images generate, from the definitions: its members are the unions
+    of images, sorted by (size, mask); its order is inclusion; two
+    members touch iff a nonempty member of F lies inside both, read off
+    F's inclusion-minimal nonempty members.  F is the union closure of
+    the images and of the intersection of the images of each contact
+    pair.  Returns the members, both tables and F's size."""
+    phi = _nonbelow_masks(d)
+    generators = set(phi)
+    for a in range(d.n):
+        for b in bits(d.contact[a]):
+            generators.add(phi[a] & phi[b])
+    family = close_under(generators, list(generators), or_)
+    minimal = [q for q in family
+               if q and not any(p and p != q and not p & ~q for p in family)]
+    members = sorted(close_under(phi, phi, or_), key=lambda m: (m.bit_count(), m))
+    assert set(members) <= family
+    held = [sum(1 << k for k, q in enumerate(minimal) if not q & ~m) for m in members]
+    up = tuple(
+        sum(1 << j for j, big in enumerate(members) if not small & ~big)
+        for small in members
+    )
+    contact = tuple(sum(1 << j for j, h in enumerate(held) if h & mine) for mine in held)
+    return members, up, contact, len(family)
+
+
+def reference_stage_names(d, members):
+    """The names the stage path gives the members: an image keeps its
+    element's name, and every other member takes the next qN not in use,
+    as the stage path renamed F's members."""
+    phi = _nonbelow_masks(d)
+    used = set(d.names)
+    names, counter = [], 0
+    for mask in members:
+        if mask in phi:
+            names.append(d.names[phi.index(mask)])
+            continue
+        counter += 1
+        while f"q{counter}" in used:
+            counter += 1
+        names.append(f"q{counter}")
+    return tuple(names)
+
+
+def reference_renamed(inst, result):
+    """_semilattice_over's family structure renamed as the stage path
+    renamed it before the kernel, for an F that holds the images alone."""
+    names = result.family.structure.names
+    renames = {names[k]: name for name, k in zip(inst.a.names, result.from_a.mapping)}
+    for name, k in zip(inst.b.names, result.from_b.mapping):
+        renames.setdefault(names[k], name)
+    assert len(renames) == len(names)
+    return result.family.structure.rename(renames)
+
+
+def assert_generated(inst, d, result):
+    """result equals reference_generated(d), named as the stage names
+    it.  Where F has at most 64 members it also equals F itself, built
+    by _semilattice_over's builder and restricted to the generated
+    masks (past 64 members that builder's table branch needs 2^width
+    bytes), and where F holds the images alone it equals
+    _semilattice_over's result, renamed.  Returns whether F holds more
+    than the images, and whether the kernel added members."""
+    members, up, contact, family_size = reference_generated(d)
+    assert (result.up, result.contact, result.bottom, result.kind) == (
+        up, contact, 0, SEMILATTICE)
+    assert result.names == reference_stage_names(d, members)
+    if family_size <= 64:
+        family, _ = _image_embedding(d, True, SEMILATTICE)
+        want = _restriction(family.structure, [family.sets.index(m) for m in members])
+        assert (want.up, want.contact, want.bottom) == (up, contact, 0)
+    if family_size == d.n:
+        assert reference_renamed(inst, amalgam._semilattice_over(inst, d)) == result
+    return family_size > d.n, len(members) > d.n
+
+
+def _kernel_steps(monkeypatch, bound, cap, sweeps, max_elements):
+    """Every growth step of a semilattice stage, as (instance, d,
+    result)."""
+    steps = []
+
+    def kept(inst, d):
+        result = amalgam._grow_semilattice(inst, d)
+        steps.append((inst, d, result))
+        return result
+
+    monkeypatch.setattr(fraisse, "_grow_semilattice", kept)
+    stage = build_limit_stage(SEMILATTICE, cap, sweeps,
+                              catalog=AgeCatalog.build(bound, SEMILATTICE),
+                              max_elements=max_elements)
+    monkeypatch.undo()
+    assert len(steps) == len(stage.log)
+    return stage, steps
+
+
+KERNEL_SETTINGS = [
+    # catalog bound, cap, sweeps, max_elements, final size, steps whose F
+    # holds more than the images
+    pytest.param(3, 2, 50, 64, 64, 0, id="criterion-7-semilattice"),
+    pytest.param(3, 2, 64, 64, 64, 0, id="bench-semilattice"),
+    pytest.param(4, 3, 5, 40, 40, 32, id="cap-3-to-40"),
+]
+
+
+@pytest.mark.parametrize("bound,cap,sweeps,max_elements,size,extra", KERNEL_SETTINGS)
+def test_grow_semilattice_matches_the_family_on_growth_steps(
+    monkeypatch, bound, cap, sweeps, max_elements, size, extra
+):
+    """On every growth step the kernel's structure is F restricted to
+    the masks the images generate.  At cap 2 F holds the images alone,
+    so it is also today's path renamed; at cap 3 F holds pair
+    intersections beyond them, which the stage no longer takes in, and
+    every join with x exists, so each step adds one point."""
+    stage, steps = _kernel_steps(monkeypatch, bound, cap, sweeps, max_elements)
+    assert stage.structure.n == size
+    outcomes = [assert_generated(*step) for step in steps]
+    assert sum(beyond for beyond, _ in outcomes) == extra
+    assert not any(added for _, added in outcomes)
+    assert all(result.n == d.n for _, d, result in steps)
+
+
+def _missing_join_steps():
+    """Growth steps that miss a join with x, as (instance, d, result).
+
+    C is the 4-point diamond whose two atoms c1, c2 touch, and B = C + x
+    puts x above the bottom alone and below both atoms.  S runs over the
+    7-point semilattices with a copy of C and a point s off the bottom
+    whose joins with c1 and c2 are incomparable.  The common upper
+    bounds of s and x in d are then the points above s v c1 or s v c2,
+    which have no least element, so the join of s and x is missing.  Each such extension that S does not
+    realize already is one step, glued through the stage path."""
+    catalog = AgeCatalog.build(5, SEMILATTICE)
+    (diamond,) = [
+        c for c in catalog.items
+        if c.n == 4 and any(
+            not c.up[i] >> j & 1 and not c.up[j] >> i & 1 and c.contact[i] >> j & 1
+            for i in range(4) for j in range(4))
+    ]
+    c1, c2 = [i for i in range(4) if diamond.up[i].bit_count() == 2]
+    extensions = []
+    for t, into in one_point_extensions(diamond, catalog):
+        (x,) = set(t.names) - set(into.values())
+        if all(t.leq(x, into[diamond.names[a]]) for a in (c1, c2)):
+            extensions.append((t, into))
+    steps = []
+    for s in AgeCatalog.build(7, SEMILATTICE).items:
+        if s.n != 7:
+            continue
+        joins = join_table(s)
+        for f in induced_embeddings(diamond, s):
+            a1, a2 = (s.index(f[diamond.names[a]]) for a in (c1, c2))
+            tops = [(joins[s.up[p] & s.up[a1]], joins[s.up[p] & s.up[a2]])
+                    for p in range(s.n) if p != s.bottom]
+            if all(s.up[j1] >> j2 & 1 or s.up[j2] >> j1 & 1 for j1, j2 in tops):
+                continue
+            for t, into in extensions:
+                if not embeds_extension(s, f, t, into):
+                    steps.append((s, f, t, into))
+    return steps
+
+
+def _glued(monkeypatch, steps):
+    """Glue each (S, f, t, into) of steps onto S through the stage path;
+    (instance, d, result) per step."""
+    kept = []
+
+    def keeping(inst, d):
+        result = amalgam._grow_semilattice(inst, d)
+        kept.append((inst, d, result))
+        return result
+
+    monkeypatch.setattr(fraisse, "_grow_semilattice", keeping)
+    for s, f, t, into in steps:
+        assert _amalgamate_extension(s, f, t, into, "x") is kept[-1][2]
+    monkeypatch.undo()
+    return kept
+
+
+def test_grow_semilattice_adds_the_missing_joins(monkeypatch):
+    """Each of the 164 steps of _missing_join_steps adds one member
+    beyond the images, phi(s) | phi(x), and equals F restricted to the
+    generated masks."""
+    kept = _glued(monkeypatch, _missing_join_steps())
+    outcomes = [assert_generated(*step) for step in kept]
+    assert len(kept) == 164
+    assert all(added for _, added in outcomes)
+    assert all(result.n == d.n + 1 for _, d, result in kept)
+
+
+def caught(build, *args):
+    """("raised", type, message) of the library error build raises, or
+    ("ok", result)."""
+    try:
+        return "ok", build(*args)
+    except ContactError as exc:
+        return "raised", type(exc), str(exc)
+
+
+def test_grow_semilattice_raises_as_semilattice_over_on_flipped_bits(monkeypatch):
+    """d changed on x alone, on every growth step onto at most 24 points
+    of the cap-2 criterion-7 stage, onto at most 20 of the cap-3 stage,
+    and on every eighth missing-join step: each bit of x's up row and of
+    x's up column flipped alone; each pair of x's contact row and column
+    flipped together; and x put above a point i incomparable to it (x's
+    up row cut to the points above i, i's down-set put below x, and the
+    contact closed again).  A change is kept when d stays a partial
+    order with a bottom and valid contact, as _grow leaves it, and its
+    F has at most 64 members.  The kernel raises exactly what
+    _semilattice_over raises, and when neither raises it equals F
+    restricted to the generated masks.  Changes that break S's joins (S's
+    points below x lose their greatest element) and B's joins both
+    occur."""
+    _, cap_2 = _kernel_steps(monkeypatch, 3, 2, 50, 64)
+    _, cap_3 = _kernel_steps(monkeypatch, 4, 3, 5, 40)
+    missing = _glued(monkeypatch, _missing_join_steps()[::8])
+    steps = ([(i, d) for i, d, _ in cap_2 if d.n <= 24]
+             + [(i, d) for i, d, _ in cap_3 if d.n <= 20]
+             + [(i, d) for i, d, _ in missing])
+    outcomes = {}
+    for inst, d in steps:
+        x = d.n - 1
+        flips = ([("up", x, j) for j in range(x)]
+                 + [("up", i, x) for i in range(x)]
+                 + [("contact", x, j) for j in range(x)]
+                 + [("above", i, x) for i in range(x)
+                    if not d.up[i] >> x & 1 and not d.up[x] >> i & 1])
+        for table, row, column in flips:
+            up, contact = list(d.up), list(d.contact)
+            if table == "up":
+                up[row] ^= 1 << column
+            elif table == "contact":
+                contact[row] ^= 1 << column
+                contact[column] ^= 1 << row
+            else:
+                up[x] &= up[row] | 1 << x
+                for k in range(x):
+                    if up[k] >> row & 1:
+                        up[k] |= 1 << x
+                contact = [0] * d.n
+                for a in range(d.n):
+                    for b in bits(d.contact[a]):
+                        for a1 in bits(up[a]):
+                            contact[a1] |= up[b]
+            if (order_failure(up) is not None or up[d.bottom] != d.full_mask
+                    or not _rows_valid(up, contact, d.bottom)):
+                continue
+            flipped_d = ContactStructure(d.names, d.bottom, tuple(up), tuple(contact), POSET)
+            if reference_generated(flipped_d)[3] > 64:
+                continue
+            expected = caught(amalgam._semilattice_over, inst, flipped_d)
+            got = caught(amalgam._grow_semilattice, inst, flipped_d)
+            if expected[0] == "ok":
+                assert got[0] == "ok"
+                assert_generated(inst, flipped_d, got[1])
+            else:
+                assert got == expected
+            key = (table, got[-1] if got[0] == "raised" else None)
+            outcomes[key] = outcomes.get(key, 0) + 1
+    messages = {}
+    for (_, message), count in outcomes.items():
+        messages[message] = messages.get(message, 0) + count
+    assert messages.keys() == {None, SIDE_A, SIDE_B}
+    assert messages[SIDE_A] >= 10 and messages[SIDE_B] >= 100 and messages[None] >= 40
+    assert outcomes[("above", SIDE_A)] >= 10
+
+
+SIDE_A = "side A does not embed into the semilattice amalgam"
+SIDE_B = "side B does not embed into the semilattice amalgam"
