@@ -711,15 +711,15 @@ def _grow_semilattice(inst: AmalgamInstance, d: ContactStructure) -> ContactStru
     """
     x = inst.a.n
     up, contact, full = d.up, d.contact, d.full_mask
-    below, bounds = 0, full
+    joins, up_x = join_table(d), up[x]
+    below, bounds, missing = 0, full, {}
     for s, row in enumerate(up[:x]):
         if row >> x & 1:
             below |= 1 << s
             bounds &= row
-    joins, up_x = join_table(d), up[x]
-    missing = list(dict.fromkeys(
-        common for row in up[:x] if (common := row & up_x) not in joins
-    ))
+        elif (common := row & up_x) not in joins:
+            missing[common] = None
+    missing = list(missing)
     sets = [full & ~row for row in up] + [full & ~common for common in missing]
     up, contact = _with_added(d, sets, missing)
     order = sorted(range(len(sets)), key=lambda i: (sets[i].bit_count(), sets[i]))
