@@ -729,9 +729,10 @@ def test_grow_semilattice_matches_the_family_on_growth_steps(
 ):
     """On every growth step the kernel's structure is F restricted to
     the masks the images generate.  At cap 2 F holds the images alone,
-    so it also equals _semilattice_over's result, renamed; at cap 3 F holds pair
-    intersections beyond them, which the stage no longer takes in, and
-    every join with x exists, so each step adds one point."""
+    so it also equals _semilattice_over's result, renamed; at cap 3 F
+    holds pair intersections beyond them, which the stage no longer
+    takes in, and every join with x exists, so each step adds one
+    point."""
     stage, steps = _kernel_steps(monkeypatch, bound, cap, sweeps, max_elements)
     assert stage.structure.n == size
     outcomes = [assert_generated(*step) for step in steps]
