@@ -23,10 +23,10 @@ from .core import (
     _preserves_joins,
     _pull_back,
     _require_join_closed,
+    _require_valid,
     _runs,
     _verify_positions,
     bits,
-    check_contact_axioms,
     induced_substructure,
     join_table,
     order_failure,
@@ -300,7 +300,7 @@ def _grown(
     if not _order_through(up, x):
         _assert_partial_order(up, names)
     if not _laws_through(up, contact, x, bottom):
-        _require_axioms(result)
+        _require_valid(result, "amalgamated contact failed the axioms")
     _require_inclusions(inst, result, into_b)
     return result
 
@@ -386,12 +386,6 @@ def _assert_partial_order(up: Sequence[int], names: Sequence[str]) -> None:
         raise AxiomViolation(f"amalgam order not {law} at {names[i]!r}, {names[j]!r}")
 
 
-def _require_axioms(result: ContactStructure) -> None:
-    report = check_contact_axioms(result)
-    if not report.ok:
-        raise AxiomViolation("amalgamated contact failed the axioms", report)
-
-
 def _require_inclusions(
     inst: AmalgamInstance, result: ContactStructure, into_b: Sequence[int]
 ) -> None:
@@ -440,7 +434,7 @@ def contact_amalgam(inst: AmalgamInstance) -> ContactStructure:
     names, up, contact, into_b = _glue(inst)
     bottom = inst.a.index(inst.c.names[inst.c.bottom])
     result = ContactStructure(tuple(names), bottom, tuple(up), tuple(contact), POSET)
-    _require_axioms(result)
+    _require_valid(result, "amalgamated contact failed the axioms")
     _require_inclusions(inst, result, into_b)
     return result
 

@@ -6,6 +6,8 @@ the size of the work (``fraisse --max-elements``, ``--cap``,
 ``enumerate --size``, ``gallery --failure-bound``).  A ``fraisse
 --budget`` of sweeps is not one: a run that spends its sweeps before a
 fixpoint exits 0, and its bundle and summary say ``fixpoint: false``.
+A duplicate element name in a contact or event file is a verification
+failure: exit 1, ``error: duplicate element name 'x'``.
 """
 
 from __future__ import annotations

@@ -224,9 +224,8 @@ def order_failure(up: Sequence[int]) -> tuple[int, int, str] | None:
     return None
 
 
-def _check_order_tables(up: Sequence[int], bottom: int | None = None) -> None:
-    """Raise on the first order_failure of up, then, given a bottom, if
-    it is not below every element."""
+def _check_order_tables(up: Sequence[int]) -> None:
+    """Raise on the first order_failure of up."""
     failure = order_failure(up)
     if failure is not None:
         i, j, law = failure
@@ -235,8 +234,6 @@ def _check_order_tables(up: Sequence[int], bottom: int | None = None) -> None:
         if law == "antisymmetric":
             raise CycleError(f"antisymmetry violated at indices {i}, {j}")
         raise AxiomViolation(f"order not transitive at indices {i}, {j}")
-    if bottom is not None and up[bottom] != (1 << len(up)) - 1:
-        raise AxiomViolation("bottom is not below every element")
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +525,14 @@ def _law(axiom: str, witness: tuple[str, ...] | None) -> AxiomCheck:
     return AxiomCheck(axiom, witness is None, witness)
 
 
+def _require_valid(s: ContactStructure, what: str) -> None:
+    """AxiomViolation(what, report) unless s passes the contact axioms:
+    the one check of a structure where it is built."""
+    report = check_contact_axioms(s)
+    if not report.ok:
+        raise AxiomViolation(what, report)
+
+
 def _require_laws(report: AxiomReport, what: str) -> None:
     """AxiomViolation naming each failed law and its witness, after what."""
     if not report.ok:
@@ -669,9 +674,7 @@ def close_contact(
             for a1 in bits(s.up[a]):
                 rows[a1] |= s.up[b]
     out = s.with_contact(rows)
-    report = check_contact_axioms(out)
-    if not report.ok:
-        raise AxiomViolation("contact closure failed self-check", report)
+    _require_valid(out, "contact closure failed self-check")
     return out
 
 
@@ -735,11 +738,7 @@ def contact_from_closure(op: ClosureOperator) -> ContactStructure:
             if nonzero_down[op.image[a]] & nonzero_down[op.image[b]]:
                 rows[a] |= 1 << b
     out = s.with_contact(rows)
-    report = check_contact_axioms(out)
-    if not report.ok:
-        raise AxiomViolation(
-            "closure-induced contact fails the axioms", report
-        )
+    _require_valid(out, "closure-induced contact fails the axioms")
     return out
 
 
@@ -760,9 +759,7 @@ def induced_substructure(s: ContactStructure, subset: Iterable[str]) -> ContactS
     if s.kind == SEMILATTICE:
         _require_join_closed(s, chosen)
     out = _restriction(s, chosen)
-    report = check_contact_axioms(out)
-    if not report.ok:
-        raise AxiomViolation("induced substructure failed self-check", report)
+    _require_valid(out, "induced substructure failed self-check")
     return out
 
 
@@ -1075,7 +1072,7 @@ def _adjoin_checked_bottom(
         up.append(b.up[i] << 1)
         contact.append(b.contact[i] << 1)
     out = ContactStructure(names, 0, tuple(up), tuple(contact), kind)
-    _check_order_tables(out.up, 0)
+    _check_order_tables(out.up)
     return out
 
 

@@ -19,14 +19,14 @@ from .core import (
     SEMILATTICE,
     ContactStructure,
     StructureMap,
+    _require_valid,
+    _verify_positions,
     bits,
-    check_contact_axioms,
     close_under,
     compose_maps,
     join_table,
     meet_table,
     overlap_relation,
-    verify_map,
 )
 from .errors import AxiomViolation, NotSemilattice
 from .enumeration import is_lattice
@@ -205,9 +205,7 @@ def family_structure(
     contact = overlap_of_family(ordered, holders)
     names = _member_names(universe, ordered)
     structure = ContactStructure(names, 0, tuple(up), tuple(contact), kind)
-    report = check_contact_axioms(structure)
-    if not report.ok:
-        raise AxiomViolation("set family failed the contact axioms", report)
+    _require_valid(structure, "set family failed the contact axioms")
     return SetFamilyStructure(tuple(universe), tuple(ordered), structure, origins)
 
 
@@ -215,13 +213,11 @@ def _onto_members(
     s: ContactStructure, family: SetFamilyStructure, images: Sequence[int]
 ) -> StructureMap:
     """The map sending element a of s to the family member images[a],
-    verified (verify_map).  Images are read by position, {mask:
-    position}, and named by the family's own names, so no member name
-    is built twice."""
+    verified on positions (core._verify_positions): each image is read
+    by its position, {mask: position}, and no name is looked up."""
     position = {mask: i for i, mask in enumerate(family.sets)}
-    names = family.structure.names
-    mapping = {s.names[a]: names[position[images[a]]] for a in range(s.n)}
-    return verify_map(s, family.structure, mapping)
+    f = tuple(position[mask] for mask in images)
+    return _verify_positions(s, family.structure, f)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +291,7 @@ def overlap_poset_embedding(
     family holds those images plus one intersection per contact pair, so
     every contact is witnessed inside the family and nothing else is.
     """
-    _require_valid(s)
+    _require_valid(s, "input structure is invalid")
     return _image_embedding(s, False, POSET)
 
 
@@ -306,7 +302,7 @@ def overlap_semilattice_embedding(
     union realizes the join and the same map preserves it."""
     if s.kind != SEMILATTICE:
         raise NotSemilattice("input must carry the semilattice kind")
-    _require_valid(s)
+    _require_valid(s, "input structure is invalid")
     return _image_embedding(s, True, SEMILATTICE)
 
 
@@ -320,7 +316,7 @@ def join_preserving_embedding(
     is verified against the family's joins over all carrier subsets
     (_bound_sweep) before returning.
     """
-    _require_valid(s)
+    _require_valid(s, "input structure is invalid")
     family, total = _image_embedding(s, True, SEMILATTICE)
     missed = _bound_sweep(s, family.structure, total.mapping, False)
     if missed:
@@ -351,29 +347,19 @@ def powerset_embedding(
     """Embed a contact poset into a literal powerset with overlap.
 
     Runs the overlap-family stage first, then sends each family set q
-    to the family sets inside q; the target is the powerset of the
-    nonempty family members, which is a complete atomic Boolean carrier.
+    to the family sets inside q, its down-row shifted past the empty set
+    (which family_structure puts first); the target is the powerset of
+    the nonempty family members, a complete atomic Boolean carrier.
     That the stage-one contact is overlap is not re-checked: the stage
-    builds it as overlap, and ψ's verify_map tests contact in both
+    builds it as overlap, and ψ's map check tests contact in both
     directions against the target's overlap.
     """
     family, phi_map = overlap_poset_embedding(s)
     q_structure = family.structure
-    # the empty set sits first (family_structure), the members follow
-    nonempty = family.sets[1:]
-    u = len(nonempty)
-    universe = q_structure.names[1:]
-
-    def down_in_family(qmask: int) -> int:
-        out = 0
-        for pos, member in enumerate(nonempty):
-            if member & ~qmask == 0:
-                out |= 1 << pos
-        return out
-
-    images = [down_in_family(mask) for mask in family.sets]
+    u = len(family.sets) - 1
+    images = [row >> 1 for row in q_structure.down_masks()]
     target = family_structure(
-        universe,
+        q_structure.names[1:],
         range(1 << u),
         lambda: _powerset_origins(q_structure.names, images, u),
         SEMILATTICE,
@@ -398,23 +384,16 @@ def _powerset_origins(
 def is_boolean_family(family: SetFamilyStructure) -> bool:
     """True when the family is the full powerset of its universe with
     singleton atoms, hence closed under union, intersection and relative
-    complement."""
+    complement.  The atoms are read off the down-rows: i is an atom when
+    its down-set off the bottom is i alone."""
     u = len(family.universe)
     if set(family.sets) != set(range(1 << u)):
         return False
-    structure = family.structure
-    atoms = [
-        i
-        for i in range(structure.n)
-        if i != structure.bottom
-        and all(
-            not structure.up[j] >> i & 1
-            for j in range(structure.n)
-            if j not in (i, structure.bottom)
-        )
-    ]
-    singletons = [i for i, mask in enumerate(family.sets) if bin(mask).count("1") == 1]
-    return sorted(atoms) == sorted(singletons)
+    nonzero = ~(1 << family.structure.bottom)
+    down = family.structure.down_masks()
+    atoms = [i for i, row in enumerate(down) if row & nonzero == 1 << i]
+    singletons = [i for i, mask in enumerate(family.sets) if mask.bit_count() == 1]
+    return atoms == singletons
 
 
 # ---------------------------------------------------------------------------
@@ -473,9 +452,7 @@ def _cut_family(
     skeleton = ContactStructure(names, 0, tuple(up), tuple([0] * m), SEMILATTICE)
     contact = overlap_relation(skeleton)
     structure = skeleton.with_contact(contact)
-    report = check_contact_axioms(structure)
-    if not report.ok:
-        raise AxiomViolation("cut lattice failed the contact axioms", report)
+    _require_valid(structure, "cut lattice failed the contact axioms")
     if not is_lattice(structure):
         raise AxiomViolation("completion is not a lattice")
     return SetFamilyStructure(tuple(s.names), tuple(ordered), structure, origins)
@@ -568,9 +545,3 @@ def complete_lattice_embedding(
     completion, chi_map = macneille_completion(family.structure)
     total = compose_maps(phi_map, chi_map)
     return completion, total
-
-
-def _require_valid(s: ContactStructure) -> None:
-    report = check_contact_axioms(s)
-    if not report.ok:
-        raise AxiomViolation("input structure is invalid", report)

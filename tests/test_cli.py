@@ -726,6 +726,20 @@ class TestExitCodeContract:
         assert main(["check", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: unknown event 'x' in conflict pair")
 
+    @pytest.mark.parametrize("argv", [["check"], ["embed", "--theorem", "prop2"]], ids=_id)
+    def test_duplicate_contact_name(self, argv, tmp_path, capsys):
+        """A duplicate element name is a verification failure, as in an
+        event file (INVALID_EVENT_FILES)."""
+        path = tmp_path / "duplicate.json"
+        path.write_text(json.dumps({
+            "kind": POSET, "elements": ["0", "x", "x"], "bottom": "0",
+            "order": [["0", "x"]], "contact": [["x", "x"]],
+        }))
+        assert main([argv[0], str(path), *argv[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: duplicate element name 'x'\n"
+        assert captured.out == ""
+
     def test_parse_errors_name_the_bound(self, capsys):
         with pytest.raises(SystemExit):
             main(["gallery", "--bound", "0"])

@@ -43,6 +43,17 @@ library built and checked.  So ``_grow`` is called by
 second code path that trusts its A unchecked.  So is its semilattice
 companion ``_grow_semilattice``, which trusts ``_grow``'s amalgam and
 checks only the joins that hold the new point.
+
+And a structure is checked against the contact axioms in one place
+where it is built: ``core._require_valid(s, what)`` runs
+``check_contact_axioms`` and raises ``AxiomViolation(what, report)``,
+and every construction (closures, substructures, amalgams, set families,
+cut lattices, the embeddings' input) goes through it, so each message
+and report is built one way.  The other callers of
+``check_contact_axioms`` want the report itself: ``ContactStructure.build``
+names each failed law in its message, ``cli check`` prints the report and
+the gallery reports a verdict.  A new caller is a second copy of the
+check, to be folded into the helper.
 """
 
 import ast
@@ -284,4 +295,13 @@ def test_two_row_builders_with_fixed_callers():
     assert _callers_everywhere("_grow") == {("fraisse.py", "_amalgamate_extension")}
     assert _callers_everywhere("_grow_semilattice") == {
         ("fraisse.py", "_amalgamate_extension")
+    }
+
+
+def test_one_construction_check():
+    assert _callers_everywhere("check_contact_axioms") == {
+        ("core.py", "ContactStructure.build"),
+        ("core.py", "_require_valid"),
+        ("cli.py", "cmd_check"),
+        ("gallery.py", "run_gallery"),
     }
