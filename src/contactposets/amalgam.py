@@ -9,7 +9,7 @@ C, which is what superamalgamation asks for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -43,9 +43,41 @@ from .represent import SetFamilyStructure, _holders, _image_embedding, _image_fa
 
 @dataclass(frozen=True)
 class AmalgamInstance:
+    """A, B and C glued by names, with C's positions on both sides:
+    in_a[k] and in_b[k] hold C's k-th element in A and in B.
+
+    A builder that glues by positions hands them over, and they are
+    checked once against the names, one string compare per element of
+    C (PreconditionViolation on a mismatch); an instance built without
+    them resolves them from the names once.  The amalgam builders and
+    the witness search read them instead of looking names up.  They
+    are fixed by the names, so equality, hash and repr leave them out.
+    """
+
     a: ContactStructure
     b: ContactStructure
     c: ContactStructure
+    in_a: Sequence[int] | None = field(default=None, compare=False, repr=False)
+    in_b: Sequence[int] | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        names = self.c.names
+        sides = (("in_a", self.a, self.in_a), ("in_b", self.b, self.in_b))
+        for attr, host, given in sides:
+            if given is None:
+                positions = tuple([host.index(name) for name in names])
+            else:
+                positions = tuple(given)
+                held = host.names
+                try:
+                    found = tuple([held[p] for p in positions])
+                except IndexError:
+                    found = None
+                if found != names or min(positions, default=0) < 0:
+                    raise PreconditionViolation(
+                        f"C's positions in {attr[-1].upper()} do not hold its names"
+                    )
+            object.__setattr__(self, attr, positions)
 
     @classmethod
     def from_parts(
@@ -72,6 +104,7 @@ class AmalgamInstance:
             )
         if a.names[a.bottom] != c.names[c.bottom] or b.names[b.bottom] != c.names[c.bottom]:
             raise PreconditionViolation("bottoms must coincide on C")
+        positions = []
         for host in (a, b):
             f = [host.index(name) for name in c.names]
             if host.kind == SEMILATTICE:
@@ -82,7 +115,8 @@ class AmalgamInstance:
                 raise PreconditionViolation(
                     "C is not an induced substructure of both sides"
                 )
-        return cls(a, b, c)
+            positions.append(f)
+        return cls(a, b, c, *positions)
 
     @classmethod
     def from_embeddings(
@@ -97,16 +131,22 @@ class AmalgamInstance:
         renaming the non-shared parts of A and B apart.
 
         The caller's maps must be order-reflecting embeddings (verify_map),
-        and the renamed sides then go through from_parts.  The library's
-        own gluings are renamed apart unchecked (core._glued_apart).
+        and each side is renamed at the positions its map found
+        (core._fresh_names); the renamed sides then go through from_parts.
+        The library's own gluings are renamed apart unchecked
+        (core._glued_apart).
         """
+        found = []
         for host, emb in ((a, into_a), (b, into_b)):
             checked = verify_map(c, host, emb)
             if not (checked.report.is_embedding and checked.report.order_reflecting):
                 raise PreconditionViolation("the given maps are not embeddings")
+            found.append(checked.mapping)
         return cls.from_parts(
-            a.rename(_fresh_names(a.names, into_a, "a")),
-            b.rename(_fresh_names(b.names, into_b, "b")),
+            *(
+                replace(host, names=_fresh_names(host.names, f, c.names, tag))
+                for host, f, tag in ((a, found[0], "a"), (b, found[1], "b"))
+            ),
             c,
         )
 
@@ -141,28 +181,27 @@ def _glue(inst: AmalgamInstance) -> tuple[list[str], list[int], list[int], list[
     A's elements sit at union positions 0..|A|-1, so A's rows are used
     as they stand; B's elements outside C follow.  B's up and contact
     rows are lifted once, and C's mask is built once, over A's
-    positions.  x <= y through C when some c in C sits above x on one
-    side and below y on the other, so x's row gains the other side's
-    rows at the C bits of its own side's row.
+    positions; both read C's positions on the two sides (in_a, in_b).
+    x <= y through C when some c in C sits above x on one side and below
+    y on the other, so x's row gains the other side's rows at the C bits
+    of its own side's row.
 
     Two elements touch iff some pair below them touches on one side.
     reach[d] collects the union positions touching some side element
     below d; d then touches everything above a member of its reach, so
     its row is the OR of up[r] over r in reach[d].
     """
-    a, b, c = inst.a, inst.b, inst.c
-    at_a = a._name_map()
+    a, b = inst.a, inst.b
     c_mask = 0
-    for name in c.names:
-        c_mask |= 1 << at_a[name]
+    into_b = [-1] * b.n
+    for p, q in zip(inst.in_a, inst.in_b):
+        c_mask |= 1 << p
+        into_b[q] = p
     names = list(a.names)
-    into_b = []
-    for name in b.names:
-        k = at_a.get(name)
-        if k is None or not c_mask >> k & 1:
-            k = len(names)
-            names.append(name)
-        into_b.append(k)
+    for q, k in enumerate(into_b):
+        if k < 0:
+            into_b[q] = len(names)
+            names.append(b.names[q])
     n, na = len(names), a.n
     up_b, contact_b = _lift(into_b, n, b.up, b.contact)
     up = []
@@ -222,8 +261,10 @@ def _grow(inst: AmalgamInstance) -> ContactStructure:
     name map, S's plus x's name (core._own_name_map).
     """
     a, b = inst.a, inst.b
-    n, at_a, in_c = a.n, a._name_map(), set(inst.c.names)
-    into_b = [at_a[name] if name in in_c else n for name in b.names]
+    n = a.n
+    into_b = [n] * b.n
+    for p, q in zip(inst.in_a, inst.in_b):
+        into_b[q] = p
     (fresh,) = [i for i, k in enumerate(into_b) if k == n]
     up_b, contact_b = _lift(into_b, n + 1, b.up, b.contact)
     bit = 1 << n
@@ -271,7 +312,7 @@ def _grow(inst: AmalgamInstance) -> ContactStructure:
         rest ^= low
     contact.append(row)
     result = _grown(inst, [*a.names, b.names[fresh]], up, contact, into_b)
-    positions = dict(at_a)
+    positions = dict(a._name_map())
     positions.setdefault(b.names[fresh], n)
     _own_name_map(result, positions)
     return result
@@ -295,7 +336,7 @@ def _grown(
     AxiomViolation raised is contact_amalgam's, message and report.
     """
     x = len(up) - 1
-    bottom = inst.a.index(inst.c.names[inst.c.bottom])
+    bottom = inst.in_a[inst.c.bottom]
     result = ContactStructure(tuple(names), bottom, tuple(up), tuple(contact), POSET)
     if not _order_through(up, x):
         _assert_partial_order(up, names)
@@ -432,7 +473,7 @@ def contact_amalgam(inst: AmalgamInstance) -> ContactStructure:
     broken; the limit stages' growth steps go through _grow instead.
     """
     names, up, contact, into_b = _glue(inst)
-    bottom = inst.a.index(inst.c.names[inst.c.bottom])
+    bottom = inst.in_a[inst.c.bottom]
     result = ContactStructure(tuple(names), bottom, tuple(up), tuple(contact), POSET)
     _require_valid(result, "amalgamated contact failed the axioms")
     _require_inclusions(inst, result, into_b)
@@ -514,9 +555,7 @@ def _cross_witnesses(
     Each direction is (low side, high side, C's positions on each, the
     two sides' target positions); A low comes first, then B low.
     """
-    a, b, c = inst.a, inst.b, inst.c
-    in_a = [a.index(name) for name in c.names]
-    in_b = [b.index(name) for name in c.names]
+    a, b, c, in_a, in_b = inst.a, inst.b, inst.c, inst.in_a, inst.in_b
     directions = (
         (a, b, in_a, in_b, into_a, into_b),
         (b, a, in_b, in_a, into_b, into_a),

@@ -845,13 +845,19 @@ class StructureMap:
 
 
 def _fresh_names(
-    names: Sequence[str], emb: Mapping[str, str], tag: str
-) -> dict[str, str]:
-    """Renaming a carrier apart from another along a common part: each
-    image of emb takes the name it is the image of, every other name is
-    prefixed with tag.  Used by _glued_apart and from_embeddings only."""
-    back = {image: name for name, image in emb.items()}
-    return {name: back.get(name, f"{tag}:{name}") for name in names}
+    names: Sequence[str], positions: Sequence[int], common: Sequence[str], tag: str
+) -> tuple[str, ...]:
+    """A carrier's names renamed apart from another along a common part:
+    position positions[k] takes common[k], the common part's k-th name,
+    and every other name is prefixed with tag.  UnknownElement when two
+    positions end with one name (a tagged name that is also a common
+    one).  Used by _glued_apart and from_embeddings only."""
+    fresh = [f"{tag}:{name}" for name in names]
+    for p, name in zip(positions, common):
+        fresh[p] = name
+    if len(set(fresh)) != len(fresh):
+        raise UnknownElement("renaming collapses element names")
+    return tuple(fresh)
 
 
 def _glued_apart(
@@ -863,13 +869,21 @@ def _glued_apart(
 ) -> tuple[ContactStructure, ContactStructure, ContactStructure]:
     """The renamed-apart triple (a', b', c) of a gluing, unchecked: c is a
     restricted to the positions chosen, and b's position image[k] holds
-    c's k-th element.  rename raises UnknownElement when a side holds x
-    off c and its tagged name on c.  The amalgam the triple goes to checks
+    c's k-th element.  Each side keeps its rows and positions: C's names
+    go to chosen in a and to image in b, every other name is tagged
+    (_fresh_names, which raises UnknownElement when a side holds x off c
+    and its tagged name on c).  The amalgam the triple goes to checks
     it, by contact_amalgam's inclusion check."""
-    sides = []
-    for host, positions, tag in ((a, chosen, "a"), (b, image, "b")):
-        emb = {name: host.names[j] for name, j in zip(c.names, positions)}
-        sides.append(host.rename(_fresh_names(host.names, emb, tag)))
+    sides = [
+        ContactStructure(
+            _fresh_names(host.names, positions, c.names, tag),
+            host.bottom,
+            host.up,
+            host.contact,
+            host.kind,
+        )
+        for host, positions, tag in ((a, chosen, "a"), (b, image, "b"))
+    ]
     return sides[0], sides[1], c
 
 
@@ -988,11 +1002,17 @@ def _preserves_joins(
 
 
 def compose_maps(first: StructureMap, second: StructureMap) -> StructureMap:
-    """Verified composition, source of first into target of second."""
-    composed = {
-        name: second.apply(first.apply(name)) for name in first.source.names
-    }
-    return verify_map(first.source, second.target, composed)
+    """Verified composition, source of first into target of second, on
+    positions (_verify_positions).  When first's target carries second's
+    source names, as in the embedding pipelines, which hand one
+    structure over, a middle position is read straight across; otherwise
+    each image of first is looked up by name in second's source."""
+    middle, lookup = first.target, second.source
+    if middle.names == lookup.names:
+        f = tuple(second.mapping[j] for j in first.mapping)
+    else:
+        f = tuple(second.mapping[lookup.index(middle.names[j])] for j in first.mapping)
+    return _verify_positions(first.source, second.target, f)
 
 
 # ---------------------------------------------------------------------------

@@ -225,7 +225,11 @@ def isomorphisms(
     t: ContactStructure,
     s_colors: Sequence[int] | None = None,
 ) -> Iterator[tuple[int, ...]]:
-    """All bottom-preserving isomorphisms s -> t as index maps.
+    """All bottom-preserving isomorphisms s -> t as index maps, by a
+    search over colour classes.  The package's map searches go through
+    _embedding_table's candidate masks instead; this search is the
+    reference the tests hold them to, and fixes the order of the maps
+    onto one image there.
 
     s_colors are s's refined colours (_bottom_colors(s)); a caller that
     matches one source against many targets computes them once, and a
@@ -670,7 +674,7 @@ def _carrier_positions(t, size: int, kind: str) -> Iterator[tuple[int, ...]]:
 class _Rows(NamedTuple):
     """The name-free part of a structure, all that its embeddings depend
     on: the memo key of _embedding_table.  It reads like a structure to
-    isomorphisms and join_table."""
+    the search, _bottom_colors and join_table."""
 
     bottom: int
     up: tuple[int, ...]
@@ -694,43 +698,106 @@ def _piece(t, chosen: Sequence[int], kind: str) -> _Rows:
     return _Rows(chosen.index(t.bottom), up, contact, kind)
 
 
-def _degree_profile(up: Sequence[int], contact: Sequence[int]) -> list[int]:
-    """Sorted (up-degree, contact-degree) pairs, packed one int each.
-    An isomorphism keeps each element's pair, so tables whose profiles
-    differ have none; a packing collision could only hide a difference."""
-    return sorted([u.bit_count() << 16 | c.bit_count() for u, c in zip(up, contact)])
-
-
 @lru_cache(maxsize=4096)
 def _embedding_table(s: _Rows, t: _Rows) -> tuple[tuple[int, ...], ...]:
     """Embeddings of s onto induced substructures of t as index maps
-    (entry i is t's position of s's element i), subset by
-    subset in carrier_subsets order and, within a subset, in the order
-    isomorphisms finds them.  The one map search: automorphism groups,
-    gluings, one-point extensions and the gallery's lattice embeddings
-    read it too.  Memoised by rows, so renamed copies of the same pair
-    share one entry; bounded, module-level and cleared with the other
-    caches.
+    (entry i is t's position of s's element i).  The one map search:
+    automorphism groups, gluings, one-point extensions and the gallery's
+    lattice embeddings read it too.  Memoised by rows, so renamed copies
+    of the same pair share one entry; bounded, module-level and cleared
+    with the other caches.
 
-    s's colours and degree profile are computed once.  A piece is t's
-    rows restricted to the subset (core.restrict) and not re-validated:
-    the axioms are universal, so they hold on every restriction of a
-    valid structure that keeps its bottom, and carrier_subsets keeps
-    only join-closed subsets for semilattices.  A piece whose degree
-    profile differs from s's has no isomorphism from s and is skipped.
+    The maps come from one backtracking search over t's points
+    (_mask_search).  A semilattice source keeps the maps whose image is
+    closed under t's joins (core._join_escape), which makes them the
+    signature embeddings.  The order is carrier_subsets' order of the
+    images (ascending positions, compared as tuples: the bottom is in
+    every image, so it does not change the order), and within one image
+    the order of the colour-class search the isomorphism reference
+    runs: by the images of s's points taken in order of s's refined
+    colour, then position (_bottom_colors).  The colours are computed
+    only when two maps share an image, at most once per search.
     """
     if s.n > t.n:
         return ()
-    colors = _bottom_colors(s)
-    profile = _degree_profile(s.up, s.contact)
+    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for f in _mask_search(s, t):
+        groups.setdefault(tuple(sorted(f)), []).append(f)
+    if s.kind == SEMILATTICE:
+        joins = join_table(t)
+        groups = {
+            image: maps
+            for image, maps in groups.items()
+            if _join_escape(joins, t.up, image) is None
+        }
+    order = None
     found = []
-    for chosen in _carrier_positions(t, s.n, s.kind):
-        piece = _piece(t, chosen, s.kind)
-        if _degree_profile(piece.up, piece.contact) != profile:
-            continue
-        for perm in isomorphisms(s, piece, colors):
-            found.append(tuple([chosen[p] for p in perm]))
+    for image in sorted(groups):
+        maps = groups[image]
+        if len(maps) > 1:
+            if order is None:
+                colors = _bottom_colors(s)
+                order = sorted(range(s.n), key=lambda i: (colors[i], i))
+            maps.sort(key=lambda f: [f[i] for i in order])
+        found.extend(maps)
     return tuple(found)
+
+
+def _mask_search(s: _Rows, t: _Rows) -> list[tuple[int, ...]]:
+    """Every bottom-preserving embedding of s into t (order both ways,
+    contact), in search order: s's bottom goes to t's bottom, then s's
+    other points are placed in carrier order, each on the points of its
+    candidate mask in turn (Ullmann, "An algorithm for subgraph
+    isomorphism", 1976).
+
+    A point's mask is t's unused points with its contact diagonal, cut
+    by one mask per point p already placed, on q: q's up-row, down-column
+    and contact row, each taken as it stands when the point is above p,
+    below p or touching p in s, and its complement otherwise.  So a
+    completed map agrees with s on every pair of points; contact is
+    symmetric on both sides, so one direction decides it.
+    """
+    n, up, contact = s.n, s.up, s.contact
+    t_up, t_contact = t.up, t.contact
+    t_down = transpose(t_up)
+    loops = 0
+    for j, row in enumerate(t_contact):
+        if row >> j & 1:
+            loops |= 1 << j
+    placing = [s.bottom] + [i for i in range(n) if i != s.bottom]
+    levels = []
+    for k, i in enumerate(placing):
+        diagonal = loops if contact[i] >> i & 1 else ~loops
+        checks = [
+            (p, up[p] >> i & 1, up[i] >> p & 1, contact[p] >> i & 1)
+            for p in placing[:k]
+        ]
+        levels.append((i, diagonal if k else diagonal & 1 << t.bottom, checks))
+    last = n - 1
+    f = [0] * n
+    found: list[tuple[int, ...]] = []
+
+    def place(k: int, free: int) -> None:
+        i, cand, checks = levels[k]
+        cand &= free
+        for p, above, below, touch in checks:
+            q = f[p]
+            cand &= (
+                (t_up[q] if above else ~t_up[q])
+                & (t_down[q] if below else ~t_down[q])
+                & (t_contact[q] if touch else ~t_contact[q])
+            )
+        while cand:
+            low = cand & -cand
+            f[i] = low.bit_length() - 1
+            if k == last:
+                found.append(tuple(f))
+            else:
+                place(k + 1, free ^ low)
+            cand ^= low
+
+    place(0, (1 << t.n) - 1)
+    return found
 
 
 def induced_embeddings(

@@ -329,8 +329,10 @@ def test_free_pair_upsets_match_reference(n):
 
 
 def test_automorphisms_refine_once(monkeypatch, posets_5):
-    """A cold search refines once, and the memoised group a repeat call
-    reads refines nothing."""
+    """A cold search refines at most once, only to order maps that share
+    an image (every automorphism has the whole carrier as its image, so
+    exactly when the group is not trivial), and the memoised group a
+    repeat call reads refines nothing."""
     calls = []
     real = enumeration._bottom_colors
 
@@ -343,7 +345,7 @@ def test_automorphisms_refine_once(monkeypatch, posets_5):
         enumeration._embedding_table.cache_clear()
         calls.clear()
         group = automorphisms(s)
-        assert len(calls) == 1
+        assert len(calls) == (len(group) > 1)
         calls.clear()
         assert automorphisms(s) == group
         assert calls == []

@@ -307,6 +307,51 @@ class TestVerifyMap:
         assert composed.report.is_embedding
         assert composed.report.order_reflecting
 
+    def test_composition_on_positions_matches_name_composition(
+        self, poset_catalog_4, semilattice_catalog_4
+    ):
+        """compose_maps reads positions; on every pair the pipelines
+        compose (test_represent's and the 4a/4b ones) it equals
+        verify_map of the map composed through names, and so does it
+        when the middle structure is a relabelled copy, where each
+        middle position is looked up by name.  4a and 4b build no name
+        map of their target family."""
+        from contactposets.represent import (
+            complete_lattice_embedding,
+            macneille_completion,
+            overlap_poset_embedding,
+            overlap_semilattice_embedding,
+            powerset_embedding,
+        )
+
+        def by_names(first, second):
+            composed = {
+                name: second.apply(first.apply(name)) for name in first.source.names
+            }
+            return verify_map(first.source, second.target, composed)
+
+        pairs = 0
+        for stage, catalog in (
+            (overlap_poset_embedding, poset_catalog_4),
+            (overlap_semilattice_embedding, semilattice_catalog_4),
+        ):
+            for item in catalog.items:
+                family, phi = stage(item)
+                completion, chi = macneille_completion(family.structure)
+                assert compose_maps(phi, chi) == by_names(phi, chi)
+                middle = family.structure
+                moved = middle.relabel(list(reversed(range(middle.n))))
+                chi_moved = verify_map(moved, chi.target, chi.name_map)
+                assert compose_maps(phi, chi_moved) == by_names(phi, chi_moved)
+                assert compose_maps(phi, chi_moved).mapping == compose_maps(phi, chi).mapping
+                pairs += 1
+        assert pairs > 20
+        s = m3("overlap")
+        for embedding in (powerset_embedding, complete_lattice_embedding):
+            family, total = embedding(s)
+            assert family.structure._positions is None
+            assert total == verify_map(s, family.structure, total.name_map)
+
     def test_join_preservation_flag(self, diamond):
         m = verify_map(diamond, diamond, {n: n for n in diamond.names})
         assert m.report.join_preserving is True

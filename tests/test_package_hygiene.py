@@ -245,13 +245,24 @@ def test_origins_only_in_the_provenance_builders():
 
 
 def test_one_map_search():
-    """Every map search reads the memoised embedding table: it is the one
-    caller of isomorphisms, and tables are canonicalised raw only inside
-    enumeration."""
-    assert _callers_everywhere("isomorphisms") == {("enumeration.py", "_embedding_table")}
+    """Every map search reads the memoised embedding table, whose
+    candidate-mask search replaced the colour-class search: isomorphisms
+    is kept as the tests' reference and has no caller in the package,
+    and tables are canonicalised raw only inside enumeration."""
+    assert _callers_everywhere("isomorphisms") == set()
     assert {name for name, _ in _callers_everywhere("canonical_table_key")} == {
         "enumeration.py"
     }
+
+
+def test_embedding_table_builds_no_piece():
+    """The embedding table searches the target's rows as they stand: it
+    neither restricts them to a subset nor matches pieces by the
+    colour-class search."""
+    tree = ast.parse((PACKAGE / "enumeration.py").read_text(encoding="utf-8"))
+    for callee in ("isomorphisms", "restrict"):
+        scopes = {scope for scope, _ in _callers(tree, callee)}
+        assert not scopes & {"_embedding_table", "_mask_search"}, callee
 
 
 def _call_counts(callee):
@@ -268,7 +279,9 @@ def test_join_and_meet_tables_only_find():
     tables only, embeds_extension t's (the extension, not the stage),
     and _grow_semilattice the amalgam d's (the grown stage, the source
     of its map into the semilattice), to find the missing joins with
-    the fresh point."""
+    the fresh point.  _embedding_table builds the target's, once per
+    semilattice search, to keep the images closed under its joins, as
+    _carrier_positions does for the subsets it lists."""
     assert _call_counts("join_table") == Counter({
         ("amalgam.py", "_grow_semilattice"): 1,
         ("core.py", "is_semilattice_order"): 1,
@@ -277,6 +290,7 @@ def test_join_and_meet_tables_only_find():
         ("core.py", "_preserves_joins"): 1,
         ("enumeration.py", "lattice_operations"): 1,
         ("enumeration.py", "_carrier_positions"): 1,
+        ("enumeration.py", "_embedding_table"): 1,
         ("fraisse.py", "embeds_extension"): 1,
         ("fraisse.py", "generated_subsemilattice"): 1,
         ("represent.py", "_bound_sweep"): 1,
