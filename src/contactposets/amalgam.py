@@ -46,38 +46,23 @@ class AmalgamInstance:
     """A, B and C glued by names, with C's positions on both sides:
     in_a[k] and in_b[k] hold C's k-th element in A and in B.
 
-    A builder that glues by positions hands them over, and they are
-    checked once against the names, one string compare per element of
-    C (PreconditionViolation on a mismatch); an instance built without
-    them resolves them from the names once.  The amalgam builders and
-    the witness search read them instead of looking names up.  They
-    are fixed by the names, so equality, hash and repr leave them out.
+    The positions are resolved from the names once, when the instance
+    is made (UnknownElement if a side lacks one of C's names); the
+    amalgam builders and the witness search read them instead of
+    looking names up.  They are fixed by the names, so they are no
+    constructor arguments, and equality, hash and repr leave them out.
     """
 
     a: ContactStructure
     b: ContactStructure
     c: ContactStructure
-    in_a: Sequence[int] | None = field(default=None, compare=False, repr=False)
-    in_b: Sequence[int] | None = field(default=None, compare=False, repr=False)
+    in_a: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    in_b: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         names = self.c.names
-        sides = (("in_a", self.a, self.in_a), ("in_b", self.b, self.in_b))
-        for attr, host, given in sides:
-            if given is None:
-                positions = tuple([host.index(name) for name in names])
-            else:
-                positions = tuple(given)
-                held = host.names
-                try:
-                    found = tuple([held[p] for p in positions])
-                except IndexError:
-                    found = None
-                if found != names or min(positions, default=0) < 0:
-                    raise PreconditionViolation(
-                        f"C's positions in {attr[-1].upper()} do not hold its names"
-                    )
-            object.__setattr__(self, attr, positions)
+        for attr, host in (("in_a", self.a), ("in_b", self.b)):
+            object.__setattr__(self, attr, tuple([host.index(name) for name in names]))
 
     @classmethod
     def from_parts(
@@ -104,9 +89,8 @@ class AmalgamInstance:
             )
         if a.names[a.bottom] != c.names[c.bottom] or b.names[b.bottom] != c.names[c.bottom]:
             raise PreconditionViolation("bottoms must coincide on C")
-        positions = []
-        for host in (a, b):
-            f = [host.index(name) for name in c.names]
+        inst = cls(a, b, c)
+        for host, f in ((a, inst.in_a), (b, inst.in_b)):
             if host.kind == SEMILATTICE:
                 _require_join_closed(host, sorted(set(f)))
             if restrict(f, host.up, host.contact) != [c.up, c.contact]:
@@ -115,8 +99,7 @@ class AmalgamInstance:
                 raise PreconditionViolation(
                     "C is not an induced substructure of both sides"
                 )
-            positions.append(f)
-        return cls(a, b, c, *positions)
+        return inst
 
     @classmethod
     def from_embeddings(

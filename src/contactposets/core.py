@@ -1003,15 +1003,10 @@ def _preserves_joins(
 
 def compose_maps(first: StructureMap, second: StructureMap) -> StructureMap:
     """Verified composition, source of first into target of second, on
-    positions (_verify_positions).  When first's target carries second's
-    source names, as in the embedding pipelines, which hand one
-    structure over, a middle position is read straight across; otherwise
-    each image of first is looked up by name in second's source."""
-    middle, lookup = first.target, second.source
-    if middle.names == lookup.names:
-        f = tuple(second.mapping[j] for j in first.mapping)
-    else:
-        f = tuple(second.mapping[lookup.index(middle.names[j])] for j in first.mapping)
+    positions (_verify_positions): each image of first is looked up by
+    name in second's source, so the target's name map is never built."""
+    middle, lookup = first.target.names, second.source
+    f = tuple(second.mapping[lookup.index(middle[j])] for j in first.mapping)
     return _verify_positions(first.source, second.target, f)
 
 

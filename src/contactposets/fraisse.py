@@ -298,29 +298,25 @@ def _amalgamate_extension(
     """Glue one extension onto the stage; returns the grown stage.
 
     The instance is built unchecked: C is the stage restricted to the
-    copy (core._restriction), t is renamed onto the copy's names plus
-    fresh, and C's positions on both sides are handed over.  Its poset
-    amalgam d is amalgam._grow's, which builds only the fresh point's
-    row and column and checks only the tuples that hold it: the stage
-    was checked when it was built, and the inclusion compare, which
-    matches both sides' rows with the amalgam's, shows its rows come
-    back unchanged.  That compare is the one check of the instance.  A
-    semilattice stage grows into the subsemilattice that the stage and t
-    generate in the union-closed image family of d
-    (amalgam._grow_semilattice), built by rows from d without the
-    family: the stage's points keep their names and the fresh point its
-    own, and each point added for a join missing in d is named qN.  Each
-    grown stage carries its own name map.
+    copy (core._restriction), and t is renamed onto the copy's names
+    plus fresh.  Its poset amalgam d is amalgam._grow's, which builds
+    only the fresh point's row and column and checks only the tuples
+    that hold it: the stage was checked when it was built, and the
+    inclusion compare, which matches both sides' rows with the
+    amalgam's, shows its rows come back unchanged.  That compare is the
+    one check of the instance.  A semilattice stage grows into the
+    subsemilattice that the stage and t generate in the union-closed
+    image family of d (amalgam._grow_semilattice), built by rows from d
+    without the family: the stage's points keep their names and the
+    fresh point its own, and each point added for a join missing in d
+    is named qN.  Each grown stage carries its own name map.
     """
     rename = {into[s_name]: f[s_name] for s_name in into}
     (free,) = set(t.names) - set(rename)
     rename[free] = fresh
     b_side = t.rename(rename)
-    at = {stage.index(f[s_name]): t.index(t_name) for s_name, t_name in into.items()}
-    copy = sorted(at)
-    inst = AmalgamInstance(
-        stage, b_side, _restriction(stage, copy), copy, [at[p] for p in copy]
-    )
+    copy = sorted(stage.index(name) for name in f.values())
+    inst = AmalgamInstance(stage, b_side, _restriction(stage, copy))
     grown = _grow(inst)
     if stage.kind == POSET:
         return grown
@@ -401,14 +397,13 @@ def iter_gluings(
     a: ContactStructure, b: ContactStructure
 ) -> Iterator[AmalgamInstance]:
     """Every way of gluing b onto a along a common induced substructure:
-    _gluings with the identity groups, renamed apart unchecked, each
-    instance with C's positions on both sides.  C is built once per
-    carrier subset and shared by its gluings."""
+    _gluings with the identity groups, renamed apart unchecked.  C is
+    built once per carrier subset and shared by its gluings."""
     last = None
     for chosen, image in _gluings(a, b, [tuple(range(a.n))], [tuple(range(b.n))]):
         if chosen != last:
             last, c = chosen, _restriction(a, chosen)
-        yield AmalgamInstance(*_glued_apart(a, b, c, chosen, image), chosen, image)
+        yield AmalgamInstance(*_glued_apart(a, b, c, chosen, image))
 
 
 def _run_instance(inst: AmalgamInstance, kind: str) -> str | None:
@@ -451,8 +446,7 @@ def check_class_properties(
     for a in catalog.items:
         c = _restriction(a, [a.bottom])
         for b in catalog.items:
-            glued = _glued_apart(a, b, c, [a.bottom], [b.bottom])
-            inst = AmalgamInstance(*glued, [a.bottom], [b.bottom])
+            inst = AmalgamInstance(*_glued_apart(a, b, c, [a.bottom], [b.bottom]))
             problem = _run_instance(inst, catalog.kind)
             if problem:
                 jep_failures.append(problem)
@@ -504,8 +498,7 @@ def random_instance(
         maps = _embedding_table(_rows(c, c.kind), _rows(b, c.kind))
         if not maps:
             continue
-        image = rng.choice(maps)
-        return AmalgamInstance(*_glued_apart(a, b, c, chosen, image), chosen, image)
+        return AmalgamInstance(*_glued_apart(a, b, c, chosen, rng.choice(maps)))
     return None
 
 

@@ -5,12 +5,13 @@ names at C's positions, a tagged name everywhere else, one duplicate-name
 check.  The name-based renaming it replaced (a name map per side, read
 back through the images, then ``rename``) is kept below as the
 reference, and the two must build the same sides or raise the same
-error.  ``AmalgamInstance`` carries C's positions on both sides; handed
-over, they must equal the positions resolved from the names, and wrong
-ones are refused.
+error.  ``AmalgamInstance`` carries C's positions on both sides,
+resolved from the names when it is made; they must be the positions
+the gluing chose, and they are no constructor arguments.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -22,7 +23,12 @@ from contactposets.core import (
     _glued_apart,
     _restriction,
 )
-from contactposets.enumeration import AgeCatalog, _gluings, gluings_up_to_iso
+from contactposets.enumeration import (
+    AgeCatalog,
+    _gluings,
+    canonical_key,
+    gluings_up_to_iso,
+)
 from contactposets.errors import PreconditionViolation, UnknownElement
 from contactposets.events import (
     EventStructure,
@@ -65,28 +71,24 @@ def test_every_labelled_gluing_to_four_matches_reference(kind):
         c = _restriction(a, chosen)
         glued = _glued_apart(a, b, c, chosen, image)
         assert glued == reference_glued_apart(a, b, c, chosen, image)
-        handed = AmalgamInstance(*glued, chosen, image)
-        resolved = AmalgamInstance(*glued)
-        assert handed == resolved
-        assert (handed.in_a, handed.in_b) == (resolved.in_a, resolved.in_b)
-        assert handed.in_a == tuple(chosen) and handed.in_b == tuple(image)
+        inst = AmalgamInstance(*glued)
+        assert inst.in_a == tuple(chosen) and inst.in_b == tuple(image)
         count += 1
     assert count > 200
 
 
-def test_iter_gluings_hands_over_the_resolved_positions():
+def test_library_gluings_carry_the_chosen_positions():
+    """iter_gluings and random_instance glue at positions of their
+    choosing; the instance's positions hold C's names on both sides."""
     items = AgeCatalog.build(3, SEMILATTICE).items
-    for a in items:
-        for b in items:
-            for inst in iter_gluings(a, b):
-                resolved = AmalgamInstance(inst.a, inst.b, inst.c)
-                assert (inst.in_a, inst.in_b) == (resolved.in_a, resolved.in_b)
     rng = random.Random(3001)
     catalog = AgeCatalog.build(5, POSET)
-    for _ in range(100):
-        inst = random_instance(catalog, rng)
-        resolved = AmalgamInstance(inst.a, inst.b, inst.c)
-        assert (inst.in_a, inst.in_b) == (resolved.in_a, resolved.in_b)
+    instances = [inst for a in items for b in items for inst in iter_gluings(a, b)]
+    instances += [random_instance(catalog, rng) for _ in range(100)]
+    for inst in instances:
+        assert tuple(inst.a.names[p] for p in inst.in_a) == inst.c.names
+        assert tuple(inst.b.names[q] for q in inst.in_b) == inst.c.names
+    assert len(instances) > 100
 
 
 def test_event_gluings_of_criterion_8_pairs_to_three_match_reference():
@@ -128,33 +130,33 @@ def test_tag_collisions_raise_on_both_renamings():
     assert collisions > 50
 
 
-def test_wrong_positions_are_refused():
+def test_positions_are_no_arguments_and_follow_the_names():
+    """No caller hands positions in; a replaced side gets its own
+    positions, and a side without one of C's names is refused."""
     a, b, chosen, image = next(
         g for g in _labelled_gluings(POSET, 4)
         if len(g[2]) == 3 and g[0].n == 4 and g[2] != g[3]
     )
     glued = _glued_apart(a, b, _restriction(a, chosen), chosen, image)
-    contact_amalgam(AmalgamInstance(*glued, chosen, image))
-    swapped = (chosen[0], chosen[2], chosen[1])
-    outside = [p for p in range(a.n) if p not in chosen][0]
-    for in_a, in_b in [
-        (swapped, image),
-        (chosen, tuple(reversed(image))),
-        (chosen[:2], image),
-        ((*chosen[:2], outside), image),
-        (chosen, (*image[:2], b.n)),
-        (chosen, (*image[:2], image[2] - b.n)),
-    ]:
-        with pytest.raises(PreconditionViolation, match="do not hold its names"):
-            AmalgamInstance(*glued, in_a, in_b)
+    inst = AmalgamInstance(*glued)
+    contact_amalgam(inst)
+    with pytest.raises(TypeError):
+        AmalgamInstance(*glued, chosen, image)
+    moved = glued[0].relabel(list(reversed(range(a.n))))
+    again = replace(inst, a=moved)
+    assert again.in_a == tuple(moved.index(name) for name in inst.c.names)
+    assert again.in_a != inst.in_a
+    assert canonical_key(contact_amalgam(again)) == canonical_key(contact_amalgam(inst))
+    off = glued[1].rename({glued[1].names[image[1]]: "b:off"})
+    with pytest.raises(UnknownElement):
+        AmalgamInstance(glued[0], off, glued[2])
 
 
 def test_positions_stay_out_of_equality_hash_and_repr():
     c = ContactStructure(("0",), 0, (1,), (0,), POSET)
     a = ContactStructure(("x", "0"), 1, (0b01, 0b11), (0b01, 0), POSET)
-    resolved = AmalgamInstance(a, a, c)
-    assert resolved.in_a == resolved.in_b == (1,)
-    handed = AmalgamInstance(a, a, c, [1], (1,))
-    assert handed.in_a == (1,)
-    assert handed == resolved and hash(handed) == hash(resolved)
-    assert repr(handed) == repr(resolved) and "in_a" not in repr(handed)
+    inst = AmalgamInstance(a, a, c)
+    assert inst.in_a == inst.in_b == (1,)
+    other = replace(inst)
+    assert other == inst and hash(other) == hash(inst)
+    assert repr(inst) == "AmalgamInstance(a=%r, b=%r, c=%r)" % (a, a, c)
