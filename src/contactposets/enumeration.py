@@ -30,6 +30,7 @@ from .core import (
     SEMILATTICE,
     ContactStructure,
     _join_escape,
+    _restriction,
     bits,
     is_semilattice_order,
     join_table,
@@ -37,7 +38,6 @@ from .core import (
     meet_table,
     overlap_relation,
     relabel_rows,
-    restrict,
     transpose,
 )
 from .errors import AxiomViolation
@@ -214,71 +214,11 @@ def automorphisms(s: ContactStructure) -> list[tuple[int, ...]]:
 
 
 def _bottom_colors(s) -> tuple[int, ...]:
-    """The refined colouring of s from the bottom-pinned start, the one
-    isomorphisms matches colour classes by."""
+    """The refined colouring of s from the bottom-pinned start: the
+    colour classes that order the maps onto one image
+    (_embedding_table)."""
     start = tuple(0 if i == s.bottom else 1 for i in range(s.n))
     return _refine_colors(s.n, (s.up, s.contact), start)
-
-
-def isomorphisms(
-    s: ContactStructure,
-    t: ContactStructure,
-    s_colors: Sequence[int] | None = None,
-) -> Iterator[tuple[int, ...]]:
-    """All bottom-preserving isomorphisms s -> t as index maps, by a
-    search over colour classes.  The package's map searches go through
-    _embedding_table's candidate masks instead; this search is the
-    reference the tests hold them to, and fixes the order of the maps
-    onto one image there.
-
-    s_colors are s's refined colours (_bottom_colors(s)); a caller that
-    matches one source against many targets computes them once, and a
-    target with the source's bottom and rows reuses them.  Only n, kind,
-    bottom and the rows of s and t are read.
-
-    Precondition: both orders are reflexive, both contacts symmetric,
-    and either every element but the bottom touches itself on both sides
-    (Ref) or none does: valid structures, their restrictions that keep
-    the bottom and the empty-contact carriers of _orbit_least_upsets.
-    Then a completed map needs no re-check: every off-diagonal pair was
-    compared, and the bottom, alone in colour 0, goes to the bottom.
-    """
-    if s.n != t.n or s.kind != t.kind:
-        return
-    if s_colors is None:
-        s_colors = _bottom_colors(s)
-    same = t.bottom == s.bottom and t.up == s.up and t.contact == s.contact
-    t_colors = s_colors if same else _bottom_colors(t)
-    if sorted(s_colors) != sorted(t_colors):
-        return
-    slots: dict[int, list[int]] = {}
-    for j, c in enumerate(t_colors):
-        slots.setdefault(c, []).append(j)
-    order = sorted(range(s.n), key=lambda i: (s_colors[i], i))
-
-    def rec(k: int, acc: dict[int, int], used: set[int]) -> Iterator[tuple[int, ...]]:
-        if k == len(order):
-            yield tuple(acc[i] for i in range(s.n))
-            return
-        i = order[k]
-        for j in slots.get(s_colors[i], ()):
-            if j in used:
-                continue
-            ok = all(
-                (s.up[i] >> i2 & 1) == (t.up[j] >> j2 & 1)
-                and (s.up[i2] >> i & 1) == (t.up[j2] >> j & 1)
-                and (s.contact[i] >> i2 & 1) == (t.contact[j] >> j2 & 1)
-                for i2, j2 in acc.items()
-            )
-            if not ok:
-                continue
-            acc[i] = j
-            used.add(j)
-            yield from rec(k + 1, acc, used)
-            del acc[i]
-            used.discard(j)
-
-    yield from rec(0, {}, set())
 
 
 # ---------------------------------------------------------------------------
@@ -691,13 +631,6 @@ def _rows(s, kind: str) -> _Rows:
     return _Rows(s.bottom, tuple(s.up), tuple(s.contact), kind)
 
 
-def _piece(t, chosen: Sequence[int], kind: str) -> _Rows:
-    """t's rows restricted to the chosen positions (ascending, with the
-    bottom) by core.restrict, unchecked."""
-    up, contact = restrict(chosen, t.up, t.contact)
-    return _Rows(chosen.index(t.bottom), up, contact, kind)
-
-
 @lru_cache(maxsize=4096)
 def _embedding_table(s: _Rows, t: _Rows) -> tuple[tuple[int, ...], ...]:
     """Embeddings of s onto induced substructures of t as index maps
@@ -713,10 +646,10 @@ def _embedding_table(s: _Rows, t: _Rows) -> tuple[tuple[int, ...], ...]:
     signature embeddings.  The order is carrier_subsets' order of the
     images (ascending positions, compared as tuples: the bottom is in
     every image, so it does not change the order), and within one image
-    the order of the colour-class search the isomorphism reference
-    runs: by the images of s's points taken in order of s's refined
-    colour, then position (_bottom_colors).  The colours are computed
-    only when two maps share an image, at most once per search.
+    by the images of s's points taken in order of s's refined colour,
+    then position (_bottom_colors), the order a search over colour
+    classes would give.  The colours are computed only when two maps
+    share an image, at most once per search.
     """
     if s.n > t.n:
         return ()
@@ -818,10 +751,12 @@ def induced_embeddings(
 def gluings_up_to_iso(
     a: ContactStructure, b: ContactStructure
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """One gluing of b onto a per isomorphism class of instances: _gluings
-    with both automorphism groups (McKay, "Isomorph-free exhaustive
+    """One gluing of b onto a per isomorphism class of instances, as
+    (C's positions in a, their images' positions in b): _gluings with
+    both automorphism groups (McKay, "Isomorph-free exhaustive
     generation", 1998)."""
-    return _gluings(a, b, automorphisms(a), automorphisms(b))
+    gluings = _gluings(a, b, automorphisms(a), automorphisms(b))
+    return ((chosen, f) for chosen, _, f in gluings)
 
 
 def _gluings(
@@ -829,14 +764,16 @@ def _gluings(
     b: ContactStructure,
     auts_a: Sequence[Sequence[int]],
     auts_b: Sequence[Sequence[int]],
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The one gluing generator: pairs (C's positions in a, ascending;
-    their images' positions in b), one per orbit of auts_a x auts_b; the
-    identity groups keep every gluing.  A subset is kept when its mask is
-    least in its orbit under auts_a, a map of C into b when it is least
-    under the subset's stabiliser in auts_a, acting on C, times auts_b.
-    Subsets come size by size from _carrier_positions, each with its maps
-    in a row from the memoised _embedding_table (a's kind on both sides).
+) -> Iterator[tuple[tuple[int, ...], ContactStructure, tuple[int, ...]]]:
+    """The one gluing generator: triples (C's positions in a, ascending;
+    C; their images' positions in b), one per orbit of auts_a x auts_b;
+    the identity groups keep every gluing.  A subset is kept when its
+    mask is least in its orbit under auts_a, a map of C into b when it
+    is least under the subset's stabiliser in auts_a, acting on C, times
+    auts_b.  Subsets come size by size from _carrier_positions.  C is a
+    restricted to a kept subset (core._restriction), built once and
+    shared by its maps, which come in a row from the memoised
+    _embedding_table (a's kind on both sides).
     """
     b_rows = _rows(b, a.kind)
     for size in range(1, min(a.n, b.n) + 1):
@@ -850,10 +787,11 @@ def _gluings(
                 for alpha, image in zip(auts_a, images)
                 if image == mask
             ]
-            for f in _embedding_table(_piece(a, chosen, a.kind), b_rows):
+            c = _restriction(a, chosen)
+            for f in _embedding_table(_rows(c, a.kind), b_rows):
                 if all(
                     tuple([beta[f[k]] for k in sigma]) >= f
                     for sigma in stabiliser
                     for beta in auts_b
                 ):
-                    yield chosen, f
+                    yield chosen, c, f

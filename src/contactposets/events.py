@@ -36,7 +36,7 @@ from .core import (
     normalize_order,
     transpose,
 )
-from .enumeration import AgeCatalog, gluings_up_to_iso
+from .enumeration import AgeCatalog, _gluings, automorphisms
 from .errors import PreconditionViolation, UnknownElement
 
 RESERVED_BOTTOM = "__bot__"
@@ -247,13 +247,13 @@ def iter_event_gluings(
     isomorphism class, as renamed-apart triples (a', b', c).
 
     A sub-event structure on S is dual to the substructure on S plus the
-    reserved bottom, so the gluings are those of the stored duals
-    (enumeration.gluings_up_to_iso), renamed apart as the contact ones
-    (core._glued_apart); c is built once per chosen part.
+    reserved bottom, so the gluings are those of the stored duals, one
+    per orbit of both automorphism groups (enumeration._gluings, as
+    gluings_up_to_iso lists them), renamed apart as the contact ones
+    (core._glued_apart); c's dual is built once per chosen part, by
+    _gluings.
     """
-    last = None
-    for chosen, image in gluings_up_to_iso(a.dual, b.dual):
-        if chosen != last:
-            last, c = chosen, EventStructure(_restriction(a.dual, chosen))
-        a2, b2, _ = _glued_apart(a.dual, b.dual, c.dual, chosen, image)
-        yield EventStructure(a2), EventStructure(b2), c
+    gluings = _gluings(a.dual, b.dual, automorphisms(a.dual), automorphisms(b.dual))
+    for chosen, c, image in gluings:
+        a2, b2, _ = _glued_apart(a.dual, b.dual, c, chosen, image)
+        yield EventStructure(a2), EventStructure(b2), EventStructure(c)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .amalgam import (
     AmalgamInstance,
@@ -29,7 +29,6 @@ from .core import (
     bits,
     close_under,
     join_table,
-    mask_image,
     verify_map,
 )
 from .enumeration import (
@@ -40,7 +39,6 @@ from .enumeration import (
     _rows,
     automorphisms,
     canonical_key,
-    induced_embeddings,
 )
 from .errors import PreconditionViolation
 
@@ -55,11 +53,24 @@ def one_point_extensions(
     """All ways to extend s by one point, up to isomorphism over s.
 
     Pairs (t, into) with t a catalog item one element larger and into an
-    embedding of s onto an induced substructure of t; two pairs count as
-    the same extension when an isomorphism of the targets commutes with
-    the inclusions.  Catalog items are pairwise non-isomorphic, so that
-    isomorphism is an automorphism of t, and the first index map of each
-    orbit under automorphisms(t) is kept, in _embedding_table's order.
+    embedding of s onto an induced substructure of t, as a name map: the
+    name view of _extensions.
+    """
+    return [
+        (t, {name: t.names[j] for name, j in zip(s.names, into)})
+        for t, into in _extensions(s, catalog)
+    ]
+
+
+def _extensions(
+    s: ContactStructure, catalog: AgeCatalog
+) -> list[tuple[ContactStructure, tuple[int, ...]]]:
+    """one_point_extensions with into as positions: into[k] is t's
+    position of s's k-th point.  Two pairs count as the same extension
+    when an isomorphism of the targets commutes with the inclusions.
+    Catalog items are pairwise non-isomorphic, so that isomorphism is an
+    automorphism of t, and the first index map of each orbit under
+    automorphisms(t) is kept, in _embedding_table's order.
     """
     out = []
     s_rows = _rows(s, s.kind)
@@ -75,82 +86,77 @@ def one_point_extensions(
             if f in seen:
                 continue
             seen.update(tuple([alpha[j] for j in f]) for alpha in group)
-            out.append((t, {name: t.names[j] for name, j in zip(s.names, f)}))
+            out.append((t, f))
     return out
 
 
-def embeds_extension(
-    stage: ContactStructure,
-    f: dict[str, str],
-    t: ContactStructure,
-    into: dict[str, str],
-) -> bool:
-    """Does the embedding f of the common part extend to all of t?
+class _Pattern(NamedTuple):
+    """An extension (t, into) of a catalog item sub, with t's fresh
+    point x read as masks over sub's points: bit k of below, touch and
+    above is set when sub's k-th point, t's into[k], lies below x,
+    touches x or lies above x.  joins lists, for a semilattice t, each
+    (k, m) with into[k] v x = into[m] in t, a join that is neither
+    point."""
 
-    True iff some stage point c outside the image of f makes the map
-    t -> stage (anchored points as f says, t's one other point x to c)
-    an order-reflecting embedding, as verify_map judges it.
+    t: ContactStructure
+    into: tuple[int, ...]
+    below: int
+    touch: int
+    above: int
+    joins: tuple[tuple[int, int], ...]
 
-    Checked once per call, on the anchored points: injectivity, the
-    bottom, and order and contact in both directions.  x's column (a <=
-    x, a touches x, for anchored a) is folded into one candidate mask
-    before the loop; its row and its diagonal are checked per candidate.
-    t's joins are found once, in join_table(t), and each candidate scans
-    them all: the map keeps the join k of i and j iff up[g[k]] ==
-    up[g[i]] & up[g[j]] in the stage (see core.join_table).  A diagonal
-    pair joins to itself on both sides, so it is skipped.
-    """
-    anchored = {into[s_name]: f[s_name] for s_name in into}
-    free = [name for name in t.names if name not in anchored]
-    x = t.index(free[0])
-    rest = [i for i in range(t.n) if i != x]
-    g = [0] * t.n
-    image = 0
-    for i in rest:
-        g[i] = stage.index(anchored[t.names[i]])
-        image |= 1 << g[i]
-    if image.bit_count() != len(rest):
-        return False
-    up, contact = stage.up, stage.contact
 
-    def pushed(row: int) -> int:
-        return mask_image(row & ~(1 << x), g)
-
-    candidates = stage.full_mask & ~image
-    if t.bottom == x:
-        candidates &= 1 << stage.bottom
-    elif g[t.bottom] != stage.bottom:
-        return False
-    for i in rest:
-        if up[g[i]] & image != pushed(t.up[i]):
-            return False
-        if contact[g[i]] & image != pushed(t.contact[i]):
-            return False
-        candidates &= up[g[i]] if t.up[i] >> x & 1 else ~up[g[i]]
-        candidates &= contact[g[i]] if t.contact[i] >> x & 1 else ~contact[g[i]]
-    row_up, row_contact = pushed(t.up[x]), pushed(t.contact[x])
-    self_up, self_contact = t.up[x] >> x & 1, t.contact[x] >> x & 1
-
+def _pattern(t: ContactStructure, into: tuple[int, ...]) -> _Pattern:
+    """The pattern of one extension, its joins found in join_table(t).
+    Every point of t but x is anchored, so the join of x with an
+    anchored point is x, that point or another anchored one."""
+    (x,) = set(range(t.n)) - set(into)
+    below = touch = above = 0
+    for k, i in enumerate(into):
+        below |= (t.up[i] >> x & 1) << k
+        touch |= (t.contact[i] >> x & 1) << k
+        above |= (t.up[x] >> i & 1) << k
     joins = []
-    if t.kind == SEMILATTICE and stage.kind == SEMILATTICE:
+    if t.kind == SEMILATTICE:
         t_joins = join_table(t)
-        for i in range(t.n):
-            for j in range(i + 1, t.n):
-                k = t_joins.get(t.up[i] & t.up[j])
-                if k is None:
-                    return False
-                joins.append((i, j, k))
-    for c in bits(candidates):
+        for k, i in enumerate(into):
+            j = t_joins[t.up[i] & t.up[x]]
+            if j != i and j != x:
+                joins.append((k, into.index(j)))
+    return _Pattern(t, into, below, touch, above, tuple(joins))
+
+
+def _realized(stage: ContactStructure, copy: Sequence[int], p: _Pattern) -> bool:
+    """Does the copy of sub at the stage positions copy extend to all of
+    p.t?  True iff some stage point c off the copy stands in for x: c
+    lies above, touches and lies below the copy's points as x does, and
+    keeps the joins of x with them.
+
+    One candidate mask is cut from the up and contact rows at the copy's
+    points; each candidate then gets one up-row test (the points above
+    it) and one test per join, by rows (see core.join_table).  Nothing
+    else can fail: the copy is an embedding from the table (a grown
+    stage keeps the stage it grew from as a substructure) and into one
+    from _extensions, so injectivity, the bottom, the pairs and joins of
+    the copy's points hold; the stage is a checked value, so Sym gives
+    c's contact row from its column; and c, off the copy, is not the
+    bottom, so Ref gives both diagonals.
+    """
+    _, _, below, touch, above, joins = p
+    up, contact = stage.up, stage.contact
+    image = over = 0
+    candidates = stage.full_mask
+    for k, q in enumerate(copy):
+        bit = 1 << q
+        image |= bit
+        if above >> k & 1:
+            over |= bit
+        candidates &= up[q] if below >> k & 1 else ~up[q]
+        candidates &= contact[q] if touch >> k & 1 else ~contact[q]
+    rows = [(up[copy[k]], up[copy[m]]) for k, m in joins]
+    for c in bits(candidates & ~image):
         row = up[c]
-        if (
-            row & image != row_up
-            or contact[c] & image != row_contact
-            or (row >> c & 1) != self_up
-            or (contact[c] >> c & 1) != self_contact
-        ):
-            continue
-        g[x] = c
-        if all(up[g[k]] == up[g[i]] & up[g[j]] for i, j, k in joins):
+        if row & image == over and all(rm == rk & row for rk, rm in rows):
             return True
     return False
 
@@ -230,20 +236,21 @@ def trivial_stage(kind: str) -> LimitStage:
 
 def _sweep(
     s: ContactStructure, cap: int, catalog: AgeCatalog
-) -> Iterator[tuple[ContactStructure, dict, ContactStructure, dict]]:
-    """Every (copy, extension) pair over s, as (sub, f, t, into): each
+) -> Iterator[tuple[ContactStructure, tuple[int, ...], _Pattern]]:
+    """Every (copy, extension) pair over s, as (sub, copy, pattern): each
     catalog item sub of at most cap points with a one-point extension,
-    each copy f of sub in s, each extension (t, into) of sub.  The
-    copies are those in s, so a caller may grow a stage from s while it
-    walks them: s is a value and does not grow."""
+    each copy of sub in s as the positions _embedding_table lists, each
+    extension of sub as its pattern, computed once per sub.  The copies
+    are those in s, so a caller may grow a stage from s while it walks
+    them: s is a value and does not grow."""
     for sub in catalog.items:
         if sub.n > cap:
             continue
-        extensions = one_point_extensions(sub, catalog)
-        if extensions:
-            for f in induced_embeddings(sub, s):
-                for t, into in extensions:
-                    yield sub, f, t, into
+        patterns = [_pattern(t, into) for t, into in _extensions(sub, catalog)]
+        if patterns:
+            for copy in _embedding_table(_rows(sub, sub.kind), _rows(s, sub.kind)):
+                for p in patterns:
+                    yield sub, copy, p
 
 
 def build_limit_stage(
@@ -256,10 +263,12 @@ def build_limit_stage(
     """Sweep over embedded copies of substructures up to the size cap,
     amalgamating every unrealized one-point extension.
 
-    Each sweep walks the copies in the stage it started from (_sweep).
-    Stops at a fixpoint sweep, after the sweep budget, or with the
-    budget_exceeded flag once the carrier would outgrow max_elements.
-    Deterministic for a fixed catalog.
+    Each sweep walks the copies in the stage it started from (_sweep),
+    each mapped into the grown stage by name: a semilattice stage
+    re-sorts its points on every growth step.  Stops at a fixpoint
+    sweep, after the sweep budget, or with the budget_exceeded flag once
+    the carrier would outgrow max_elements.  Deterministic for a fixed
+    catalog.
     """
     if catalog is None:
         catalog = AgeCatalog.build(cap + 1, kind)
@@ -270,19 +279,22 @@ def build_limit_stage(
     while sweep < sweeps and not exceeded:
         sweep += 1
         grown_from = len(log)
-        for sub, f, t, into in _sweep(structure, cap, catalog):
-            if embeds_extension(structure, f, t, into):
+        start = structure
+        for sub, f, p in _sweep(start, cap, catalog):
+            names = [start.names[q] for q in f]
+            copy = [structure.index(name) for name in names]
+            if _realized(structure, copy, p):
                 continue
             exceeded = structure.n >= max_elements
             if exceeded:
                 break
             fresh = f"p{len(log) + 1}"
-            grown = _amalgamate_extension(structure, f, t, into, fresh)
+            grown = _amalgamate_extension(structure, copy, p.t, p.into, fresh)
             exceeded = grown.n > max_elements
             if exceeded:
                 break
             structure = grown
-            log.append(Realization(sub, tuple(sorted(f.items())), t, fresh))
+            log.append(Realization(sub, tuple(sorted(zip(sub.names, names))), p.t, fresh))
         if len(log) == grown_from:
             break
     return LimitStage(structure, sweep, tuple(log), kind, exceeded)
@@ -290,33 +302,34 @@ def build_limit_stage(
 
 def _amalgamate_extension(
     stage: ContactStructure,
-    f: dict[str, str],
+    copy: Sequence[int],
     t: ContactStructure,
-    into: dict[str, str],
+    into: Sequence[int],
     fresh: str,
 ) -> ContactStructure:
     """Glue one extension onto the stage; returns the grown stage.
 
-    The instance is built unchecked: C is the stage restricted to the
-    copy (core._restriction), and t is renamed onto the copy's names
-    plus fresh.  Its poset amalgam d is amalgam._grow's, which builds
-    only the fresh point's row and column and checks only the tuples
-    that hold it: the stage was checked when it was built, and the
-    inclusion compare, which matches both sides' rows with the
-    amalgam's, shows its rows come back unchanged.  That compare is the
-    one check of the instance.  A semilattice stage grows into the
-    subsemilattice that the stage and t generate in the union-closed
-    image family of d (amalgam._grow_semilattice), built by rows from d
-    without the family: the stage's points keep their names and the
-    fresh point its own, and each point added for a join missing in d
-    is named qN.  Each grown stage carries its own name map.
+    The copy's k-th point sits at stage position copy[k] and at t's
+    position into[k].  The instance is built unchecked: C is the stage
+    restricted to the copy (core._restriction), and t is renamed by
+    position, into[k] to the name at copy[k] and its one other point to
+    fresh.  Its poset amalgam d is amalgam._grow's, which builds only
+    the fresh point's row and column and checks only the tuples that
+    hold it: the stage was checked when it was built, and the inclusion
+    compare, which matches both sides' rows with the amalgam's, shows
+    its rows come back unchanged.  That compare is the one check of the
+    instance.  A semilattice stage grows into the subsemilattice that
+    the stage and t generate in the union-closed image family of d
+    (amalgam._grow_semilattice), built by rows from d without the
+    family: the stage's points keep their names and the fresh point its
+    own, and each point added for a join missing in d is named qN.
+    Each grown stage carries its own name map.
     """
-    rename = {into[s_name]: f[s_name] for s_name in into}
-    (free,) = set(t.names) - set(rename)
-    rename[free] = fresh
-    b_side = t.rename(rename)
-    copy = sorted(stage.index(name) for name in f.values())
-    inst = AmalgamInstance(stage, b_side, _restriction(stage, copy))
+    names = [fresh] * t.n
+    for q, i in zip(copy, into):
+        names[i] = stage.names[q]
+    b_side = t.rename(dict(zip(t.names, names)))
+    inst = AmalgamInstance(stage, b_side, _restriction(stage, sorted(copy)))
     grown = _grow(inst)
     if stage.kind == POSET:
         return grown
@@ -333,38 +346,33 @@ def check_extension_property(
     that item (_sweep, the walk growth makes); a finite stage cannot
     realize extensions above its maximal elements, so fractions below
     1.0 are expected and reported honestly.  Each miss records its copy
-    and its cause (ExtensionMiss).
+    and its cause (ExtensionMiss), read off the pattern's below mask.
     """
     if catalog is None:
         catalog = AgeCatalog.build(cap + 1, stage.kind)
     s = stage.structure
-    maximal = {s.names[i] for i in range(s.n) if s.up[i] == 1 << i}
+    maximal = 0
+    for i, row in enumerate(s.up):
+        if row == 1 << i:
+            maximal |= row
     total = realized = 0
     misses = []
-    for sub, f, t, into in _sweep(s, cap, catalog):
+    for sub, copy, p in _sweep(s, cap, catalog):
         total += 1
-        if embeds_extension(s, f, t, into):
+        if _realized(s, copy, p):
             realized += 1
             continue
-        forced = any(f[name] in maximal for name in _below_fresh(t, into))
+        forced = any(maximal >> copy[k] & 1 for k in bits(p.below))
         misses.append(
             ExtensionMiss(
                 sub,
-                tuple(f[name] for name in sub.names),
-                t,
-                tuple((name, into[name]) for name in sub.names),
+                tuple(s.names[q] for q in copy),
+                p.t,
+                tuple(zip(sub.names, (p.t.names[i] for i in p.into))),
                 ABOVE_MAXIMAL if forced else UNREALIZED_AT_BUDGET,
             )
         )
     return ExtensionReport(total, realized, tuple(misses))
-
-
-def _below_fresh(t: ContactStructure, into: dict[str, str]) -> tuple[str, ...]:
-    """The points of the copy, by their names in the copied structure,
-    that lie strictly below the extension's fresh point.  A miss is
-    ABOVE_MAXIMAL when one of them sits on a maximal stage point."""
-    (fresh,) = set(t.names) - set(into.values())
-    return tuple(name for name, t_name in into.items() if t.leq(t_name, fresh))
 
 
 def stage_embeds_previous(previous: LimitStage, current: LimitStage) -> bool:
@@ -398,11 +406,9 @@ def iter_gluings(
 ) -> Iterator[AmalgamInstance]:
     """Every way of gluing b onto a along a common induced substructure:
     _gluings with the identity groups, renamed apart unchecked.  C is
-    built once per carrier subset and shared by its gluings."""
-    last = None
-    for chosen, image in _gluings(a, b, [tuple(range(a.n))], [tuple(range(b.n))]):
-        if chosen != last:
-            last, c = chosen, _restriction(a, chosen)
+    built once per carrier subset, by _gluings, and shared by its
+    gluings."""
+    for chosen, c, image in _gluings(a, b, [tuple(range(a.n))], [tuple(range(b.n))]):
         yield AmalgamInstance(*_glued_apart(a, b, c, chosen, image))
 
 

@@ -29,7 +29,7 @@ from contactposets.core import (
     transpose,
     verify_map,
 )
-from contactposets.enumeration import AgeCatalog, automorphisms, isomorphisms
+from contactposets.enumeration import AgeCatalog, automorphisms
 from contactposets.fraisse import (
     build_limit_stage,
     generated_subsemilattice,
@@ -46,6 +46,7 @@ from contactposets.represent import (
     _nonbelow_masks,
     macneille_completion,
 )
+from test_embedding_search import isomorphisms
 
 
 # ---------------------------------------------------------------------------

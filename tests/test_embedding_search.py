@@ -18,6 +18,7 @@ and the search must give the same maps in the same order as each:
 
 import random
 from itertools import permutations
+from typing import Iterator, Sequence
 
 import pytest
 
@@ -36,10 +37,71 @@ from contactposets.enumeration import (
     automorphisms,
     carrier_subsets,
     induced_embeddings,
-    isomorphisms,
 )
 from contactposets.events import enumerate_event_structures
 from contactposets.fraisse import build_limit_stage
+
+
+def isomorphisms(
+    s: ContactStructure,
+    t: ContactStructure,
+    s_colors: Sequence[int] | None = None,
+) -> Iterator[tuple[int, ...]]:
+    """All bottom-preserving isomorphisms s -> t as index maps, by a
+    search over colour classes: the search the package ran before its
+    map searches went through _embedding_table's candidate masks, kept
+    as the reference they are held to.  It fixes the order of the maps
+    onto one image there.
+
+    s_colors are s's refined colours (_bottom_colors(s)); a caller that
+    matches one source against many targets computes them once, and a
+    target with the source's bottom and rows reuses them.  Only n, kind,
+    bottom and the rows of s and t are read.
+
+    Precondition: both orders are reflexive, both contacts symmetric,
+    and either every element but the bottom touches itself on both sides
+    (Ref) or none does: valid structures, their restrictions that keep
+    the bottom and the empty-contact carriers of _orbit_least_upsets.
+    Then a completed map needs no re-check: every off-diagonal pair was
+    compared, and the bottom, alone in colour 0, goes to the bottom.
+    """
+    if s.n != t.n or s.kind != t.kind:
+        return
+    if s_colors is None:
+        s_colors = _bottom_colors(s)
+    same = t.bottom == s.bottom and t.up == s.up and t.contact == s.contact
+    t_colors = s_colors if same else _bottom_colors(t)
+    if sorted(s_colors) != sorted(t_colors):
+        return
+    slots: dict[int, list[int]] = {}
+    for j, c in enumerate(t_colors):
+        slots.setdefault(c, []).append(j)
+    order = sorted(range(s.n), key=lambda i: (s_colors[i], i))
+
+    def rec(k: int, acc: dict[int, int], used: set[int]) -> Iterator[tuple[int, ...]]:
+        if k == len(order):
+            yield tuple(acc[i] for i in range(s.n))
+            return
+        i = order[k]
+        for j in slots.get(s_colors[i], ()):
+            if j in used:
+                continue
+            ok = all(
+                (s.up[i] >> i2 & 1) == (t.up[j] >> j2 & 1)
+                and (s.up[i2] >> i & 1) == (t.up[j2] >> j & 1)
+                and (s.contact[i] >> i2 & 1) == (t.contact[j] >> j2 & 1)
+                for i2, j2 in acc.items()
+            )
+            if not ok:
+                continue
+            acc[i] = j
+            used.add(j)
+            yield from rec(k + 1, acc, used)
+            del acc[i]
+            used.discard(j)
+
+    yield from rec(0, {}, set())
+
 
 
 def reference_induced_embeddings(s, t):

@@ -26,11 +26,8 @@ from contactposets.enumeration import (
     induced_embeddings,
 )
 from contactposets.errors import UnknownElement
-from contactposets.fraisse import (
-    build_limit_stage,
-    embeds_extension,
-    one_point_extensions,
-)
+from contactposets.fraisse import build_limit_stage, one_point_extensions
+from extension_walk import embeds_extension
 from join_scans import join_index, least_of as _least_of
 
 

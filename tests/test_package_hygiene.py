@@ -247,8 +247,9 @@ def test_origins_only_in_the_provenance_builders():
 def test_one_map_search():
     """Every map search reads the memoised embedding table, whose
     candidate-mask search replaced the colour-class search: isomorphisms
-    is kept as the tests' reference and has no caller in the package,
-    and tables are canonicalised raw only inside enumeration."""
+    lives in the tests as their reference, so nothing in the package
+    calls it, and tables are canonicalised raw only inside
+    enumeration."""
     assert _callers_everywhere("isomorphisms") == set()
     assert {name for name, _ in _callers_everywhere("canonical_table_key")} == {
         "enumeration.py"
@@ -276,10 +277,10 @@ def _call_counts(callee):
 def test_join_and_meet_tables_only_find():
     """Known joins and meets are tested by their rows, so no target-side
     table is built: _preserves_joins and _bound_sweep build the source's
-    tables only, embeds_extension t's (the extension, not the stage),
-    and _grow_semilattice the amalgam d's (the grown stage, the source
-    of its map into the semilattice), to find the missing joins with
-    the fresh point.  _embedding_table builds the target's, once per
+    tables only, the limit-stage pattern builder _pattern t's (the
+    extension, not the stage), and _grow_semilattice the amalgam d's
+    (the grown stage, the source of its map into the semilattice), to
+    find the missing joins with the fresh point.  _embedding_table builds the target's, once per
     semilattice search, to keep the images closed under its joins, as
     _carrier_positions does for the subsets it lists."""
     assert _call_counts("join_table") == Counter({
@@ -291,7 +292,7 @@ def test_join_and_meet_tables_only_find():
         ("enumeration.py", "lattice_operations"): 1,
         ("enumeration.py", "_carrier_positions"): 1,
         ("enumeration.py", "_embedding_table"): 1,
-        ("fraisse.py", "embeds_extension"): 1,
+        ("fraisse.py", "_pattern"): 1,
         ("fraisse.py", "generated_subsemilattice"): 1,
         ("represent.py", "_bound_sweep"): 1,
     })
@@ -299,6 +300,20 @@ def test_join_and_meet_tables_only_find():
         ("enumeration.py", "lattice_operations"): 1,
         ("represent.py", "_bound_sweep"): 1,
     })
+
+
+def test_one_limit_stage_walk():
+    """A limit stage is walked on table positions alone: the name-level
+    extension check and its miss-cause helper live in the tests as the
+    reference (tests/extension_walk.py), defined nowhere in the
+    package."""
+    defined = {
+        node.name
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert not defined & {"embeds_extension", "_below_fresh"}
 
 
 def test_two_row_builders_with_fixed_callers():

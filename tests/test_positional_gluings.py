@@ -60,7 +60,8 @@ def _labelled_gluings(kind, bound):
     items = AgeCatalog.build(bound, kind).items
     for a in items:
         for b in items:
-            for chosen, image in _gluings(a, b, [tuple(range(a.n))], [tuple(range(b.n))]):
+            for chosen, c, image in _gluings(a, b, [tuple(range(a.n))], [tuple(range(b.n))]):
+                assert c == _restriction(a, chosen)
                 yield a, b, chosen, image
 
 
@@ -120,8 +121,7 @@ def test_tag_collisions_raise_on_both_renamings():
         a, b = rng.choice(items), rng.choice(items)
         a = a.rename(dict(zip(a.names, ["0"] + rng.sample(names[1:], a.n - 1))))
         b = b.rename(dict(zip(b.names, ["0"] + rng.sample(names[1:], b.n - 1))))
-        for chosen, image in _gluings(a, b, [tuple(range(a.n))], [tuple(range(b.n))]):
-            c = _restriction(a, chosen)
+        for chosen, c, image in _gluings(a, b, [tuple(range(a.n))], [tuple(range(b.n))]):
             expected = _outcome(reference_glued_apart, a, b, c, chosen, image)
             assert _outcome(_glued_apart, a, b, c, chosen, image) == expected
             if expected[0] == "raised":

@@ -4,7 +4,9 @@ Each replaced body is kept below as the reference, and the library must
 give the same values:
 
 - the limit-stage growth and the extension-property report, which now
-  walk one sweep (``fraisse._sweep``), and the realization's instance,
+  walk one sweep (``fraisse._sweep``) on table positions, held to the
+  name-level check ``extension_walk.embeds_extension``, and the
+  realization's instance,
   which is now built unchecked (every one must still pass
   ``AmalgamInstance.from_parts``);
 - ``core.overlap_relation``, now the minimal-nonzero kernel, against the
@@ -86,10 +88,8 @@ from contactposets.fraisse import (
     ExtensionReport,
     LimitStage,
     Realization,
-    _below_fresh,
     build_limit_stage,
     check_extension_property,
-    embeds_extension,
     iter_gluings,
     one_point_extensions,
     trivial_stage,
@@ -101,6 +101,7 @@ from contactposets.gallery import (
 )
 from contactposets.io import event_to_doc, structure_to_doc, structure_to_dot
 from contactposets.represent import complete_lattice_embedding, overlap_poset_embedding
+from extension_walk import _below_fresh, embeds_extension
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,6 @@ from contactposets.fraisse import (
     _amalgamate_extension,
     build_limit_stage,
     check_extension_property,
-    embeds_extension,
     iter_gluings,
     one_point_extensions,
 )
@@ -74,6 +73,7 @@ from contactposets.represent import (
     overlap_semilattice_embedding,
     powerset_embedding,
 )
+from extension_walk import embeds_extension
 from join_scans import join_index
 
 
@@ -781,8 +781,9 @@ def _missing_join_steps():
 
 
 def _glued(monkeypatch, steps):
-    """Glue each (S, f, t, into) of steps onto S through the stage path;
-    (instance, d, result) per step."""
+    """Glue each (S, f, t, into) of steps onto S through the stage path,
+    which takes the copy and the inclusion as positions; (instance, d,
+    result) per step."""
     kept = []
 
     def keeping(inst, d):
@@ -792,7 +793,9 @@ def _glued(monkeypatch, steps):
 
     monkeypatch.setattr(fraisse, "_grow_semilattice", keeping)
     for s, f, t, into in steps:
-        assert _amalgamate_extension(s, f, t, into, "x") is kept[-1][2]
+        copy = [s.index(f[name]) for name in into]
+        at = [t.index(into[name]) for name in into]
+        assert _amalgamate_extension(s, copy, t, at, "x") is kept[-1][2]
     monkeypatch.undo()
     return kept
 
